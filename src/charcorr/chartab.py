@@ -17,6 +17,7 @@ from . import perm as pm
 from .cyclotomic import Cyc, dixon_prime, primitive_root, render_cyc, root_of_unity
 from .fq import PrimeField, eigenvalues, nullspace, rref
 from .groups import ConjClasses, PermGroup, Subgroup, conjugacy_classes, is_normal
+from .kernels import pure
 
 
 class NotACharacterError(ValueError):
@@ -148,22 +149,36 @@ def character_table(G: PermGroup) -> CharacterTable:
 
 
 def _dixon_schneider(G: PermGroup) -> CharacterTable:
+    """Character table from the common eigenvectors of the class matrices.
+
+    Each irreducible chi has the central character omega_i = |C_i| chi(g_i) /
+    chi(1).  With the class-algebra structure constants c_ijk (class matrix
+    i holds c_ijk at row j, column k), sum_k c_ijk omega_k = omega_i omega_j,
+    so omega is a right eigenvector of every class matrix.  The common
+    eigenspaces are lines, so each eigenvector is a multiple of some omega,
+    and omega_0 = 1 on the identity class fixes the scale: omega is read off
+    the eigenvector with no further class matrix built.
+    """
     classes = conjugacy_classes(G)
     r = classes.count
     n = G.order
     q = dixon_prime(G.exponent, n)
     field = PrimeField(q)
-    mats = [
-        G._impl.class_matrix(G.ctx, list(classes.class_of_id), list(classes.members_ids[i]), list(classes.rep_ids))
-        for i in range(r)
-    ]
-    vectors = _common_eigenvectors(mats, q)
-    assert len(vectors) == r
+
+    def class_matrix(i):
+        return pure.class_matrix(G.ctx, classes.class_of_id, classes.members_ids[i], classes.rep_ids)
+
+    vectors = _common_eigenvectors(class_matrix, r, q)
+    if len(vectors) != r:
+        raise RuntimeError(f"{G.name}: {len(vectors)} common eigenvectors for {r} classes")
     inv_sizes = [field.inv(s) for s in classes.sizes]
     w0 = primitive_root(q)
     rows = []
-    for vec, pivot in vectors:
-        omega = _central_character(mats, vec, pivot, q)
+    for vec in vectors:
+        if vec[0] == 0:
+            raise RuntimeError(f"{G.name}: common eigenvector vanishes on the identity class")
+        inv0 = field.inv(vec[0])
+        omega = [(x * inv0) % q for x in vec]
         t = sum(omega[i] * omega[classes.inverse_class(i)] * inv_sizes[i] for i in range(r)) % q
         d2 = (n * field.inv(t)) % q
         d = next(k for k in range(1, isqrt(n) + 1) if (k * k) % q == d2)
@@ -176,19 +191,21 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
     return table
 
 
-def _common_eigenvectors(mats, q):
+def _common_eigenvectors(class_matrix, r, q):
     """Split F_q^r into common 1-dim eigenspaces of the class matrices.
 
-    Spaces are row bases in reduced row echelon form; matrices are applied in
-    canonical class order and eigen-subspaces ordered by ascending eigenvalue,
-    so the output is deterministic.
+    ``class_matrix(i)`` builds the matrix of class i; it is called in
+    canonical class order and only until every space is a line, so matrices
+    the split does not need are never built.  Spaces are row bases in reduced
+    row echelon form and eigen-subspaces are ordered by ascending eigenvalue,
+    so the output is deterministic.  Returns one spanning vector per line.
     """
-    r = len(mats)
     identity = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     spaces = [(identity, list(range(r)))]
-    for mat in mats[1:]:
+    for i in range(1, r):
         if all(len(basis) == 1 for basis, _ in spaces):
             break
+        mat = class_matrix(i)
         nxt = []
         for basis, pivots in spaces:
             dim = len(basis)
@@ -227,18 +244,7 @@ def _common_eigenvectors(mats, q):
     for basis, _ in spaces:
         if len(basis) != 1:
             raise RuntimeError("eigenspace splitting failed to reach dimension 1")
-    return [(basis[0], pivots[0]) for basis, pivots in spaces]
-
-
-def _central_character(mats, vec, pivot, q):
-    """Eigenvalue of each class matrix on the common eigenvector."""
-    r = len(mats)
-    inv_p = pow(vec[pivot], q - 2, q)
-    out = []
-    for mat in mats:
-        img = sum(mat[pivot][k] * vec[k] for k in range(r)) % q
-        out.append((img * inv_p) % q)
-    return out
+    return [basis[0] for basis, _ in spaces]
 
 
 def _lift_value(classes, i, fq_values, degree, w0, field):

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .chartab import character_table
@@ -36,7 +35,6 @@ class RunConfig:
     out: str | None = None
     cap: int = DEFAULT_CAP
     run_all: bool = False
-    jobs: int = 1
     verbose: bool = False
 
     def __post_init__(self):
@@ -44,8 +42,6 @@ class RunConfig:
             raise MalformedGroupError(f"cap must be >= 1, got {self.cap}")
         if self.prime is not None and not is_prime(self.prime):
             raise HypothesisError(f"{self.prime} is not prime")
-        if self.jobs < 1:
-            raise MalformedGroupError("jobs must be >= 1")
 
 
 def _resolve_group(spec: str, cap: int):
@@ -161,16 +157,10 @@ def cmd_verify(cfg: RunConfig) -> int:
             _emit(_verify_report_text(rep), cfg.out)
         return 0 if rep.verdict else 1
 
-    entries = corpus()
-    if cfg.jobs > 1:
-        _log(cfg, f"running {len(entries)} corpus instances on {cfg.jobs} threads")
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(lambda e: _run_corpus_entry(e, cfg.cap), entries))
-    else:
-        records = []
-        for e in entries:
-            _log(cfg, f"verifying {e.name} at p={e.prime}")
-            records.append(_run_corpus_entry(e, cfg.cap))
+    records = []
+    for e in corpus():
+        _log(cfg, f"verifying {e.name} at p={e.prime}")
+        records.append(_run_corpus_entry(e, cfg.cap))
     all_ok = all(r["ok"] for r in records)
     if cfg.fmt == "structured":
         _emit(_dump_json({"instances": records, "all_ok": all_ok}), cfg.out)
@@ -250,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--group", help="group file path or builtin name")
     p_verify.add_argument("-p", "--prime", type=int, help="the prime p")
     p_verify.add_argument("--all", action="store_true", help="run the whole corpus")
-    p_verify.add_argument("--jobs", type=int, default=1, help="corpus entries in parallel")
     common(p_verify)
 
     p_remark = sub.add_parser("remark648", help="run the order-648 showcase verification")
@@ -267,7 +256,6 @@ def _config_from_args(args) -> RunConfig:
         out=args.out,
         cap=args.cap,
         run_all=getattr(args, "all", False),
-        jobs=getattr(args, "jobs", 1),
         verbose=args.verbose,
     )
 

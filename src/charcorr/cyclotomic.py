@@ -435,26 +435,6 @@ def root_of_unity(n: int, k: int = 1) -> Cyc:
     return Cyc(n, ctx.power_row(k))
 
 
-def cyc_add(a: Cyc, b: Cyc) -> Cyc:
-    return a + b
-
-
-def cyc_mul(a: Cyc, b: Cyc) -> Cyc:
-    return a * b
-
-
-def cyc_neg(a: Cyc) -> Cyc:
-    return -a
-
-
-def cyc_conj(a: Cyc) -> Cyc:
-    return a.conj()
-
-
-def galois(a: Cyc, k: int) -> Cyc:
-    return a.galois(k)
-
-
 def sqrt_minus3() -> Cyc:
     """The pinned square root of -3: 1 + 2*zeta_3."""
     return Cyc.rational(1) + 2 * root_of_unity(3)

@@ -34,11 +34,6 @@ def matvec(M, v, q):
     return [sum(a * b for a, b in zip(row, v)) % q for row in M]
 
 
-def matmul(A, B, q):
-    cols = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) % q for col in cols] for row in A]
-
-
 def rref(rows, q):
     """Reduced row echelon form; returns (rows, pivot column list)."""
     rows = [list(r) for r in rows]

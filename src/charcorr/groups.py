@@ -15,7 +15,7 @@ import json
 from math import gcd, lcm
 
 from . import perm as pm
-from .kernels import impl_for_degree
+from .kernels import pure
 from .perm import Perm
 
 DEFAULT_CAP = 20000
@@ -47,7 +47,6 @@ class PermGroup:
         self.elements: tuple[Perm, ...] = tuple(elements)
         self.order = len(self.elements)
         self.name = name
-        self._impl = impl_for_degree(degree)
         self._ctx = None
         self._orders: list[int] | None = None
         self._classes = None
@@ -65,9 +64,8 @@ class PermGroup:
                     f"{name}: generator {list(images)} is not a permutation of degree {degree}"
                 )
             gens.append(images)
-        impl = impl_for_degree(degree)
         try:
-            elements = impl.closure_bfs(degree, gens, cap)
+            elements = pure.closure_bfs(degree, gens, cap)
         except ValueError as exc:
             raise GroupTooLargeError(f"{name}: {exc}") from exc
         return cls(degree, gens, elements, name)
@@ -77,7 +75,7 @@ class PermGroup:
     @property
     def ctx(self):
         if self._ctx is None:
-            self._ctx = self._impl.make_ctx(self.degree, list(self.elements))
+            self._ctx = pure.GroupCtx(self.degree, list(self.elements))
         return self._ctx
 
     def id_of(self, p: Perm) -> int:
@@ -87,10 +85,10 @@ class PermGroup:
             raise ValueError(f"{self.name}: permutation {p} is not a group element") from None
 
     def mul(self, i: int, j: int) -> int:
-        return self._impl.mul(self.ctx, i, j)
+        return pure.mul(self.ctx, i, j)
 
     def inv(self, i: int) -> int:
-        return self._impl.inv(self.ctx, i)
+        return pure.inv(self.ctx, i)
 
     def conj(self, i: int, j: int) -> int:
         """Id of elements[j]^-1 * elements[i] * elements[j]."""
@@ -111,7 +109,7 @@ class PermGroup:
         return all(s == 1 for s in conjugacy_classes(self).sizes)
 
     def closure_ids(self, gen_ids) -> list[int]:
-        return self._impl.subgroup_closure(self.ctx, list(gen_ids))
+        return pure.subgroup_closure(self.ctx, list(gen_ids))
 
     def pruned_closure_ids(self, seed_ids) -> tuple[list[int], list[int]]:
         """Closure of the seeds, adjoining only seeds that enlarge it.
@@ -249,14 +247,6 @@ def load_group(path, cap: int = DEFAULT_CAP) -> PermGroup:
     return group_from_dict(data, cap=cap)
 
 
-def group_to_dict(group: PermGroup) -> dict:
-    return {
-        "name": group.name,
-        "degree": group.degree,
-        "generators": [list(g) for g in group.generators],
-    }
-
-
 # -- conjugacy classes ---------------------------------------------------------
 
 
@@ -306,7 +296,7 @@ def conjugacy_classes(G: PermGroup) -> ConjClasses:
     if G._classes is not None:
         return G._classes
     gen_ids = [G.id_of(g) for g in G.generators]
-    orbit = G._impl.conj_orbit_ids(G.ctx, gen_ids)
+    orbit = pure.conj_orbit_ids(G.ctx, gen_ids)
     buckets: dict[int, list[int]] = {}
     for eid, oid in enumerate(orbit):
         buckets.setdefault(oid, []).append(eid)
@@ -371,12 +361,12 @@ def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
     assert H.parent is G
     lex_ids = sorted(H.sorted_ids, key=lambda i: G.elements[i])
     _, gen_ids = G.pruned_closure_ids(lex_ids)
-    ids = G._impl.normalizer_ids(G.ctx, set(H.member_ids), gen_ids or [0])
+    ids = pure.normalizer_ids(G.ctx, set(H.member_ids), gen_ids or [0])
     return G.subgroup_from_ids(ids)
 
 
 def centralizer(G: PermGroup, g: Perm) -> Subgroup:
-    ids = G._impl.centralizer_ids(G.ctx, G.id_of(g))
+    ids = pure.centralizer_ids(G.ctx, G.id_of(g))
     return G.subgroup_from_ids(ids)
 
 
@@ -385,7 +375,7 @@ def centralizer_of_subgroup(G: PermGroup, H: Subgroup) -> Subgroup:
     assert H.parent is G
     out = set(range(G.order))
     for hid in H.sorted_ids:
-        out &= set(G._impl.centralizer_ids(G.ctx, hid))
+        out &= set(pure.centralizer_ids(G.ctx, hid))
     return G.subgroup_from_ids(out)
 
 

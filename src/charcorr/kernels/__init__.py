@@ -1,28 +1,7 @@
-"""Kernel backend selection: compiled extension when available, else pure.
+"""Group kernels: the hot loops behind enumeration, classes and class matrices.
 
-The compiled lane only supports degree <= 255 (points are stored as bytes);
-``impl_for_degree`` routes larger degrees to the pure lane transparently.
-Set CHARCORR_PURE=1 to force the pure lane regardless.
+They live in ``charcorr.kernels.pure``; callers import that module directly.
+``BACKEND`` names the kernel lane in benchmark reports.
 """
 
-from __future__ import annotations
-
-import os
-
-from . import pure
-
-_compiled = None
-if not os.environ.get("CHARCORR_PURE"):
-    try:
-        from .. import _speedups as _compiled  # type: ignore[no-redef]
-    except ImportError:
-        _compiled = None
-
-BACKEND = _compiled.BACKEND if _compiled is not None else pure.BACKEND
-
-
-def impl_for_degree(degree: int):
-    """Kernel module used for groups of the given degree."""
-    if _compiled is not None and degree <= 255:
-        return _compiled
-    return pure
+BACKEND = "pure"

@@ -1,7 +1,5 @@
 """Pure-Python group kernels: the hot loops behind enumeration and classes.
 
-The compiled twin in ``charcorr._speedups`` implements the same functions
-with identical outputs; ``charcorr.kernels`` picks one at import time.
 All functions work on element ids (positions in the canonical element list)
 except ``closure_bfs``, which produces that list in the first place.
 """
@@ -9,8 +7,6 @@ except ``closure_bfs``, which produces that list in the first place.
 from __future__ import annotations
 
 from ..perm import Perm, compose, identity, inverse
-
-BACKEND = "pure"
 
 
 class GroupCtx:
@@ -29,10 +25,6 @@ class GroupCtx:
             idx = self.index
             self._inv = [idx[inverse(p)] for p in self.elements]
         return self._inv
-
-
-def make_ctx(degree: int, elements: list[Perm]) -> GroupCtx:
-    return GroupCtx(degree, elements)
 
 
 def mul(ctx: GroupCtx, i: int, j: int) -> int:

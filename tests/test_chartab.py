@@ -71,6 +71,26 @@ def test_degrees(s4, d8, sl23, f21, c7):
     assert character_table(c7).degrees == (1,) * 7
 
 
+def test_table_builds_only_the_class_matrices_the_split_needs(monkeypatch):
+    from charcorr.groups import load_group
+    from charcorr.kernels import pure
+    from charcorr.showcase import corpus_path
+
+    G = load_group(corpus_path("remark648"))  # fresh group: no cached table
+    built = []
+    real = pure.class_matrix
+
+    def counting(*args):
+        built.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(pure, "class_matrix", counting)
+    table = character_table(G)
+    r = conjugacy_classes(G).count
+    assert table.count == r == 24
+    assert 0 < len(built) < r
+
+
 def test_sum_of_degree_squares(s4, sl23):
     for G in (s4, sl23):
         assert sum(d * d for d in character_table(G).degrees) == G.order

@@ -113,25 +113,40 @@ def test_remark_cap_exits_2(capsys):
     assert main(["remark648", "--cap", "100"]) == 2
 
 
-# -- determinism (fresh processes, serial vs parallel) ----------------------------------
+# -- determinism and fresh-process runs --------------------------------------------------
 
 
-def _run_subprocess(args, out_path):
-    cmd = [sys.executable, "-m", "charcorr.cli"] + args + ["--out", str(out_path)]
+def _run_subprocess(args, out_path, flags=()):
+    cmd = [sys.executable, *flags, "-m", "charcorr.cli"] + args + ["--out", str(out_path)]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return out_path.read_bytes()
 
 
 @pytest.mark.slow
-def test_verify_all_byte_identical_across_runs_and_jobs(tmp_path):
-    a = _run_subprocess(["verify", "--all", "--format", "structured"], tmp_path / "a.json")
-    b = _run_subprocess(["verify", "--all", "--format", "structured"], tmp_path / "b.json")
-    c = _run_subprocess(
-        ["verify", "--all", "--format", "structured", "--jobs", "4"], tmp_path / "c.json"
+def test_verify_all_byte_identical_across_runs(tmp_path):
+    outs = [
+        _run_subprocess(["verify", "--all", "--format", "structured"], tmp_path / f"{i}.json")
+        for i in range(3)
+    ]
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == (GOLDEN / "verify_all.json").read_bytes()
+
+
+@pytest.mark.slow
+def test_verify_all_golden_with_asserts_stripped(tmp_path):
+    out = _run_subprocess(
+        ["verify", "--all", "--format", "structured"], tmp_path / "o.json", flags=("-O",)
     )
-    assert a == b == c
-    assert a == (GOLDEN / "verify_all.json").read_bytes()
+    assert out == (GOLDEN / "verify_all.json").read_bytes()
+
+
+def test_verify_jobs_option_is_gone():
+    cmd = [sys.executable, "-m", "charcorr.cli", "verify", "--all", "--jobs", "2"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "--jobs" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.slow
