@@ -4,19 +4,28 @@ Tables are computed by the standard two-phase scheme: common eigenvectors of
 the class-algebra matrices over a prime field F_q (q = 1 mod exp(G), large
 enough that degrees and multiplicities lift uniquely), then exact character
 values recovered per class by counting root-of-unity multiplicities through
-a discrete Fourier sum over powers of the class representative.  Both
-orthogonality relations are verified exactly at construction time.
+a discrete Fourier sum over powers of the class representative.  Row
+orthogonality is verified exactly, in integer arithmetic, at construction
+time; for a square table the column relation follows from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 
 from . import perm as pm
-from .cyclotomic import Cyc, dixon_prime, primitive_root, render_cyc, root_of_unity
+from .cyclotomic import Cyc, _ctx, dixon_prime, primitive_root, render_cyc, root_of_unity
 from .fq import PrimeField, eigenvalues, nullspace, rref
-from .groups import ConjClasses, PermGroup, Subgroup, conjugacy_classes, is_normal
+from .groups import (
+    ConjClasses,
+    PermGroup,
+    Subgroup,
+    check_same_group,
+    conjugacy_classes,
+    is_normal,
+)
 from .kernels import pure
 
 
@@ -32,7 +41,8 @@ class ClassFunction:
     def __init__(self, group: PermGroup, values):
         self.values = tuple(values)
         self.group = group
-        assert len(self.values) == conjugacy_classes(group).count
+        if len(self.values) != conjugacy_classes(group).count:
+            raise ValueError(f"class function on {group.name} needs one value per class")
 
     @property
     def degree(self) -> Cyc:
@@ -40,15 +50,16 @@ class ClassFunction:
 
     def degree_int(self) -> int:
         d = self.values[0].as_fraction()
-        assert d.denominator == 1
+        if d.denominator != 1:
+            raise ValueError(f"degree {d} is not an integer")
         return d.numerator
 
     def __add__(self, other):
-        assert self.group is other.group
+        check_same_group("ClassFunction.__add__", self.group, other.group)
         return ClassFunction(self.group, (a + b for a, b in zip(self.values, other.values)))
 
     def __sub__(self, other):
-        assert self.group is other.group
+        check_same_group("ClassFunction.__sub__", self.group, other.group)
         return ClassFunction(self.group, (a - b for a, b in zip(self.values, other.values)))
 
     def __eq__(self, other):
@@ -97,7 +108,7 @@ class CharacterTable:
         return tuple(i for i, d in enumerate(self.degrees) if d == 1)
 
     def index_of(self, f: ClassFunction) -> int:
-        assert f.group is self.group
+        check_same_group("CharacterTable.index_of", f.group, self.group)
         for i, row in enumerate(self.rows):
             if row.values == f.values:
                 return i
@@ -269,32 +280,94 @@ def _lift_value(classes, i, fq_values, degree, w0, field):
 
 
 def _verify_table(table: CharacterTable) -> None:
-    """Every table must pass both orthogonality relations exactly, or die."""
+    """Every table must pass row orthogonality exactly, or die.
+
+    With X the r x r table and D = diag(|C_i|), the check is X D conj(X)^t =
+    |G| I.  That makes X invertible with inverse D conj(X)^t / |G|, so
+    conj(X)^t X = |G| D^-1: column orthogonality follows and is not rechecked.
+
+    Character values are algebraic integers, so at the lcm conductor m every
+    value and its conjugate is an integer vector in the power basis of
+    Z[zeta_m].  Each vector is packed into one int (Kronecker substitution),
+    one big-int product per class gives the polynomial product, and the sum
+    over classes is decoded and reduced mod Phi_m once per pair of rows.
+    """
     G, cls = table.group, table.classes
     n, r = G.order, cls.count
     if len(table.rows) != r or sum(d * d for d in table.degrees) != n:
         raise RuntimeError(f"{G.name}: degree squares do not sum to the group order")
     if not all(v == 1 for v in table.rows[0].values):
         raise RuntimeError(f"{G.name}: first irreducible is not the trivial character")
-    conj_rows = [[v.conj() for v in row.values] for row in table.rows]
-    one, zero = Cyc.one(), Cyc.zero()
-    inv_n = Fraction(1, n)
+    m = lcm(*(v.n for row in table.rows for v in row.values))
+    ctx = _ctx(m)
+    phi = ctx.phi
+    embedded = {}
+    for row in table.rows:
+        for v in row.values:
+            key = (v.n, v.coeffs)
+            if key not in embedded:
+                embedded[key] = _embed_with_conj(v, m, ctx, G.name)
+    bound = n * phi * max(max(map(abs, x + y)) for x, y in embedded.values()) ** 2
+    width = (2 * bound).bit_length()
+    packed = {key: (_pack(x, width), _pack(y, width)) for key, (x, y) in embedded.items()}
+    weighted, conj = [], []
+    for row in table.rows:
+        pairs = [packed[(v.n, v.coeffs)] for v in row.values]
+        weighted.append([s * x for s, (x, _) in zip(cls.sizes, pairs)])
+        conj.append([y for _, y in pairs])
+    slots = 2 * phi - 1
     for a in range(r):
+        xa = weighted[a]
         for b in range(a, r):
-            acc = zero
-            for i in range(r):
-                acc = acc + cls.sizes[i] * (table.rows[a].values[i] * conj_rows[b][i])
-            acc = inv_n * acc
-            if acc != (one if a == b else zero):
+            digits = _unpack(sum(map(mul, xa, conj[b])), width, slots)
+            reduced = digits[:phi]
+            for j in range(phi, slots):
+                if digits[j]:
+                    for i, t in enumerate(ctx.rows[j]):
+                        reduced[i] += digits[j] * t
+            if reduced[0] != (n if a == b else 0) or any(reduced[1:]):
                 raise RuntimeError(f"{G.name}: first orthogonality fails at rows {a},{b}")
-    for i in range(r):
-        for j in range(i, r):
-            acc = zero
-            for x in range(r):
-                acc = acc + table.rows[x].values[i] * conj_rows[x][j]
-            expected = Cyc.rational(Fraction(n, cls.sizes[i])) if i == j else zero
-            if acc != expected:
-                raise RuntimeError(f"{G.name}: second orthogonality fails at classes {i},{j}")
+
+
+def _embed_with_conj(v: Cyc, m: int, ctx, name: str) -> tuple[list[int], list[int]]:
+    """Integer coefficients of v and conj(v) in the power basis of Z[zeta_m]."""
+    if any(c.denominator != 1 for c in v.coeffs):
+        raise RuntimeError(f"{name}: character value {render_cyc(v)} is not an algebraic integer")
+    step = m // v.n
+    x, y = [0] * ctx.phi, [0] * ctx.phi
+    for k, c in enumerate(v.coeffs):
+        if c:
+            c = c.numerator
+            for out, e in ((x, k * step), (y, -k * step)):
+                for i, t in enumerate(ctx.power_row(e)):
+                    if t:
+                        out[i] += c * t
+    return x, y
+
+
+def _pack(coeffs, width: int) -> int:
+    """Kronecker substitution: sum_j coeffs[j] * 2^(width*j), signed coefficients."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << width) + c
+    return acc
+
+
+def _unpack(value: int, width: int, slots: int) -> list[int]:
+    """Inverse of ``_pack`` with balanced digits in [-2^(width-1), 2^(width-1)).
+
+    Exact as long as every coefficient lies in that range; anything left above
+    the top slot means a coefficient overflowed, and raises.
+    """
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    out = []
+    for _ in range(slots):
+        d = ((value + half) & mask) - half
+        out.append(d)
+        value = (value - d) >> width
+    if value:
+        raise RuntimeError("packed sum overflows its top slot")
+    return out
 
 
 # -- class-function operations ------------------------------------------------------
@@ -312,7 +385,7 @@ def fusion_map(H: Subgroup) -> FusionMap:
 
 def restrict(chi: ClassFunction, H: Subgroup, fusion: FusionMap | None = None) -> ClassFunction:
     """Restriction to a subgroup, read through the fusion map."""
-    assert chi.group is H.parent
+    check_same_group("restrict", chi.group, H.parent)
     fusion = fusion or fusion_map(H)
     return ClassFunction(H.view, (chi.values[c] for c in fusion.class_map))
 
@@ -321,7 +394,7 @@ def induce(theta: ClassFunction, H: Subgroup) -> ClassFunction:
     """Induced class function on the parent group (standard formula)."""
     G = H.parent
     view = H.view
-    assert theta.group is view
+    check_same_group("induce", theta.group, view)
     view_classes = conjugacy_classes(view)
     parent_classes = conjugacy_classes(G)
     theta_at = {}
@@ -343,14 +416,13 @@ def induce(theta: ClassFunction, H: Subgroup) -> ClassFunction:
 
 
 def mul_classfn(a: ClassFunction, b: ClassFunction) -> ClassFunction:
-    assert a.group is b.group
+    check_same_group("mul_classfn", a.group, b.group)
     return ClassFunction(a.group, (x * y for x, y in zip(a.values, b.values)))
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyc:
     """(1/|G|) sum over classes of size * a * conj(b); exact."""
-    if a.group is not b.group:
-        raise ValueError("inner product of class functions on different groups")
+    check_same_group("inner_product", a.group, b.group)
     cls = conjugacy_classes(a.group)
     acc = Cyc.zero()
     for s, x, y in zip(cls.sizes, a.values, b.values):
@@ -391,7 +463,8 @@ def constituents(f: ClassFunction) -> list[tuple[int, int]]:
 
 def lying_over(table: CharacterTable, N: Subgroup, theta: ClassFunction) -> list[int]:
     """Indices of irreducibles chi with <chi_N, theta> != 0 (N normal)."""
-    assert is_normal(table.group, N)
+    if not is_normal(table.group, N):
+        raise ValueError("lying_over: N is not normal")
     out = []
     for i, row in enumerate(table.rows):
         if inner_product_int(restrict(row, N), theta):
@@ -401,8 +474,9 @@ def lying_over(table: CharacterTable, N: Subgroup, theta: ClassFunction) -> list
 
 def constituents_over(f: ClassFunction, N: Subgroup, theta: ClassFunction) -> list[int]:
     """Constituent rows of f that lie over theta on the normal subgroup N."""
-    assert N.parent is f.group
-    assert is_normal(f.group, N)
+    check_same_group("constituents_over", N.parent, f.group)
+    if not is_normal(f.group, N):
+        raise ValueError("constituents_over: N is not normal")
     table = character_table(f.group)
     out = []
     for i, _ in constituents(f):
@@ -414,7 +488,7 @@ def constituents_over(f: ClassFunction, N: Subgroup, theta: ClassFunction) -> li
 def conjugate_classfn(theta: ClassFunction, N: Subgroup, g: pm.Perm) -> ClassFunction:
     """theta^g on the same view: (theta^g)(x) = theta(g x g^-1)."""
     view = N.view
-    assert theta.group is view
+    check_same_group("conjugate_classfn", theta.group, view)
     cls = conjugacy_classes(view)
     ginv = pm.inverse(g)
     values = []
@@ -427,7 +501,7 @@ def conjugate_classfn(theta: ClassFunction, N: Subgroup, g: pm.Perm) -> ClassFun
 def is_invariant_under(theta: ClassFunction, N: Subgroup, S: Subgroup) -> bool:
     """True if theta^g = theta for every g in S (checked on generators of S)."""
     G = N.parent
-    assert S.parent is G
+    check_same_group("is_invariant_under", S.parent, G)
     _, gen_ids = G.pruned_closure_ids(sorted(S.sorted_ids, key=lambda i: G.elements[i]))
     return all(
         conjugate_classfn(theta, N, G.elements[g]).values == theta.values for g in gen_ids
@@ -445,7 +519,7 @@ def orbit_and_stabilizer(
     G = N.parent
     if actors is None:
         actors = G.full_subgroup()
-    assert actors.parent is G
+    check_same_group("orbit_and_stabilizer", actors.parent, G)
     _, gen_ids = G.pruned_closure_ids(sorted(actors.sorted_ids, key=lambda i: G.elements[i]))
     orbit = [theta]
     seen = {theta.values}

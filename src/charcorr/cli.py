@@ -2,7 +2,9 @@
 and the order-648 showcase.
 
 Exit codes: 0 = everything verified, 1 = a falsification (a checked theorem
-statement failed), 2 = input or hypothesis error.
+statement failed), 2 = input or hypothesis error, 3 = engine error (an
+internal invariant failed, e.g. a table that fails orthogonality; this is a
+bug in the engine, not a statement about the group).
 """
 
 from __future__ import annotations
@@ -282,6 +284,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, ValueError) as exc:
+        print(f"engine error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

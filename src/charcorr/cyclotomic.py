@@ -114,7 +114,8 @@ def _polydiv_exact(num: list[int], den) -> list[int]:
         if coef:
             for i, d in enumerate(den):
                 num[shift + i] -= coef * d
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise RuntimeError("cyclotomic polynomial division left a remainder")
     return out
 
 
@@ -125,7 +126,8 @@ class _Context:
     """Power-basis data for one conductor: phi, Phi_n, and x^j reduction rows."""
 
     def __init__(self, n: int):
-        assert n == 1 or n % 4 != 2, f"non-canonical conductor {n}"
+        if n != 1 and n % 4 == 2:
+            raise ValueError(f"non-canonical conductor {n}")
         self.n = n
         self.phi = euler_phi(n)
         self.poly = cyclotomic_polynomial(n)
@@ -172,7 +174,8 @@ class Cyc:
 
     def __init__(self, n: int, coeffs):
         coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
-        assert len(coeffs) == euler_phi(n)
+        if len(coeffs) != euler_phi(n):
+            raise ValueError(f"Q(zeta_{n}) needs {euler_phi(n)} coefficients, got {len(coeffs)}")
         if n > 1 and not any(coeffs[1:]):
             n, coeffs = 1, (coeffs[0],)
         self.n = n

@@ -29,6 +29,12 @@ class GroupTooLargeError(ValueError):
     """Enumeration would exceed the configured element cap."""
 
 
+def check_same_group(op: str, a: PermGroup, b: PermGroup) -> None:
+    """Raise ValueError unless an operation's operands live on one group."""
+    if a is not b:
+        raise ValueError(f"{op}: operands on different groups ({a.name}, {b.name})")
+
+
 def p_part(n: int, p: int) -> int:
     """Largest power of p dividing n."""
     out = 1
@@ -57,8 +63,11 @@ class PermGroup:
     @classmethod
     def from_generators(cls, degree, generators, name="G", cap=DEFAULT_CAP) -> "PermGroup":
         gens = []
+        try:
+            generators = [tuple(int(x) for x in images) for images in generators]
+        except (TypeError, ValueError) as exc:
+            raise MalformedGroupError(f"{name}: generators are not lists of integers") from exc
         for images in generators:
-            images = tuple(int(x) for x in images)
             if len(images) != degree or not pm.is_perm(images):
                 raise MalformedGroupError(
                     f"{name}: generator {list(images)} is not a permutation of degree {degree}"
@@ -220,7 +229,8 @@ def _build_view(parent: PermGroup, sorted_ids) -> PermGroup:
     else:
         name = "sub1"
     view = PermGroup.from_generators(parent.degree, gens, name=name, cap=len(sorted_ids))
-    assert view.order == len(sorted_ids)
+    if view.order != len(sorted_ids):
+        raise RuntimeError(f"{name}: generators span {view.order} elements, not {len(sorted_ids)}")
     return view
 
 
@@ -358,7 +368,7 @@ def _is_p_power(n: int, p: int) -> bool:
 
 
 def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
-    assert H.parent is G
+    check_same_group("normalizer", H.parent, G)
     lex_ids = sorted(H.sorted_ids, key=lambda i: G.elements[i])
     _, gen_ids = G.pruned_closure_ids(lex_ids)
     ids = pure.normalizer_ids(G.ctx, set(H.member_ids), gen_ids or [0])
@@ -372,7 +382,7 @@ def centralizer(G: PermGroup, g: Perm) -> Subgroup:
 
 def centralizer_of_subgroup(G: PermGroup, H: Subgroup) -> Subgroup:
     """Elements of G commuting with every member of H."""
-    assert H.parent is G
+    check_same_group("centralizer_of_subgroup", H.parent, G)
     out = set(range(G.order))
     for hid in H.sorted_ids:
         out &= set(pure.centralizer_ids(G.ctx, hid))
@@ -458,7 +468,7 @@ def o_p_residual(X, p: int) -> Subgroup:
 
 def product_subgroup(A: Subgroup, B: Subgroup) -> Subgroup:
     """Set product AB, which must be a subgroup (errors otherwise)."""
-    assert A.parent is B.parent
+    check_same_group("product_subgroup", A.parent, B.parent)
     G = A.parent
     ab = {G.mul(a, b) for a in A.sorted_ids for b in B.sorted_ids}
     ba = {G.mul(b, a) for a in A.sorted_ids for b in B.sorted_ids}
@@ -468,12 +478,12 @@ def product_subgroup(A: Subgroup, B: Subgroup) -> Subgroup:
 
 
 def intersection(A: Subgroup, B: Subgroup) -> Subgroup:
-    assert A.parent is B.parent
+    check_same_group("intersection", A.parent, B.parent)
     return A.parent.subgroup_from_ids(A.member_ids & B.member_ids)
 
 
 def is_normal(G: PermGroup, N: Subgroup) -> bool:
-    assert N.parent is G
+    check_same_group("is_normal", N.parent, G)
     gen_ids = [G.id_of(g) for g in G.generators]
     _, n_gens = G.pruned_closure_ids(sorted(N.sorted_ids, key=lambda i: G.elements[i]))
     return all(G.conj(x, g) in N.member_ids for x in n_gens for g in gen_ids)
@@ -513,7 +523,7 @@ def normal_subgroups(G: PermGroup) -> tuple[Subgroup, ...]:
 
 def coset_rep_ids(K: Subgroup, N: Subgroup) -> list[int]:
     """Representatives of the cosets kN inside K, least parent id per coset."""
-    assert K.parent is N.parent
+    check_same_group("coset_rep_ids", K.parent, N.parent)
     G = K.parent
     reps = []
     covered: set[int] = set()

@@ -38,6 +38,7 @@ from .cyclotomic import is_prime
 from .groups import (
     PermGroup,
     Subgroup,
+    check_same_group,
     derived_subgroup,
     fixed_points_on_cosets,
     intersection,
@@ -112,8 +113,9 @@ def instance_with_sylow(G: PermGroup, p: int, P: Subgroup) -> McKayInstance:
     """Instance using a caller-chosen Sylow subgroup (for independence checks)."""
     if not is_prime(p):
         raise HypothesisError(f"{p} is not prime")
-    assert P.parent is G
-    assert P.order == p_part(G.order, p), "given subgroup is not a Sylow p-subgroup"
+    check_same_group("instance_with_sylow", P.parent, G)
+    if P.order != p_part(G.order, p):
+        raise ValueError("instance_with_sylow: given subgroup is not a Sylow p-subgroup")
     N = normalizer(G, P)
     return McKayInstance(
         group=G,
@@ -343,7 +345,8 @@ def isaacs_descent(
         current = h_table.rows[eta_index]
     # land on the canonical shared view of P and read off the row index
     p_final = group.subgroup(P_perms)
-    assert p_final.order == group.order
+    if p_final.order != group.order:
+        raise RuntimeError(f"descent ended on {group.name}, not on the Sylow subgroup")
     final_fn = restrict(current, p_final)
     p_table = character_table(inst.sylow.view)
     xi_index = p_table.index_of(final_fn)
@@ -403,7 +406,8 @@ def check_glauberman_unique(
     whenever P fixes only one coset of N in K; both are asserted.
     """
     G = P.parent
-    assert K.parent is G and N.parent is G
+    check_same_group("check_glauberman_unique", K.parent, G)
+    check_same_group("check_glauberman_unique", N.parent, G)
     if P.order > 1:
         p = min(f for f in range(2, P.order + 1) if P.order % f == 0)
         if p_part(P.order, p) != P.order:

@@ -11,6 +11,7 @@ import pytest
 
 from charcorr import perm as pm
 from charcorr.chartab import (
+    CharacterTable,
     ClassFunction,
     NotACharacterError,
     character_table,
@@ -27,10 +28,13 @@ from charcorr.chartab import (
     orbit_and_stabilizer,
     p_prime_irreducibles,
     restrict,
+    _pack,
+    _unpack,
+    _verify_table,
 )
 from charcorr.cyclotomic import Cyc, render_cyc
 from charcorr.groups import conjugacy_classes, normal_subgroups, sylow
-from charcorr.showcase import load_corpus_group
+from charcorr.showcase import corpus, load_corpus_group
 
 
 def brute_induce(theta, H):
@@ -116,6 +120,64 @@ def test_first_orthogonality_explicit(s4):
     for i, a in enumerate(tab.rows):
         for j, b in enumerate(tab.rows):
             assert inner_product(a, b) == (1 if i == j else 0)
+
+
+def _with_value(tab, a, i, value):
+    """Copy of tab with row a's value at class i replaced (group cache untouched)."""
+    values = list(tab.rows[a].values)
+    values[i] = value
+    rows = list(tab.rows)
+    rows[a] = ClassFunction(tab.group, values)
+    return CharacterTable(tab.group, tab.classes, rows)
+
+
+@pytest.mark.parametrize("name", sorted({e.name for e in corpus()}))
+def test_verifier_rejects_every_single_entry_corruption(name):
+    tab = character_table(load_corpus_group(name))
+    _verify_table(tab)
+    tried = 0
+    for a, row in enumerate(tab.rows):
+        for i, v in enumerate(row.values):
+            for bad in (v.conj(), -v, v + 1):
+                if bad == v:  # conjugating a real value or negating 0 changes nothing
+                    continue
+                tried += 1
+                with pytest.raises(RuntimeError):
+                    _verify_table(_with_value(tab, a, i, bad))
+    assert tried > tab.count * tab.count  # every "+1" corruption, plus more
+
+
+def test_verifier_rejects_non_integral_value(f21):
+    tab = character_table(f21)
+    with pytest.raises(RuntimeError, match="algebraic integer"):
+        _verify_table(_with_value(tab, 1, 1, tab.rows[1].values[1] + Fraction(1, 2)))
+
+
+def test_pack_unpack_round_trip_at_the_bound():
+    for bound in (1, 7, 2**31 - 1, 3 * 10**40):
+        width = (2 * bound).bit_length()
+        vec = [bound, -bound, 0, -bound, bound, 1, -1]
+        assert _unpack(_pack(vec, width), width, len(vec)) == vec
+        assert _unpack(_pack([-bound] * 5, width), width, 5) == [-bound] * 5
+
+
+def test_packed_product_is_the_convolution():
+    x, y = [3, -2, 0, 5], [-4, 1, 7, -1]
+    bound = len(x) * max(map(abs, x)) * max(map(abs, y))
+    width = (2 * bound).bit_length()
+    conv = [sum(x[i] * y[k - i] for i in range(len(x)) if 0 <= k - i < len(y)) for k in range(7)]
+    assert _unpack(_pack(x, width) * _pack(y, width), width, 7) == conv
+
+
+def test_unpack_raises_on_slot_overflow():
+    width = 8
+    half = 1 << (width - 1)
+    with pytest.raises(RuntimeError, match="overflows"):
+        _unpack(_pack([0, 0, half], width), width, 3)
+    with pytest.raises(RuntimeError, match="overflows"):
+        _unpack(_pack([1, -(half + 1)], width), width, 2)
+    with pytest.raises(RuntimeError, match="overflows"):
+        _unpack(_pack([1, 2, 3], width), width, 2)  # a slot more than the decoder reads
 
 
 def test_inner_product_rejects_group_mismatch(s4, d8):

@@ -48,6 +48,27 @@ def test_table_cap_too_small_exits_2(capsys):
     assert main(["table", "--group", "s4", "--cap", "10"]) == 2
 
 
+def test_engine_error_exits_3_without_traceback(monkeypatch, capsys):
+    from charcorr import chartab
+
+    def broken(table):
+        raise RuntimeError(f"{table.group.name}: first orthogonality fails at rows 0,1")
+
+    monkeypatch.setattr(chartab, "_verify_table", broken)
+    assert main(["table", "--group", "s4"]) == 3  # a fresh group: no cached table
+    err = capsys.readouterr().err
+    assert err.startswith("engine error: S4: first orthogonality fails")
+    assert "Traceback" not in err and "FALSIFIED" not in err
+
+
+def test_malformed_generators_exit_2(tmp_path, capsys):
+    for generators in ([["a", "b"]], 5):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "degree": 2, "generators": generators}))
+        assert main(["table", "--group", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad: generators are not lists")
+
+
 # -- verify --------------------------------------------------------------------------
 
 
@@ -141,6 +162,12 @@ def test_verify_all_golden_with_asserts_stripped(tmp_path):
     assert out == (GOLDEN / "verify_all.json").read_bytes()
 
 
+@pytest.mark.slow
+def test_remark_golden_with_asserts_stripped(tmp_path):
+    out = _run_subprocess(["remark648", "--format", "structured"], tmp_path / "o.json", flags=("-O",))
+    assert out == (GOLDEN / "remark648.json").read_bytes()
+
+
 def test_verify_jobs_option_is_gone():
     cmd = [sys.executable, "-m", "charcorr.cli", "verify", "--all", "--jobs", "2"]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
@@ -154,3 +181,28 @@ def test_remark_byte_identical_across_runs(tmp_path):
     a = _run_subprocess(["remark648", "--format", "structured"], tmp_path / "a.json")
     b = _run_subprocess(["remark648", "--format", "structured"], tmp_path / "b.json")
     assert a == b == (GOLDEN / "remark648.json").read_bytes()
+
+
+# -- stress group: the Heisenberg group mod 7 -----------------------------------------
+
+
+def heisenberg7_file(tmp_path):
+    """Heisenberg group mod 7 (order 343, 55 classes) on the 49 points of Z_7^2.
+
+    Point (x, y) is 7x + y.  The generators are the affine maps
+    (x, y) -> (x + 1, y) and (x, y) -> (x, y + x); their commutator is the
+    central translation (x, y) -> (x, y + 1).
+    """
+    shift = [7 * ((x + 1) % 7) + y for x in range(7) for y in range(7)]
+    shear = [7 * x + (y + x) % 7 for x in range(7) for y in range(7)]
+    path = tmp_path / "heis7.json"
+    path.write_text(json.dumps({"name": "heis7", "degree": 49, "generators": [shift, shear]}))
+    return path
+
+
+def test_table_heisenberg7_structured_golden(tmp_path):
+    code, text = run_cli(
+        ["table", "--group", str(heisenberg7_file(tmp_path)), "--format", "structured"], tmp_path
+    )
+    assert code == 0
+    assert text == (GOLDEN / "heis7_table.json").read_text()
