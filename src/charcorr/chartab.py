@@ -502,9 +502,8 @@ def is_invariant_under(theta: ClassFunction, N: Subgroup, S: Subgroup) -> bool:
     """True if theta^g = theta for every g in S (checked on generators of S)."""
     G = N.parent
     check_same_group("is_invariant_under", S.parent, G)
-    _, gen_ids = G.pruned_closure_ids(sorted(S.sorted_ids, key=lambda i: G.elements[i]))
     return all(
-        conjugate_classfn(theta, N, G.elements[g]).values == theta.values for g in gen_ids
+        conjugate_classfn(theta, N, G.elements[g]).values == theta.values for g in S.gen_ids
     )
 
 
@@ -515,30 +514,35 @@ def orbit_and_stabilizer(
 
     ``actors`` defaults to the full parent group of N (which must contain N
     as a normal subgroup so conjugation is well defined on Irr(N)).
+
+    The orbit is walked as a queue over the generators ``actors.gen_ids``, in
+    breadth-first order, keeping a transversal: theta^(t_i) = orbit[i], with
+    t_0 the identity.  Whenever orbit[i]^s is orbit[j] for a generator s, the
+    Schreier generator t_i * s * t_j^-1 fixes theta, and by Schreier's lemma
+    these generate the stabilizer, which is returned as their closure.
     """
     G = N.parent
     if actors is None:
         actors = G.full_subgroup()
     check_same_group("orbit_and_stabilizer", actors.parent, G)
-    _, gen_ids = G.pruned_closure_ids(sorted(actors.sorted_ids, key=lambda i: G.elements[i]))
     orbit = [theta]
-    seen = {theta.values}
-    frontier = [theta]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for gid in gen_ids:
-                t = conjugate_classfn(f, N, G.elements[gid])
-                if t.values not in seen:
-                    seen.add(t.values)
-                    orbit.append(t)
-                    nxt.append(t)
-        frontier = nxt
-    stab = [
-        gid
-        for gid in actors.sorted_ids
-        if conjugate_classfn(theta, N, G.elements[gid]).values == theta.values
-    ]
+    transversal = [0]
+    position = {theta.values: 0}
+    schreier = set()
+    for i, f in enumerate(orbit):  # the loop also visits points appended on the way
+        t = transversal[i]
+        for s in actors.gen_ids:
+            image = conjugate_classfn(f, N, G.elements[s])
+            ts = G.mul(t, s)
+            j = position.get(image.values)
+            if j is None:
+                position[image.values] = len(orbit)
+                orbit.append(image)
+                transversal.append(ts)
+            else:
+                schreier.add(G.mul(ts, G.inv(transversal[j])))
+    schreier.discard(0)
+    stab, _ = G.pruned_closure_ids(sorted(schreier))
     return tuple(orbit), G.subgroup_from_ids(stab)
 
 

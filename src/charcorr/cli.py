@@ -2,9 +2,11 @@
 and the order-648 showcase.
 
 Exit codes: 0 = everything verified, 1 = a falsification (a checked theorem
-statement failed), 2 = input or hypothesis error, 3 = engine error (an
-internal invariant failed, e.g. a table that fails orthogonality; this is a
-bug in the engine, not a statement about the group).
+statement failed), 2 = input or hypothesis error, including an ``--out``
+that cannot be written (a directory or a missing directory is refused before
+any work), 3 = engine error (an internal invariant failed, e.g. a table that
+fails orthogonality or a showcase ``ConstructionError``; this is a bug in the
+engine, not a statement about the group).
 """
 
 from __future__ import annotations
@@ -25,7 +27,11 @@ from .mckay import (
     mckay_count,
     verify_main,
 )
-from .showcase import ConstructionError, corpus, corpus_path, remark_report
+from .showcase import corpus, corpus_path, remark_report
+
+
+class OutputError(Exception):
+    """The --out path cannot be written."""
 
 
 @dataclass
@@ -44,6 +50,12 @@ class RunConfig:
             raise MalformedGroupError(f"cap must be >= 1, got {self.cap}")
         if self.prime is not None and not is_prime(self.prime):
             raise HypothesisError(f"{self.prime} is not prime")
+        if self.out:
+            if os.path.isdir(self.out):
+                raise OutputError(f"--out {self.out} is a directory")
+            folder = os.path.dirname(os.path.abspath(self.out))
+            if not os.path.isdir(folder):
+                raise OutputError(f"--out {self.out}: directory {folder} does not exist")
 
 
 def _resolve_group(spec: str, cap: int):
@@ -62,8 +74,11 @@ def _resolve_group(spec: str, cap: int):
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write --out {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -275,10 +290,10 @@ def main(argv=None) -> int:
                 raise HypothesisError("verify needs --group and -p, or --all")
             return cmd_verify(cfg)
         return cmd_remark(cfg)
-    except (FalsificationError, ConstructionError) as exc:
+    except FalsificationError as exc:
         print(f"FALSIFIED: {exc}", file=sys.stderr)
         return 1
-    except (MalformedGroupError, GroupTooLargeError, HypothesisError) as exc:
+    except (MalformedGroupError, GroupTooLargeError, HypothesisError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -3,15 +3,23 @@
 Groups are given by permutation generators and enumerated completely (desk
 scale, capped).  Element order is canonical: breadth-first closure from the
 generators in listed order, each level sorted lexicographically by image
-tuple.  Subgroups are member sets of a parent group; every subgroup also
-exposes a canonical ``view`` of itself as a stand-alone PermGroup, shared
-globally by member set so that equal subgroups always yield the identical
-view object (and hence identical class data downstream).
+tuple.  Subgroups are member sets of a parent group, interned per parent;
+every subgroup also exposes a canonical ``view`` of itself as a stand-alone
+PermGroup, shared globally by member set so that equal subgroups always
+yield the identical view object (and hence identical class data downstream).
+
+Subgroups are generated by coset extension (Dimino's algorithm, in
+``kernels.pure.extend_closure``): adjoining a generator to a closed subgroup
+H adds whole right cosets of H instead of re-running a closure from the
+identity.  What depends only on the member set is computed once per
+interned ``Subgroup``: its lex-pruned generators (``gen_ids``), its view and
+its derived subgroup.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sized
 from math import gcd, lcm
 
 from . import perm as pm
@@ -19,6 +27,9 @@ from .kernels import pure
 from .perm import Perm
 
 DEFAULT_CAP = 20000
+# Bounds on a group description, checked before anything is allocated for it.
+MAX_DEGREE = 1024
+MAX_GENERATORS = 64
 
 
 class MalformedGroupError(ValueError):
@@ -62,6 +73,12 @@ class PermGroup:
 
     @classmethod
     def from_generators(cls, degree, generators, name="G", cap=DEFAULT_CAP) -> "PermGroup":
+        if not 1 <= degree <= MAX_DEGREE:
+            raise MalformedGroupError(f"{name}: degree {degree} is outside 1..{MAX_DEGREE}")
+        if isinstance(generators, Sized) and len(generators) > MAX_GENERATORS:
+            raise MalformedGroupError(
+                f"{name}: {len(generators)} generators, at most {MAX_GENERATORS} allowed"
+            )
         gens = []
         try:
             generators = [tuple(int(x) for x in images) for images in generators]
@@ -117,21 +134,21 @@ class PermGroup:
     def is_abelian(self) -> bool:
         return all(s == 1 for s in conjugacy_classes(self).sizes)
 
-    def closure_ids(self, gen_ids) -> list[int]:
-        return pure.subgroup_closure(self.ctx, list(gen_ids))
-
     def pruned_closure_ids(self, seed_ids) -> tuple[list[int], list[int]]:
         """Closure of the seeds, adjoining only seeds that enlarge it.
 
-        Returns (member ids, the retained generator ids).  Scanning order is
-        the order of ``seed_ids``, so pass a deterministically sorted list.
+        Returns (ascending member ids, the retained generator ids).  Scanning
+        order is the order of ``seed_ids``, so pass a deterministically sorted
+        list.  Each retained seed extends the previous closure by cosets
+        (``kernels.pure.extend_closure``) rather than rebuilding it; for a
+        ``Subgroup``'s own generators use its cached ``gen_ids``.
         """
         gens: list[int] = []
         members = {0}
         for s in seed_ids:
             if s not in members:
                 gens.append(s)
-                members = set(self.closure_ids(gens))
+                members = pure.extend_closure(self.ctx, members, gens)
         return sorted(members), gens
 
     # -- subgroups -----------------------------------------------------------
@@ -170,7 +187,9 @@ class Subgroup:
         self.member_ids = member_ids
         self.sorted_ids = tuple(sorted(member_ids))
         self.order = len(member_ids)
+        self._gen_ids: tuple[int, ...] | None = None
         self._view: PermGroup | None = None
+        self._derived: Subgroup | None = None  # filled by derived_subgroup
         self._fusion = None  # filled by charcorr.chartab
 
     def members(self):
@@ -187,13 +206,28 @@ class Subgroup:
         return i is not None and i in self.member_ids
 
     @property
+    def gen_ids(self) -> tuple[int, ...]:
+        """Lex-pruned generator ids, computed once.
+
+        Members are scanned in lexicographic image order and each one that
+        enlarges the closure so far is adjoined.  The choice depends only on
+        the member permutations, never on the parent's labelling by ids.
+        """
+        if self._gen_ids is None:
+            els = self.parent.elements
+            by_lex = sorted(self.sorted_ids, key=lambda i: els[i])
+            _, gens = self.parent.pruned_closure_ids(by_lex)
+            self._gen_ids = tuple(gens)
+        return self._gen_ids
+
+    @property
     def view(self) -> PermGroup:
         """Canonical PermGroup over exactly these members (globally shared)."""
         if self._view is None:
             key = (self.parent.degree, self.member_set())
             view = _VIEW_CACHE.get(key)
             if view is None:
-                view = _build_view(self.parent, self.sorted_ids)
+                view = _build_view(self)
                 _VIEW_CACHE.setdefault(key, view)
                 view = _VIEW_CACHE[key]
             self._view = view
@@ -213,24 +247,22 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent.name})"
 
 
-def _build_view(parent: PermGroup, sorted_ids) -> PermGroup:
+def _build_view(sub: Subgroup) -> PermGroup:
     """Stand-alone PermGroup for a member set.
 
-    Generators are chosen greedily over members in lexicographic image order
-    (adjoin whatever enlarges the closure); elements then get the usual BFS
-    canonical order.  Depends only on the member set, never on the parent.
+    Generators are the subgroup's lex-pruned ``gen_ids``; elements then get
+    the usual BFS canonical order.  Depends only on the member set, never on
+    the parent.
     """
-    els = parent.elements
-    by_lex = sorted(sorted_ids, key=lambda i: els[i])
-    _, gen_ids = parent.pruned_closure_ids(by_lex)
-    gens = [els[i] for i in gen_ids]
+    parent = sub.parent
+    gens = [parent.elements[i] for i in sub.gen_ids]
     if gens:
-        name = f"sub{len(sorted_ids)}@{pm.cycle_string(gens[0])}"
+        name = f"sub{sub.order}@{pm.cycle_string(gens[0])}"
     else:
         name = "sub1"
-    view = PermGroup.from_generators(parent.degree, gens, name=name, cap=len(sorted_ids))
-    if view.order != len(sorted_ids):
-        raise RuntimeError(f"{name}: generators span {view.order} elements, not {len(sorted_ids)}")
+    view = PermGroup.from_generators(parent.degree, gens, name=name, cap=sub.order)
+    if view.order != sub.order:
+        raise RuntimeError(f"{name}: generators span {view.order} elements, not {sub.order}")
     return view
 
 
@@ -335,7 +367,9 @@ def sylow(G: PermGroup, p: int) -> Subgroup:
 
     Greedy over p-elements in canonical order: repeatedly adjoin the first
     element whose closure with the current subgroup is still a p-group, until
-    the full p-part of |G| is reached.
+    the full p-part of |G| is reached.  Each trial extends the current
+    subgroup by cosets and is abandoned once it outgrows the p-part of |G|,
+    which no p-subgroup can exceed.
     """
     target = p_part(G.order, p)
     if target == 1:
@@ -343,18 +377,16 @@ def sylow(G: PermGroup, p: int) -> Subgroup:
     p_elements = [
         i for i in range(G.order) if G.element_order(i) > 1 and _is_p_power(G.element_order(i), p)
     ]
-    members = [0]
+    members = {0}
     gens: list[int] = []
-    mset = {0}
     while len(members) < target:
         for x in p_elements:
-            if x in mset:
+            if x in members:
                 continue
-            trial = G.closure_ids(gens + [x])
-            if _is_p_power(len(trial), p):
+            trial = pure.extend_closure(G.ctx, members, gens + [x], limit=target)
+            if trial is not None and _is_p_power(len(trial), p):
                 gens.append(x)
                 members = trial
-                mset = set(trial)
                 break
         else:
             raise RuntimeError(f"sylow({G.name}, {p}): greedy growth stalled")  # unreachable
@@ -369,9 +401,7 @@ def _is_p_power(n: int, p: int) -> bool:
 
 def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
     check_same_group("normalizer", H.parent, G)
-    lex_ids = sorted(H.sorted_ids, key=lambda i: G.elements[i])
-    _, gen_ids = G.pruned_closure_ids(lex_ids)
-    ids = pure.normalizer_ids(G.ctx, set(H.member_ids), gen_ids or [0])
+    ids = pure.normalizer_ids(G.ctx, set(H.member_ids), list(H.gen_ids) or [0])
     return G.subgroup_from_ids(ids)
 
 
@@ -393,10 +423,7 @@ def _subgroup_gen_ids(X) -> tuple[PermGroup, list[int]]:
     """(ambient group, generator ids) for a PermGroup or Subgroup argument."""
     if isinstance(X, PermGroup):
         return X, [X.id_of(g) for g in X.generators]
-    G = X.parent
-    lex_ids = sorted(X.sorted_ids, key=lambda i: G.elements[i])
-    _, gen_ids = G.pruned_closure_ids(lex_ids)
-    return G, gen_ids
+    return X.parent, list(X.gen_ids)
 
 
 def normal_closure_ids(G: PermGroup, seed_ids, under_gen_ids) -> tuple[list[int], list[int]]:
@@ -411,22 +438,28 @@ def normal_closure_ids(G: PermGroup, seed_ids, under_gen_ids) -> tuple[list[int]
                 c = G.conj(s, g)
                 if c not in mset:
                     gens.append(c)
-                    members = G.closure_ids(gens)
-                    mset = set(members)
+                    mset = pure.extend_closure(G.ctx, mset, gens)
                     changed = True
     return sorted(mset), gens
 
 
 def derived_subgroup(X) -> Subgroup:
-    """Commutator subgroup of a PermGroup or Subgroup (as Subgroup of the ambient group)."""
-    G, gen_ids = _subgroup_gen_ids(X)
-    seeds = set()
-    for a in gen_ids:
-        for b in gen_ids:
-            seeds.add(G.mul(G.mul(G.mul(G.inv(a), G.inv(b)), a), b))
-    seeds.discard(0)
-    members, _ = normal_closure_ids(G, seeds, gen_ids)
-    return G.subgroup_from_ids(members)
+    """Commutator subgroup of a PermGroup or Subgroup (as Subgroup of the ambient group).
+
+    Memoized on the interned Subgroup (the full subgroup for a PermGroup),
+    since it depends only on the member set.
+    """
+    S = X.full_subgroup() if isinstance(X, PermGroup) else X
+    if S._derived is None:
+        G, gen_ids = _subgroup_gen_ids(X)
+        seeds = set()
+        for a in gen_ids:
+            for b in gen_ids:
+                seeds.add(G.mul(G.mul(G.mul(G.inv(a), G.inv(b)), a), b))
+        seeds.discard(0)
+        members, _ = normal_closure_ids(G, seeds, gen_ids)
+        S._derived = G.subgroup_from_ids(members)
+    return S._derived
 
 
 def derived_series(X) -> list[Subgroup]:
@@ -485,8 +518,7 @@ def intersection(A: Subgroup, B: Subgroup) -> Subgroup:
 def is_normal(G: PermGroup, N: Subgroup) -> bool:
     check_same_group("is_normal", N.parent, G)
     gen_ids = [G.id_of(g) for g in G.generators]
-    _, n_gens = G.pruned_closure_ids(sorted(N.sorted_ids, key=lambda i: G.elements[i]))
-    return all(G.conj(x, g) in N.member_ids for x in n_gens for g in gen_ids)
+    return all(G.conj(x, g) in N.member_ids for x in N.gen_ids for g in gen_ids)
 
 
 def normal_subgroups(G: PermGroup) -> tuple[Subgroup, ...]:
@@ -536,9 +568,7 @@ def coset_rep_ids(K: Subgroup, N: Subgroup) -> list[int]:
 
 
 def _normalizes(G: PermGroup, P: Subgroup, H: Subgroup) -> bool:
-    _, p_gens = G.pruned_closure_ids(sorted(P.sorted_ids, key=lambda i: G.elements[i]))
-    _, h_gens = G.pruned_closure_ids(sorted(H.sorted_ids, key=lambda i: G.elements[i]))
-    return all(G.conj(x, g) in H.member_ids for x in h_gens for g in p_gens)
+    return all(G.conj(x, g) in H.member_ids for x in H.gen_ids for g in P.gen_ids)
 
 
 def fixed_points_on_cosets(P: Subgroup, K: Subgroup, N: Subgroup) -> int:
@@ -556,10 +586,9 @@ def fixed_points_on_cosets(P: Subgroup, K: Subgroup, N: Subgroup) -> int:
         raise ValueError("fixed_points_on_cosets: N is not normal in K")
     if not _normalizes(G, P, K) or not _normalizes(G, P, N):
         raise ValueError("fixed_points_on_cosets: P does not normalize K and N")
-    _, p_gens = G.pruned_closure_ids(sorted(P.sorted_ids, key=lambda i: G.elements[i]))
     count = 0
     for k in coset_rep_ids(K, N):
         kinv = G.inv(k)
-        if all(G.mul(kinv, G.conj(k, x)) in N.member_ids for x in p_gens):
+        if all(G.mul(kinv, G.conj(k, x)) in N.member_ids for x in P.gen_ids):
             count += 1
     return count

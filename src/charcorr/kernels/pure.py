@@ -63,23 +63,39 @@ def closure_bfs(degree: int, gens: list[Perm], cap: int) -> list[Perm]:
     return out
 
 
-def subgroup_closure(ctx: GroupCtx, gen_ids: list[int]) -> list[int]:
-    """Member ids (ascending) of the subgroup generated by the given ids."""
+def extend_closure(ctx: GroupCtx, base, gen_ids, limit: int | None = None) -> set[int] | None:
+    """Member ids of the subgroup generated by ``gen_ids``, grown from ``base``.
+
+    ``base`` holds the member ids of a subgroup H of that group, typically
+    the closure of a prefix of ``gen_ids``.  The result is built (Dimino) as
+    a union of right cosets H*r: starting from r = identity, every product
+    r*g of a coset representative r and a generator g that falls outside the
+    set adds the whole coset H*(r*g), and r*g becomes a representative.  The
+    union is then closed under right multiplication by every generator, so
+    it is the group.  This costs one product per new element plus one per
+    (representative, generator) pair, against one per (element, generator)
+    pair for a breadth-first closure.
+
+    Returns None as soon as the size would exceed ``limit``, so exactly when
+    the generated group is larger than ``limit``.
+    """
     elements, index = ctx.elements, ctx.index
+    members = set(base)
+    if limit is not None and len(members) > limit:
+        return None
+    base_perms = [elements[h] for h in members]
     gens = [elements[i] for i in gen_ids]
-    seen = {0}
-    frontier = [elements[0]]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = compose(x, g)
-                j = index[y]
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(seen)
+    reps = [elements[0]]
+    for r in reps:  # the loop also visits representatives appended on the way
+        for g in gens:
+            y = compose(r, g)
+            if index[y] in members:
+                continue
+            if limit is not None and len(members) + len(base_perms) > limit:
+                return None
+            members.update(index[compose(h, y)] for h in base_perms)
+            reps.append(y)
+    return members
 
 
 def conj_orbit_ids(ctx: GroupCtx, gen_ids: list[int]) -> list[int]:

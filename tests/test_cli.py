@@ -69,6 +69,70 @@ def test_malformed_generators_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: bad: generators are not lists")
 
 
+def test_group_description_bounds_exit_2(tmp_path, capsys):
+    cases = [
+        (-3, [], "degree -3 is outside"),
+        (10**12, [], "degree 1000000000000 is outside"),
+        (2, [[0, 1]] * 65, "65 generators, at most 64"),
+    ]
+    for degree, generators, message in cases:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "degree": degree, "generators": generators}))
+        assert main(["table", "--group", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad: ") and message in err
+        assert "Traceback" not in err
+
+
+def test_out_unwritable_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+    from charcorr import cli
+
+    def must_not_run(*args):
+        raise AssertionError("the computation ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, "character_table", must_not_run)
+    for out, message in (
+        (tmp_path, "is a directory"),
+        (tmp_path / "missing" / "t.txt", "does not exist"),
+    ):
+        assert main(["table", "--group", "s3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and message in err
+        assert "Traceback" not in err
+
+
+def test_out_write_failure_exits_2(tmp_path, monkeypatch, capsys):
+    from charcorr import cli
+
+    folder = tmp_path / "vanishing"
+    folder.mkdir()
+    real = cli.character_table
+
+    def remove_folder_then_compute(G):
+        folder.rmdir()
+        return real(G)
+
+    monkeypatch.setattr(cli, "character_table", remove_folder_then_compute)
+    assert main(["table", "--group", "s3", "--out", str(folder / "t.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write --out {folder / 't.txt'}: ")
+    assert "Traceback" not in err
+
+
+def test_construction_error_is_an_engine_error(monkeypatch, capsys):
+    from charcorr import showcase
+
+    def failing(cond, message):
+        raise showcase.ConstructionError(message)
+
+    monkeypatch.setattr(showcase, "_require", failing)
+    # a cap of its own, so the per-process showcase cache cannot answer
+    assert main(["remark648", "--cap", "19999"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("engine error: |G| = 648, expected 648")
+    assert "Traceback" not in err and "FALSIFIED" not in err
+
+
 # -- verify --------------------------------------------------------------------------
 
 

@@ -6,11 +6,15 @@ closure over all pairs, exhaustive subgroup scans on the smallest groups).
 """
 
 import json
+import time
+import tracemalloc
 
 import pytest
 
 from charcorr import perm as pm
 from charcorr.groups import (
+    MAX_DEGREE,
+    MAX_GENERATORS,
     GroupTooLargeError,
     MalformedGroupError,
     PermGroup,
@@ -20,6 +24,7 @@ from charcorr.groups import (
     derived_series,
     derived_subgroup,
     fixed_points_on_cosets,
+    group_from_dict,
     intersection,
     is_normal,
     is_solvable,
@@ -120,6 +125,20 @@ def test_load_group_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(MalformedGroupError):
         load_group(path)
+
+
+def test_group_description_bounds_checked_before_allocating():
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    for degree, generators in ((10**12, []), (0, []), (-3, []), (2, [[0, 1]] * 65)):
+        with pytest.raises(MalformedGroupError):
+            group_from_dict({"name": "big", "degree": degree, "generators": generators})
+    elapsed = time.perf_counter() - t0
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 100_000
+    assert PermGroup.from_generators(MAX_DEGREE, [], name="wide").order == 1
+    assert PermGroup.from_generators(2, [[1, 0]] * MAX_GENERATORS, name="many").order == 2
 
 
 def test_enumeration_cap_is_explicit_error():
