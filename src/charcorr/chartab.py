@@ -16,7 +16,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from . import perm as pm
-from .cyclotomic import Cyc, _ctx, dixon_prime, primitive_root, render_cyc, root_of_unity
+from .cyclotomic import Cyc, dixon_prime, power_basis, primitive_root, render_cyc, root_sum
 from .fq import PrimeField, eigenvalues, nullspace, rref
 from .groups import (
     ConjClasses,
@@ -77,16 +77,6 @@ class ClassFunction:
         return f"ClassFunction({self.group.name}; {vals})"
 
 
-class FusionMap:
-    """Class fusion from a subgroup view into its parent group."""
-
-    __slots__ = ("subgroup", "class_map")
-
-    def __init__(self, subgroup: Subgroup, class_map):
-        self.subgroup = subgroup
-        self.class_map = tuple(class_map)
-
-
 class CharacterTable:
     """Exact irreducible characters in canonical order.
 
@@ -110,10 +100,7 @@ class CharacterTable:
     def index_of(self, f: ClassFunction) -> int:
         check_same_group("CharacterTable.index_of", f.group, self.group)
         for i, row in enumerate(self.rows):
-            if row.values == f.values:
-                return i
-        for i, row in enumerate(self.rows):  # conductor-insensitive fallback
-            if all(a == b for a, b in zip(row.values, f.values)):
+            if row.values == f.values:  # Cyc equality ignores the conductor
                 return i
         raise ValueError("class function is not a row of this table")
 
@@ -262,8 +249,6 @@ def _lift_value(classes, i, fq_values, degree, w0, field):
     """Exact value at class i from the F_q row, by root-of-unity counting."""
     q = field.q
     m = classes.rep_order(i)
-    if m == 1:
-        return Cyc.rational(degree)
     wm = pow(w0, (q - 1) // m, q)
     inv_m = field.inv(m)
     counts = []
@@ -272,11 +257,7 @@ def _lift_value(classes, i, fq_values, degree, w0, field):
         counts.append((s * inv_m) % q)
     if sum(counts) != degree:
         raise RuntimeError("root-of-unity multiplicities do not add up to the degree")
-    value = Cyc.rational(counts[0])
-    for k in range(1, m):
-        if counts[k]:
-            value = value + counts[k] * root_of_unity(m, k)
-    return value
+    return root_sum(m, counts)
 
 
 def _verify_table(table: CharacterTable) -> None:
@@ -299,14 +280,14 @@ def _verify_table(table: CharacterTable) -> None:
     if not all(v == 1 for v in table.rows[0].values):
         raise RuntimeError(f"{G.name}: first irreducible is not the trivial character")
     m = lcm(*(v.n for row in table.rows for v in row.values))
-    ctx = _ctx(m)
-    phi = ctx.phi
+    basis = power_basis(m)
+    phi = basis.phi
     embedded = {}
     for row in table.rows:
         for v in row.values:
             key = (v.n, v.coeffs)
             if key not in embedded:
-                embedded[key] = _embed_with_conj(v, m, ctx, G.name)
+                embedded[key] = _embed_with_conj(v, m, basis, G.name)
     bound = n * phi * max(max(map(abs, x + y)) for x, y in embedded.values()) ** 2
     width = (2 * bound).bit_length()
     packed = {key: (_pack(x, width), _pack(y, width)) for key, (x, y) in embedded.items()}
@@ -319,30 +300,18 @@ def _verify_table(table: CharacterTable) -> None:
     for a in range(r):
         xa = weighted[a]
         for b in range(a, r):
-            digits = _unpack(sum(map(mul, xa, conj[b])), width, slots)
-            reduced = digits[:phi]
-            for j in range(phi, slots):
-                if digits[j]:
-                    for i, t in enumerate(ctx.rows[j]):
-                        reduced[i] += digits[j] * t
+            reduced = basis.reduce(_unpack(sum(map(mul, xa, conj[b])), width, slots))
             if reduced[0] != (n if a == b else 0) or any(reduced[1:]):
                 raise RuntimeError(f"{G.name}: first orthogonality fails at rows {a},{b}")
 
 
-def _embed_with_conj(v: Cyc, m: int, ctx, name: str) -> tuple[list[int], list[int]]:
+def _embed_with_conj(v: Cyc, m: int, basis, name: str) -> tuple[list[int], list[int]]:
     """Integer coefficients of v and conj(v) in the power basis of Z[zeta_m]."""
     if any(c.denominator != 1 for c in v.coeffs):
         raise RuntimeError(f"{name}: character value {render_cyc(v)} is not an algebraic integer")
+    coeffs = [c.numerator for c in v.coeffs]
     step = m // v.n
-    x, y = [0] * ctx.phi, [0] * ctx.phi
-    for k, c in enumerate(v.coeffs):
-        if c:
-            c = c.numerator
-            for out, e in ((x, k * step), (y, -k * step)):
-                for i, t in enumerate(ctx.power_row(e)):
-                    if t:
-                        out[i] += c * t
-    return x, y
+    return basis.substitute(coeffs, step), basis.substitute(coeffs, -step)
 
 
 def _pack(coeffs, width: int) -> int:
@@ -373,46 +342,38 @@ def _unpack(value: int, width: int, slots: int) -> list[int]:
 # -- class-function operations ------------------------------------------------------
 
 
-def fusion_map(H: Subgroup) -> FusionMap:
-    """Map each class of the subgroup view to its parent class (cached)."""
+def fusion_map(H: Subgroup) -> tuple[int, ...]:
+    """The parent class of each class of the subgroup view (cached)."""
     if H._fusion is None:
         parent_classes = conjugacy_classes(H.parent)
         view_classes = conjugacy_classes(H.view)
-        cmap = [parent_classes.class_of_perm(view_classes.rep(i)) for i in range(view_classes.count)]
-        H._fusion = FusionMap(H, cmap)
+        H._fusion = tuple(
+            parent_classes.class_of_perm(view_classes.rep(i)) for i in range(view_classes.count)
+        )
     return H._fusion
 
 
-def restrict(chi: ClassFunction, H: Subgroup, fusion: FusionMap | None = None) -> ClassFunction:
+def restrict(chi: ClassFunction, H: Subgroup) -> ClassFunction:
     """Restriction to a subgroup, read through the fusion map."""
     check_same_group("restrict", chi.group, H.parent)
-    fusion = fusion or fusion_map(H)
-    return ClassFunction(H.view, (chi.values[c] for c in fusion.class_map))
+    return ClassFunction(H.view, (chi.values[c] for c in fusion_map(H)))
 
 
 def induce(theta: ClassFunction, H: Subgroup) -> ClassFunction:
-    """Induced class function on the parent group (standard formula)."""
+    """Induced class function on the parent group, through the fusion map.
+
+    theta^G(g_k) = |G| / (|H| |C_k|) * sum of |c| theta(c) over the classes c
+    of H that fuse into the class C_k of G.
+    """
     G = H.parent
-    view = H.view
-    check_same_group("induce", theta.group, view)
-    view_classes = conjugacy_classes(view)
-    parent_classes = conjugacy_classes(G)
-    theta_at = {}
-    for pid in H.sorted_ids:
-        p = G.elements[pid]
-        theta_at[pid] = theta.values[view_classes.class_of_perm(p)]
-    scale = Fraction(1, H.order)
-    values = []
-    for k in range(parent_classes.count):
-        z = parent_classes.rep_ids[k]
-        acc = Cyc.zero()
-        for x in range(G.order):
-            u = G.mul(G.mul(x, z), G.inv(x))
-            got = theta_at.get(u)
-            if got is not None:
-                acc = acc + got
-        values.append(scale * acc)
-    return ClassFunction(G, values)
+    check_same_group("induce", theta.group, H.view)
+    parent_sizes = conjugacy_classes(G).sizes
+    sums = [Cyc.zero()] * len(parent_sizes)
+    for size, k, value in zip(conjugacy_classes(H.view).sizes, fusion_map(H), theta.values):
+        sums[k] = sums[k] + size * value
+    return ClassFunction(
+        G, (Fraction(G.order, H.order * size) * v for size, v in zip(parent_sizes, sums))
+    )
 
 
 def mul_classfn(a: ClassFunction, b: ClassFunction) -> ClassFunction:
@@ -456,7 +417,7 @@ def constituents(f: ClassFunction) -> list[tuple[int, int]]:
         recon = term if recon is None else recon + term
     if recon is None:
         recon = ClassFunction(f.group, (Cyc.zero() for _ in f.values))
-    if recon.values != f.values and recon != f:
+    if recon.values != f.values:
         raise NotACharacterError("class function is not an integer combination of irreducibles")
     return out
 

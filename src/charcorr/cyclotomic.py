@@ -1,19 +1,23 @@
 """Exact cyclotomic numbers: Q(zeta_n) in the power basis mod the n-th
 cyclotomic polynomial, with rational (Fraction) coefficients.
 
-Conductors are kept canonical: n = 1 or n not congruent to 2 mod 4 (a root
-of unity of such an order is folded into the odd conductor with a sign).
-Values whose higher coefficients vanish collapse eagerly to conductor 1, so
+Conductors are kept canonical: n = 1 or n not congruent to 2 mod 4.  Values
+whose higher coefficients vanish collapse eagerly to conductor 1, so
 rational fast paths fire throughout.  Everything here is immutable and pure.
+
+All power-basis work goes through ``power_basis(n)``, one cached context per
+conductor: its row table holds x^j mod Phi_n, ``substitute`` rewrites
+sum_i c_i zeta_n^(i*k) in the basis (embedding into a larger conductor,
+Galois action, conjugation) and ``reduce`` takes a product polynomial mod
+Phi_n.  ``root_sum`` builds sum_k c_k zeta_m^k and is the one place where a
+root of unity of order 2 mod 4 is folded into the odd conductor with a sign.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import cos, gcd, isqrt, lcm, pi, sin
-
-Rat = Fraction  # exact rational scalars; reduced, positive denominator
+from math import gcd, isqrt, lcm
 
 
 # -- small number theory --------------------------------------------------------
@@ -123,45 +127,55 @@ def _polydiv_exact(num: list[int], den) -> list[int]:
 
 
 class _Context:
-    """Power-basis data for one conductor: phi, Phi_n, and x^j reduction rows."""
+    """Power-basis data for one conductor n.
+
+    ``rows[j]`` holds the coefficients of x^j mod Phi_n for 0 <= j <
+    max(n, 2*phi), built by one recurrence from x^0: that covers every
+    exponent mod n and every product of two basis elements.  Substitution
+    and reduction anywhere in the package go through the two methods below.
+    """
 
     def __init__(self, n: int):
         if n != 1 and n % 4 == 2:
             raise ValueError(f"non-canonical conductor {n}")
         self.n = n
-        self.phi = euler_phi(n)
-        self.poly = cyclotomic_polynomial(n)
-        rows = [
-            tuple(1 if i == j else 0 for i in range(self.phi)) for j in range(self.phi)
-        ]
-        top = tuple(-c for c in self.poly[: self.phi])  # x^phi = top
-        for _ in range(self.phi, 2 * self.phi):
-            prev = rows[-1]
-            lead = prev[self.phi - 1]
-            shifted = (0,) + prev[: self.phi - 1]
-            rows.append(tuple(s + lead * t for s, t in zip(shifted, top)))
-        self.rows = rows  # x^j mod Phi_n for 0 <= j < 2*phi
+        self.phi = phi = euler_phi(n)
+        top = tuple(-c for c in cyclotomic_polynomial(n)[:phi])  # x^phi = top
+        row = (1,) + (0,) * (phi - 1)
+        self.rows = []
+        for _ in range(max(n, 2 * phi)):
+            self.rows.append(row)
+            lead = row[-1]
+            row = tuple(s + lead * t for s, t in zip((0,) + row[:-1], top))
 
-    def power_row(self, j: int) -> tuple[int, ...]:
-        j %= self.n if self.n > 1 else 1
-        if j < len(self.rows):
-            return self.rows[j]
-        while len(self.rows) <= j:
-            prev = self.rows[-1]
-            lead = prev[self.phi - 1]
-            shifted = (0,) + prev[: self.phi - 1]
-            top = tuple(-c for c in self.poly[: self.phi])
-            self.rows.append(tuple(s + lead * t for s, t in zip(shifted, top)))
-        return self.rows[j]
+    def substitute(self, coeffs, k: int) -> list:
+        """Power-basis coefficients of sum_i coeffs[i] * zeta_n^(i*k)."""
+        n, rows = self.n, self.rows
+        out = [0] * self.phi
+        for i, c in enumerate(coeffs):
+            if c:
+                for j, r in enumerate(rows[i * k % n]):
+                    if r:
+                        out[j] += c * r
+        return out
+
+    def reduce(self, poly) -> list:
+        """A polynomial of degree < 2*phi in x = zeta_n, reduced mod Phi_n."""
+        phi = self.phi
+        out = list(poly[:phi])
+        for j in range(phi, len(poly)):
+            c = poly[j]
+            if c:
+                for i, r in enumerate(self.rows[j]):
+                    if r:
+                        out[i] += c * r
+        return out
 
 
 @lru_cache(maxsize=None)
-def _ctx(n: int) -> _Context:
+def power_basis(n: int) -> _Context:
+    """The shared power-basis context of the canonical conductor n."""
     return _Context(n)
-
-
-def _canonical_conductor(n: int) -> int:
-    return n // 2 if n > 1 and n % 4 == 2 else n
 
 
 # -- the number type -------------------------------------------------------------
@@ -214,28 +228,13 @@ class Cyc:
     def __bool__(self):
         return not self.is_zero()
 
-    def to_complex(self) -> complex:
-        """Floating approximation; for human-readable output only."""
-        return sum(
-            float(c) * complex(cos(2 * pi * i / self.n), sin(2 * pi * i / self.n))
-            for i, c in enumerate(self.coeffs)
-        )
-
     # arithmetic
 
     def _embedded(self, m: int) -> tuple[Fraction, ...]:
         """Coefficients of this value inside Q(zeta_m), n | m."""
         if m == self.n:
             return self.coeffs
-        ctx = _ctx(m)
-        step = m // self.n
-        out = [Fraction(0)] * ctx.phi
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, r in enumerate(ctx.power_row(i * step)):
-                    if r:
-                        out[j] += c * r
-        return tuple(out)
+        return tuple(power_basis(m).substitute(self.coeffs, m // self.n))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -282,21 +281,13 @@ class Cyc:
             return Cyc(self.n, tuple(r * c for c in self.coeffs))
         m = lcm(self.n, other.n)
         a, b = self._embedded(m), other._embedded(m)
-        ctx = _ctx(m)
-        prod = [Fraction(0)] * (2 * ctx.phi - 1)
+        prod = [0] * (2 * len(a) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        out = list(prod[: ctx.phi])
-        for j in range(ctx.phi, 2 * ctx.phi - 1):
-            c = prod[j]
-            if c:
-                for i, r in enumerate(ctx.rows[j]):
-                    if r:
-                        out[i] += c * r
-        return Cyc(m, tuple(out))
+        return Cyc(m, power_basis(m).reduce(prod))
 
     __rmul__ = __mul__
 
@@ -326,14 +317,7 @@ class Cyc:
             raise ValueError(f"galois exponent {k} not coprime to conductor {n}")
         if k == 1:
             return self
-        ctx = _ctx(n)
-        out = [Fraction(0)] * ctx.phi
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, r in enumerate(ctx.power_row(i * k)):
-                    if r:
-                        out[j] += c * r
-        return Cyc(n, tuple(out))
+        return Cyc(n, power_basis(n).substitute(self.coeffs, k))
 
     def conj(self) -> "Cyc":
         """Complex conjugation: zeta -> zeta^-1."""
@@ -387,10 +371,10 @@ _ONE = Cyc(1, (Fraction(1),))
 def _express_in_subfield(value: Cyc, d: int):
     """Coefficients of value in the power basis of Q(zeta_d), or None."""
     n = value.n
-    ctx = _ctx(n)
+    ctx = power_basis(n)
     phid = euler_phi(d)
     step = n // d
-    basis = [ctx.power_row(i * step) for i in range(phid)]
+    basis = [ctx.rows[i * step] for i in range(phid)]
     # Solve sum_i c_i basis[i] = value.coeffs by Gaussian elimination over Q.
     rows = [[Fraction(basis[i][j]) for i in range(phid)] + [value.coeffs[j]] for j in range(ctx.phi)]
     ncols = phid
@@ -426,16 +410,19 @@ def root_of_unity(n: int, k: int = 1) -> Cyc:
     if n <= 0:
         raise ValueError("order must be positive")
     k %= n
-    g = gcd(n, k) if k else n
-    n, k = n // g, k // g
-    if n == 1:
-        return _ONE
-    if n % 4 == 2:
-        # zeta_{2m}^k = -zeta_m^{(k+m)/2} for odd k, m odd
-        m = n // 2
-        return -root_of_unity(m, ((k + m) // 2) % m)
-    ctx = _ctx(n)
-    return Cyc(n, ctx.power_row(k))
+    g = gcd(n, k)
+    return root_sum(n // g, [0] * (k // g) + [1])
+
+
+def root_sum(m: int, counts) -> Cyc:
+    """sum_k counts[k] * zeta_m^k, stored at the canonical conductor of m."""
+    k = 1
+    if m % 4 == 2:
+        # zeta_m = -zeta_c^((c+1)/2) with c = m/2 odd, so zeta_m^i picks up (-1)^i
+        m //= 2
+        k = (m + 1) // 2
+        counts = [-x if i % 2 else x for i, x in enumerate(counts)]
+    return Cyc(m, power_basis(m).substitute(counts, k))
 
 
 def sqrt_minus3() -> Cyc:

@@ -19,7 +19,6 @@ its derived subgroup.
 from __future__ import annotations
 
 import json
-from collections.abc import Sized
 from math import gcd, lcm
 
 from . import perm as pm
@@ -44,6 +43,10 @@ def check_same_group(op: str, a: PermGroup, b: PermGroup) -> None:
     """Raise ValueError unless an operation's operands live on one group."""
     if a is not b:
         raise ValueError(f"{op}: operands on different groups ({a.name}, {b.name})")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def p_part(n: int, p: int) -> int:
@@ -73,18 +76,26 @@ class PermGroup:
 
     @classmethod
     def from_generators(cls, degree, generators, name="G", cap=DEFAULT_CAP) -> "PermGroup":
+        """Enumerate the group generated by image lists on 0..degree-1.
+
+        The degree and every image must be an int (a bool is refused), and
+        the generators a list or tuple of lists or tuples; nothing is coerced.
+        """
+        if not _is_int(degree):
+            raise MalformedGroupError(f"{name}: degree {degree!r} is not an integer")
         if not 1 <= degree <= MAX_DEGREE:
             raise MalformedGroupError(f"{name}: degree {degree} is outside 1..{MAX_DEGREE}")
-        if isinstance(generators, Sized) and len(generators) > MAX_GENERATORS:
+        if not isinstance(generators, (list, tuple)):
+            raise MalformedGroupError(f"{name}: generators are not lists of integers")
+        if len(generators) > MAX_GENERATORS:
             raise MalformedGroupError(
                 f"{name}: {len(generators)} generators, at most {MAX_GENERATORS} allowed"
             )
         gens = []
-        try:
-            generators = [tuple(int(x) for x in images) for images in generators]
-        except (TypeError, ValueError) as exc:
-            raise MalformedGroupError(f"{name}: generators are not lists of integers") from exc
         for images in generators:
+            if not isinstance(images, (list, tuple)) or not all(map(_is_int, images)):
+                raise MalformedGroupError(f"{name}: generators are not lists of integers")
+            images = tuple(images)
             if len(images) != degree or not pm.is_perm(images):
                 raise MalformedGroupError(
                     f"{name}: generator {list(images)} is not a permutation of degree {degree}"
@@ -129,10 +140,6 @@ class PermGroup:
     def exponent(self) -> int:
         cls = conjugacy_classes(self)
         return lcm(*(self.element_order(r) for r in cls.rep_ids))
-
-    @property
-    def is_abelian(self) -> bool:
-        return all(s == 1 for s in conjugacy_classes(self).sizes)
 
     def pruned_closure_ids(self, seed_ids) -> tuple[list[int], list[int]]:
         """Closure of the seeds, adjoining only seeds that enlarge it.
@@ -201,10 +208,6 @@ class Subgroup:
         els = self.parent.elements
         return frozenset(els[i] for i in self.member_ids)
 
-    def contains_perm(self, p: Perm) -> bool:
-        i = self.parent.ctx.index.get(p)
-        return i is not None and i in self.member_ids
-
     @property
     def gen_ids(self) -> tuple[int, ...]:
         """Lex-pruned generator ids, computed once.
@@ -272,20 +275,27 @@ def _build_view(sub: Subgroup) -> PermGroup:
 def group_from_dict(data: dict, cap: int = DEFAULT_CAP) -> PermGroup:
     try:
         name = str(data["name"])
-        degree = int(data["degree"])
+        degree = data["degree"]
         generators = data["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise MalformedGroupError(f"bad group description: {exc}") from exc
     return PermGroup.from_generators(degree, generators, name=name, cap=cap)
 
 
 def load_group(path, cap: int = DEFAULT_CAP) -> PermGroup:
-    """Load a group description file (JSON: name, degree, generators)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Load a group description file (UTF-8 JSON: name, degree, generators).
+
+    A missing file raises FileNotFoundError; any other failure to read or
+    decode it (permissions, bad encoding, invalid or too deeply nested JSON)
+    raises MalformedGroupError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedGroupError(f"{path}: not valid JSON ({exc})") from exc
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, RecursionError) as exc:
+        raise MalformedGroupError(f"{path}: not a readable JSON file ({exc})") from exc
     return group_from_dict(data, cap=cap)
 
 

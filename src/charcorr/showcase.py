@@ -14,7 +14,6 @@ verified here, not assumed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -472,51 +471,3 @@ def corpus_path(name: str) -> str:
 @lru_cache(maxsize=None)
 def load_corpus_group(name: str, cap: int = DEFAULT_CAP) -> PermGroup:
     return load_group(corpus_path(name), cap=cap)
-
-
-def write_corpus_files(directory) -> None:
-    """Regenerate the shipped corpus files (used at development time)."""
-    import os
-
-    specs = {
-        "s3": {"name": "S3", "degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]},
-        "c3xc2": {"name": "C3:C2", "degree": 3, "generators": [[0, 2, 1], [1, 2, 0]]},
-        "s4": {"name": "S4", "degree": 4, "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]},
-        "d8": {"name": "D8", "degree": 4, "generators": [[1, 2, 3, 0], [2, 1, 0, 3]]},
-        "c7": {"name": "C7", "degree": 7, "generators": [[1, 2, 3, 4, 5, 6, 0]]},
-        "f21": {
-            "name": "F21",
-            "degree": 7,
-            "generators": [[1, 2, 3, 4, 5, 6, 0], [0, 2, 4, 6, 1, 3, 5]],
-        },
-        "c5c5_c3": _c5c5_c3_dict(),
-        "sl23": _sl23_dict(),
-        "remark648": {
-            "name": "Remark648",
-            "degree": 27,
-            "generators": [list(g) for g in remark_generators()],
-        },
-    }
-    for name, data in specs.items():
-        path = os.path.join(directory, f"{name}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=1)
-            fh.write("\n")
-
-
-def _sl23_dict() -> dict:
-    pts = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
-    idx = {v: i for i, v in enumerate(pts)}
-    s = [idx[((-b) % 3, a % 3)] for (a, b) in pts]
-    t = [idx[((a + b) % 3, b)] for (a, b) in pts]
-    return {"name": "SL(2,3)", "degree": 8, "generators": [s, t]}
-
-
-def _c5c5_c3_dict() -> dict:
-    pts = [(a, b) for a in range(5) for b in range(5)]
-    idx = {v: i for i, v in enumerate(pts)}
-    t1 = [idx[((a + 1) % 5, b)] for (a, b) in pts]
-    t2 = [idx[(a, (b + 1) % 5)] for (a, b) in pts]
-    # order-3 matrix [[0,-1],[1,-1]]: irreducible over F_5, no nonzero fixed vector
-    m = [idx[((-b) % 5, (a - b) % 5)] for (a, b) in pts]
-    return {"name": "(C5xC5):C3", "degree": 25, "generators": [t1, t2, m]}

@@ -34,7 +34,8 @@ from charcorr.chartab import (
 )
 from charcorr.cyclotomic import Cyc, render_cyc
 from charcorr.groups import conjugacy_classes, normal_subgroups, sylow
-from charcorr.showcase import corpus, load_corpus_group
+from charcorr.showcase import corpus, load_corpus_group, remark_data
+from test_closure import s4_wreath_c2
 
 
 def brute_induce(theta, H):
@@ -203,7 +204,7 @@ def test_fusion_map_consistent(s4):
     fm = fusion_map(P)
     pcls = conjugacy_classes(P.view)
     gcls = conjugacy_classes(s4)
-    for i, c in enumerate(fm.class_map):
+    for i, c in enumerate(fm):
         assert gcls.class_of_perm(pcls.rep(i)) == c
 
 
@@ -250,8 +251,9 @@ def test_induce_trivial_from_subgroups_of_s3(s3):
 
 
 def test_induce_matches_brute_force(s4, f21):
-    for G, p in ((s4, 3), (f21, 7)):
-        H = sylow(G, p)
+    data = remark_data()
+    l_in_k = data.K.view.subgroup(data.L.members())
+    for H in (sylow(s4, 3), sylow(f21, 7), l_in_k, sylow(s4_wreath_c2(1), 2)):
         for theta in character_table(H.view).rows:
             assert induce(theta, H).values == brute_induce(theta, H).values
 

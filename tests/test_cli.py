@@ -84,6 +84,62 @@ def test_group_description_bounds_exit_2(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"name": "bad", "degree": 2.7, "generators": [[1.9, 0.2]]},
+        {"name": "bad", "degree": 2, "generators": [[1.0, 0.0]]},
+        {"name": "bad", "degree": "3", "generators": [[1, 2, 0]]},
+        {"name": "bad", "degree": True, "generators": [[0]]},
+        {"name": "bad", "degree": 2, "generators": [[True, False]]},
+        {"name": "bad", "degree": 1, "generators": "0"},
+        {"name": "bad", "degree": 2, "generators": ["10"]},
+        {"name": "bad", "degree": 2, "generators": [{"0": 1, "1": 0}]},
+    ],
+)
+def test_non_integer_group_description_exits_2(tmp_path, capsys, record):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    assert main(["table", "--group", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad: ") and "Traceback" not in err
+
+
+def _assert_unreadable_group_exits_2(path, capsys):
+    assert main(["table", "--group", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a readable JSON file")
+    assert "Traceback" not in err
+
+
+def test_group_file_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "S\xe9", "degree": 1, "generators": []}'.encode("latin-1"))
+    _assert_unreadable_group_exits_2(path, capsys)
+
+
+def test_group_file_nested_too_deep_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    _assert_unreadable_group_exits_2(path, capsys)
+
+
+def test_group_file_permission_denied_exits_2(tmp_path, monkeypatch, capsys):
+    import builtins
+
+    path = tmp_path / "locked.json"
+    path.write_text(json.dumps({"name": "S3", "degree": 3, "generators": [[1, 2, 0]]}))
+    real_open = builtins.open
+
+    def guarded_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", guarded_open)
+    _assert_unreadable_group_exits_2(path, capsys)
+
+
 def test_out_unwritable_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
     from charcorr import cli
 

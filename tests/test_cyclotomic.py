@@ -12,9 +12,11 @@ from charcorr.cyclotomic import (
     dixon_prime,
     euler_phi,
     is_prime,
+    power_basis,
     primitive_root,
     render_cyc,
     root_of_unity,
+    root_sum,
     sqrt_minus3,
 )
 
@@ -101,6 +103,10 @@ def test_conductor_two_mod_four_is_folded():
     assert z6 == 1 + zeta(3)
     assert zeta(2) == -1
     assert zeta(1) == 1
+    # the same fold in sums of roots: zeta_10 = -zeta_5^3, 4 + zeta_2 = 3
+    assert root_sum(6, [0, 1]).coeffs == (1, 1)
+    assert root_sum(10, [0, 1]) == -zeta(5, 3)
+    assert root_sum(2, [4, 1]) == 3
 
 
 def test_rational_collapse_and_predicates():
@@ -109,6 +115,49 @@ def test_rational_collapse_and_predicates():
     assert (zeta(5) - zeta(5)).is_zero()
     with pytest.raises(ValueError):
         zeta(5).as_fraction()
+
+
+# -- the shared power basis ---------------------------------------------------------
+
+
+def poly_mod_cyclotomic(poly, n):
+    """Remainder of an integer polynomial mod Phi_n, by plain long division."""
+    phi_n = cyclotomic_polynomial(n)
+    rem = list(poly) + [0] * max(0, len(phi_n) - 1 - len(poly))
+    for top in range(len(rem) - 1, len(phi_n) - 2, -1):
+        c = rem[top]
+        if c:
+            for i, d in enumerate(phi_n):
+                rem[top - len(phi_n) + 1 + i] -= c * d
+    return rem[: len(phi_n) - 1]
+
+
+@pytest.mark.parametrize("n", (1, 3, 4, 5, 8, 9, 12, 15, 20))
+def test_power_basis_rows_substitute_and_reduce(n):
+    basis = power_basis(n)
+    assert len(basis.rows) == max(n, 2 * basis.phi)
+    for j, row in enumerate(basis.rows):
+        assert list(row) == poly_mod_cyclotomic([0] * j + [1], n)
+    poly = [(3 * j) % 7 - 3 for j in range(2 * basis.phi - 1)]
+    assert basis.reduce(poly) == poly_mod_cyclotomic(poly, n)
+    coeffs = [j - 2 for j in range(basis.phi)]
+    for k in (1, 2, -1, n + 1):
+        spread = [0] * n
+        for i, c in enumerate(coeffs):
+            spread[(i * k) % n] += c
+        assert basis.substitute(coeffs, k) == poly_mod_cyclotomic(spread, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2, 3, 4, 6, 9, 10, 12, 14, 18)), st.data())
+def test_root_sum_adds_its_roots_at_the_canonical_conductor(m, data):
+    counts = data.draw(st.lists(small_ints, min_size=1, max_size=m))
+    value = root_sum(m, counts)
+    expected = Cyc.rational(0)
+    for k, c in enumerate(counts):
+        expected = expected + c * zeta(m, k)
+    assert value == expected
+    assert value.n in (1, m // 2 if m % 4 == 2 else m)
 
 
 # -- rendering (part of the golden surface) --------------------------------------------
@@ -195,9 +244,3 @@ def test_cross_conductor_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
-
-
-def test_to_complex_approximation():
-    v = 1 + 2 * zeta(3)
-    approx = v.to_complex()
-    assert abs(approx - complex(0, 3 ** 0.5)) < 1e-12

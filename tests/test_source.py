@@ -4,15 +4,53 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "charcorr"
+TRIG = {"cos", "sin", "pi"}
+
+
+def _package_nodes():
+    """(file:line, node) for every AST node of every module in the package."""
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield f"{path.relative_to(SRC)}:{getattr(node, 'lineno', 0)}", node
 
 
 def test_no_assert_statements_in_the_package():
     # python -O strips assert statements, so a check written as one silently
     # stops running; every check must raise explicitly instead.
-    found = [
-        f"{path.relative_to(SRC)}:{node.lineno}"
-        for path in sorted(SRC.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
-    ]
+    found = [where for where, node in _package_nodes() if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def _is_float_use(node) -> bool:
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id in ("float", "complex")
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (float, complex))
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name in TRIG for alias in node.names)
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id in ("math", "cmath") and node.attr in TRIG
+    return False
+
+
+def test_no_floating_point_in_the_package():
+    # Every value the package computes is exact; a float anywhere would be
+    # an approximation that no check can trust.
+    found = [where for where, node in _package_nodes() if _is_float_use(node)]
+    assert not found, found
+
+
+def _private_imports(node) -> list[str]:
+    """Underscore names a charcorr module imports from another charcorr module."""
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if node.level == 0 and (node.module or "").split(".")[0] != "charcorr":
+        return []
+    return [alias.name for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_private_names_imported_across_modules():
+    # A module's underscore names are its own; another module that needs one
+    # gets a public name instead.
+    found = [f"{where} {name}" for where, node in _package_nodes() for name in _private_imports(node)]
     assert not found, found
