@@ -4,9 +4,11 @@ Tables are computed by the standard two-phase scheme: common eigenvectors of
 the class-algebra matrices over a prime field F_q (q = 1 mod exp(G), large
 enough that degrees and multiplicities lift uniquely), then exact character
 values recovered per class by counting root-of-unity multiplicities through
-a discrete Fourier sum over powers of the class representative.  Row
-orthogonality is verified exactly, in integer arithmetic, at construction
-time; for a square table the column relation follows from it.
+a discrete Fourier sum over powers of the class representative.  One exact
+engine, ``_pairings``, computes sum_i |C_i| a(g_i) conj(b(g_i)) on
+Kronecker-packed integers: it verifies row orthogonality of every table at
+construction time (for a square table the column relation follows) and
+decomposes class functions into irreducibles.
 """
 
 from __future__ import annotations
@@ -263,55 +265,67 @@ def _lift_value(classes, i, fq_values, degree, w0, field):
 def _verify_table(table: CharacterTable) -> None:
     """Every table must pass row orthogonality exactly, or die.
 
-    With X the r x r table and D = diag(|C_i|), the check is X D conj(X)^t =
-    |G| I.  That makes X invertible with inverse D conj(X)^t / |G|, so
-    conj(X)^t X = |G| D^-1: column orthogonality follows and is not rechecked.
-
-    Character values are algebraic integers, so at the lcm conductor m every
-    value and its conjugate is an integer vector in the power basis of
-    Z[zeta_m].  Each vector is packed into one int (Kronecker substitution),
-    one big-int product per class gives the polynomial product, and the sum
-    over classes is decoded and reduced mod Phi_m once per pair of rows.
+    With X the table and D = diag(|C_i|), the pairing matrix X D conj(X)^t of
+    the rows must be |G| I.  Then X^-1 = D conj(X)^t / |G|, so conj(X)^t X =
+    |G| D^-1: column orthogonality follows and is not rechecked.
     """
-    G, cls = table.group, table.classes
-    n, r = G.order, cls.count
-    if len(table.rows) != r or sum(d * d for d in table.degrees) != n:
+    G = table.group
+    n = G.order
+    if len(table.rows) != table.classes.count or sum(d * d for d in table.degrees) != n:
         raise RuntimeError(f"{G.name}: degree squares do not sum to the group order")
     if not all(v == 1 for v in table.rows[0].values):
         raise RuntimeError(f"{G.name}: first irreducible is not the trivial character")
-    m = lcm(*(v.n for row in table.rows for v in row.values))
-    basis = power_basis(m)
-    phi = basis.phi
-    embedded = {}
-    for row in table.rows:
-        for v in row.values:
-            key = (v.n, v.coeffs)
-            if key not in embedded:
-                embedded[key] = _embed_with_conj(v, m, basis, G.name)
-    bound = n * phi * max(max(map(abs, x + y)) for x, y in embedded.values()) ** 2
-    width = (2 * bound).bit_length()
-    packed = {key: (_pack(x, width), _pack(y, width)) for key, (x, y) in embedded.items()}
-    weighted, conj = [], []
-    for row in table.rows:
-        pairs = [packed[(v.n, v.coeffs)] for v in row.values]
-        weighted.append([s * x for s, (x, _) in zip(cls.sizes, pairs)])
-        conj.append([y for _, y in pairs])
-    slots = 2 * phi - 1
-    for a in range(r):
-        xa = weighted[a]
-        for b in range(a, r):
-            reduced = basis.reduce(_unpack(sum(map(mul, xa, conj[b])), width, slots))
-            if reduced[0] != (n if a == b else 0) or any(reduced[1:]):
+    try:
+        gram, _ = _pairings(table.rows, table.rows)
+    except NotACharacterError as exc:
+        raise RuntimeError(f"{G.name}: {exc}") from exc
+    for a, row in enumerate(gram):
+        for b, c in enumerate(row):
+            if c != (n if a == b else 0):
                 raise RuntimeError(f"{G.name}: first orthogonality fails at rows {a},{b}")
 
 
-def _embed_with_conj(v: Cyc, m: int, basis, name: str) -> tuple[list[int], list[int]]:
-    """Integer coefficients of v and conj(v) in the power basis of Z[zeta_m]."""
-    if any(c.denominator != 1 for c in v.coeffs):
-        raise RuntimeError(f"{name}: character value {render_cyc(v)} is not an algebraic integer")
-    coeffs = [c.numerator for c in v.coeffs]
-    step = m // v.n
-    return basis.substitute(coeffs, step), basis.substitute(coeffs, -step)
+# -- exact pairings -----------------------------------------------------------------
+
+
+def _pairings(left, right) -> tuple[list[list[int]], list]:
+    """sum_i |C_i| a(g_i) conj(b(g_i)) for a in left, b in right, all on one group.
+
+    Each value is embedded from its least conductor (``min_form``) into
+    Z[zeta_m], m the lcm of those conductors: it and its conjugate become
+    integer power-basis vectors, or NotACharacterError if it is not an
+    algebraic integer.  Each vector is packed into one int (Kronecker
+    substitution, slots wide enough for any coefficient of the sum), one
+    big-int product per class gives the polynomial product, and the sum over
+    classes is decoded and reduced mod Phi_m once per pair; it must be
+    rational, or NotACharacterError.  Returns the pairing matrix, a row per
+    function of left, and the embedded values of left then right, for checks
+    that must not go through the packed products.
+    """
+    G = left[0].group
+    for f in (*left, *right):
+        check_same_group("pairing", f.group, G)
+    forms = {v.min_form(): v for f in (*left, *right) for v in f.values}
+    m = lcm(*(d for d, _ in forms))
+    basis = power_basis(m)
+    embedded = {}
+    for (d, pairs), v in forms.items():
+        if any(den != 1 for _, den in pairs):
+            raise NotACharacterError(f"value {render_cyc(v)} is not an algebraic integer")
+        coeffs = [num for num, _ in pairs]
+        embedded[d, pairs] = (basis.substitute(coeffs, m // d), basis.substitute(coeffs, -m // d))
+    top = max(1, *(max(map(abs, x + y)) for x, y in embedded.values()))  # every value may be 0
+    width = (2 * G.order * basis.phi * top * top).bit_length()
+    packed = {form: (_pack(x, width), _pack(y, width)) for form, (x, y) in embedded.items()}
+    sizes = conjugacy_classes(G).sizes
+    wtd = [[s * packed[v.min_form()][0] for s, v in zip(sizes, f.values)] for f in left]
+    conj = [[packed[v.min_form()][1] for v in f.values] for f in right]
+    slots = 2 * basis.phi - 1
+    sums = [[basis.reduce(_unpack(sum(map(mul, x, y)), width, slots)) for y in conj] for x in wtd]
+    if any(any(c[1:]) for row in sums for c in row):
+        raise NotACharacterError("a pairing is not rational")
+    vectors = [[embedded[v.min_form()][0] for v in f.values] for f in (*left, *right)]
+    return [[c[0] for c in row] for row in sums], vectors
 
 
 def _pack(coeffs, width: int) -> int:
@@ -381,44 +395,37 @@ def mul_classfn(a: ClassFunction, b: ClassFunction) -> ClassFunction:
     return ClassFunction(a.group, (x * y for x, y in zip(a.values, b.values)))
 
 
-def inner_product(a: ClassFunction, b: ClassFunction) -> Cyc:
-    """(1/|G|) sum over classes of size * a * conj(b); exact."""
-    check_same_group("inner_product", a.group, b.group)
-    cls = conjugacy_classes(a.group)
-    acc = Cyc.zero()
-    for s, x, y in zip(cls.sizes, a.values, b.values):
-        acc = acc + s * (x * y.conj())
-    return Fraction(1, a.group.order) * acc
+def _multiplicity(pairing: int, n: int, what: str) -> int:
+    """pairing / n, which must be an integer."""
+    m, rem = divmod(pairing, n)
+    if rem:
+        raise NotACharacterError(f"{what} is {Fraction(pairing, n)}; not an integer")
+    return m
 
 
 def inner_product_int(a: ClassFunction, b: ClassFunction) -> int:
-    v = inner_product(a, b)
-    if not v.is_rational or v.as_fraction().denominator != 1:
-        raise NotACharacterError(f"inner product {render_cyc(v)} is not a rational integer")
-    return v.as_fraction().numerator
+    """<a, b> for virtual characters; NotACharacterError unless it is an integer."""
+    ((c,),), _ = _pairings([a], [b])
+    return _multiplicity(c, a.group.order, "inner product")
 
 
 def constituents(f: ClassFunction) -> list[tuple[int, int]]:
     """(row index, multiplicity) pairs; errors unless f is a genuine character."""
     table = character_table(f.group)
+    (pairings,), (target, *row_vectors) = _pairings([f], table.rows)
     out = []
-    for i, row in enumerate(table.rows):
-        v = inner_product(f, row)
-        if not v.is_rational or v.as_fraction().denominator != 1 or v.as_fraction() < 0:
-            raise NotACharacterError(
-                f"multiplicity of row {i} is {render_cyc(v)}; not a character"
-            )
-        m = v.as_fraction().numerator
+    for i, c in enumerate(pairings):
+        m = _multiplicity(c, f.group.order, f"multiplicity of row {i}")
+        if m < 0:
+            raise NotACharacterError(f"multiplicity of row {i} is {m}; not a character")
         if m:
             out.append((i, m))
-    recon = None
-    for i, m in out:
-        term = ClassFunction(f.group, (m * v for v in table.rows[i].values))
-        recon = term if recon is None else recon + term
-    if recon is None:
-        recon = ClassFunction(f.group, (Cyc.zero() for _ in f.values))
-    if recon.values != f.values:
-        raise NotACharacterError("class function is not an integer combination of irreducibles")
+    # f = sum m_i chi_i holds for every class function, so a mismatch here
+    # means the pairings were decoded wrongly.
+    for k, want in enumerate(target):
+        got = [sum(m * row_vectors[i][k][j] for i, m in out) for j in range(len(want))]
+        if got != want:
+            raise RuntimeError(f"constituents of f do not reconstruct its value at class {k}")
     return out
 
 
@@ -426,24 +433,15 @@ def lying_over(table: CharacterTable, N: Subgroup, theta: ClassFunction) -> list
     """Indices of irreducibles chi with <chi_N, theta> != 0 (N normal)."""
     if not is_normal(table.group, N):
         raise ValueError("lying_over: N is not normal")
-    out = []
-    for i, row in enumerate(table.rows):
-        if inner_product_int(restrict(row, N), theta):
-            out.append(i)
-    return out
+    pairings, _ = _pairings([restrict(row, N) for row in table.rows], [theta])
+    return [i for i, (c,) in enumerate(pairings) if _multiplicity(c, N.order, "inner product")]
 
 
 def constituents_over(f: ClassFunction, N: Subgroup, theta: ClassFunction) -> list[int]:
     """Constituent rows of f that lie over theta on the normal subgroup N."""
     check_same_group("constituents_over", N.parent, f.group)
-    if not is_normal(f.group, N):
-        raise ValueError("constituents_over: N is not normal")
-    table = character_table(f.group)
-    out = []
-    for i, _ in constituents(f):
-        if inner_product_int(restrict(table.rows[i], N), theta):
-            out.append(i)
-    return out
+    over = lying_over(character_table(f.group), N, theta)
+    return [i for i, _ in constituents(f) if i in over]
 
 
 def conjugate_classfn(theta: ClassFunction, N: Subgroup, g: pm.Perm) -> ClassFunction:

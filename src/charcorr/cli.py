@@ -27,7 +27,7 @@ from .mckay import (
     mckay_count,
     verify_main,
 )
-from .showcase import corpus, corpus_path, remark_report
+from .showcase import corpus, corpus_path, load_corpus_group, remark_report
 
 
 class OutputError(Exception):
@@ -134,7 +134,7 @@ def _log(cfg: RunConfig, message: str) -> None:
 
 
 def _run_corpus_entry(entry, cap: int) -> dict:
-    G = load_group(corpus_path(entry.name), cap=cap)
+    G = load_corpus_group(entry.name, cap=cap)
     inst = check_hypotheses(G, entry.prime)
     counts = mckay_count(inst)
     record = {

@@ -30,10 +30,6 @@ class PrimeField:
         return f"PrimeField({self.q})"
 
 
-def matvec(M, v, q):
-    return [sum(a * b for a, b in zip(row, v)) % q for row in M]
-
-
 def rref(rows, q):
     """Reduced row echelon form; returns (rows, pivot column list)."""
     rows = [list(r) for r in rows]

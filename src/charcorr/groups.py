@@ -29,6 +29,7 @@ DEFAULT_CAP = 20000
 # Bounds on a group description, checked before anything is allocated for it.
 MAX_DEGREE = 1024
 MAX_GENERATORS = 64
+MAX_NAME_LENGTH = 256
 
 
 class MalformedGroupError(ValueError):
@@ -274,11 +275,15 @@ def _build_view(sub: Subgroup) -> PermGroup:
 
 def group_from_dict(data: dict, cap: int = DEFAULT_CAP) -> PermGroup:
     try:
-        name = str(data["name"])
+        name = data["name"]
         degree = data["degree"]
         generators = data["generators"]
     except (KeyError, TypeError) as exc:
         raise MalformedGroupError(f"bad group description: {exc}") from exc
+    if not isinstance(name, str) or len(name) > MAX_NAME_LENGTH:
+        raise MalformedGroupError(
+            f"group name is not a string of at most {MAX_NAME_LENGTH} characters"
+        )
     return PermGroup.from_generators(degree, generators, name=name, cap=cap)
 
 
@@ -412,11 +417,6 @@ def _is_p_power(n: int, p: int) -> bool:
 def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
     check_same_group("normalizer", H.parent, G)
     ids = pure.normalizer_ids(G.ctx, set(H.member_ids), list(H.gen_ids) or [0])
-    return G.subgroup_from_ids(ids)
-
-
-def centralizer(G: PermGroup, g: Perm) -> Subgroup:
-    ids = pure.centralizer_ids(G.ctx, G.id_of(g))
     return G.subgroup_from_ids(ids)
 
 

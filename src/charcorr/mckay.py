@@ -96,21 +96,11 @@ def check_hypotheses(G: PermGroup, p: int) -> McKayInstance:
     """Build an instance; flags are always recomputed, never trusted."""
     if not is_prime(p):
         raise HypothesisError(f"{p} is not prime")
-    P = sylow(G, p)
-    N = normalizer(G, P)
-    return McKayInstance(
-        group=G,
-        p=p,
-        sylow=P,
-        normalizer=N,
-        solvable=is_solvable(G),
-        self_normalizing=N.member_ids == P.member_ids,
-        parity_ok=(p == 2) or (G.order % 2 == 1),
-    )
+    return instance_with_sylow(G, p, sylow(G, p))
 
 
 def instance_with_sylow(G: PermGroup, p: int, P: Subgroup) -> McKayInstance:
-    """Instance using a caller-chosen Sylow subgroup (for independence checks)."""
+    """Instance using a given Sylow subgroup; ``check_hypotheses`` passes the canonical one."""
     if not is_prime(p):
         raise HypothesisError(f"{p} is not prime")
     check_same_group("instance_with_sylow", P.parent, G)

@@ -44,11 +44,6 @@ def conjugate(h: Perm, g: Perm) -> Perm:
     return compose(compose(inverse(g), h), g)
 
 
-def commutator(a: Perm, b: Perm) -> Perm:
-    """a^-1 * b^-1 * a * b."""
-    return compose(compose(compose(inverse(a), inverse(b)), a), b)
-
-
 def power(a: Perm, k: int) -> Perm:
     n = len(a)
     if k < 0:

@@ -14,7 +14,6 @@ from math import gcd
 from charcorr.chartab import (
     character_table,
     constituents,
-    inner_product,
     inner_product_int,
     is_invariant_under,
     lying_over,
@@ -40,6 +39,7 @@ from charcorr.mckay import (
     navarro_star,
 )
 from charcorr.showcase import load_corpus_group, remark_data
+from chartab_reference import inner_product
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

@@ -20,7 +20,6 @@ from charcorr.chartab import (
     fusion_map,
     galois_classfn,
     induce,
-    inner_product,
     inner_product_int,
     is_invariant_under,
     lying_over,
@@ -29,12 +28,14 @@ from charcorr.chartab import (
     p_prime_irreducibles,
     restrict,
     _pack,
+    _pairings,
     _unpack,
     _verify_table,
 )
-from charcorr.cyclotomic import Cyc, render_cyc
+from charcorr.cyclotomic import Cyc, prime_factors, render_cyc, root_of_unity
 from charcorr.groups import conjugacy_classes, normal_subgroups, sylow
 from charcorr.showcase import corpus, load_corpus_group, remark_data
+from chartab_reference import inner_product
 from test_closure import s4_wreath_c2
 
 
@@ -154,6 +155,55 @@ def test_verifier_rejects_non_integral_value(f21):
         _verify_table(_with_value(tab, 1, 1, tab.rows[1].values[1] + Fraction(1, 2)))
 
 
+def test_remark648_tables_are_checked_at_conductor_3(monkeypatch):
+    # every value of these tables lies in Q(zeta_3), though some are stored
+    # at conductor 12 or 36: the engine must embed from the least conductor
+    from charcorr import chartab, groups
+
+    conductors, checked = [], []
+    real_basis, real_verify = chartab.power_basis, chartab._verify_table
+
+    def recording_basis(m):
+        conductors.append(m)
+        return real_basis(m)
+
+    def recording_verify(table):
+        start = len(conductors)
+        real_verify(table)
+        checked.append((table.group.order, conductors[start:]))
+
+    monkeypatch.setattr(chartab, "power_basis", recording_basis)
+    monkeypatch.setattr(chartab, "_verify_table", recording_verify)
+    monkeypatch.setattr(groups, "_VIEW_CACHE", {})  # fresh subgroup views, no tables yet
+    remark_data.__wrapped__()  # the showcase pipeline on a freshly built group
+    assert sorted(checked) == [(3, [3]), (24, [3]), (27, [3]), (72, [3]), (648, [3])]
+
+
+# -- the pairing engine --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted({e.name for e in corpus()}))
+def test_pairings_match_the_reference(name):
+    """Rows against rows, rows restricted to every Sylow and normal subgroup
+    against that subgroup's rows, and Sylow characters induced to G against
+    the rows of G: every pairing and every decomposition."""
+    G = load_corpus_group(name)
+    rows = character_table(G).rows
+    sylows = [sylow(G, p) for p in prime_factors(G.order)]
+    families = [(rows, rows)]
+    for H in sylows + list(normal_subgroups(G)):
+        families.append(([restrict(chi, H) for chi in rows], character_table(H.view).rows))
+    for S in sylows:
+        families.append(([induce(theta, S) for theta in character_table(S.view).rows], rows))
+    for left, right in families:
+        order = left[0].group.order
+        reference = [[inner_product(a, b) for b in right] for a in left]
+        pairings, _ = _pairings(left, right)
+        assert pairings == [[order * v for v in row] for row in reference]
+        for f, row in zip(left, reference):
+            assert constituents(f) == [(i, v) for i, v in enumerate(row) if v]
+
+
 def test_pack_unpack_round_trip_at_the_bound():
     for bound in (1, 7, 2**31 - 1, 3 * 10**40):
         width = (2 * bound).bit_length()
@@ -183,7 +233,20 @@ def test_unpack_raises_on_slot_overflow():
 
 def test_inner_product_rejects_group_mismatch(s4, d8):
     with pytest.raises(ValueError):
-        inner_product(character_table(s4).rows[0], character_table(d8).rows[0])
+        inner_product_int(character_table(s4).rows[0], character_table(d8).rows[0])
+
+
+@pytest.mark.parametrize("c", [1, 7, 2**31 - 1, 3 * 10**40])
+def test_pairing_reaches_the_slot_bound_exactly(s4, f21, c):
+    # constants c and -c pair to |G| c^2 in absolute value: the bound the
+    # engine derives its slot width from, with nothing to spare
+    for G in (s4, f21):
+        r = conjugacy_classes(G).count
+        f = ClassFunction(G, [Cyc.rational(c)] * r)
+        g = ClassFunction(G, [Cyc.rational(-c)] * r)
+        bound = G.order * c * c
+        assert _pairings([f, g], [f, g])[0] == [[bound, -bound], [-bound, bound]]
+        assert inner_product_int(f, g) == -c * c
 
 
 def test_regular_character_decomposition(d8):
@@ -194,6 +257,8 @@ def test_regular_character_decomposition(d8):
     )
     assert constituents(reg) == [(i, tab.degrees[i]) for i in range(tab.count)]
     assert inner_product_int(reg, tab.rows[0]) == 1
+    zero = ClassFunction(d8, [Cyc.zero()] * cls.count)
+    assert constituents(zero) == [] and inner_product_int(zero, zero) == 0
 
 
 # -- fusion / restriction / induction ---------------------------------------------------
@@ -285,6 +350,53 @@ def test_constituents_rejects_non_characters(s4):
     delta = tab.rows[0] - tab.rows[1]  # virtual, not a character
     with pytest.raises(NotACharacterError):
         constituents(delta)
+
+
+def test_constituents_rejects_a_value_with_a_non_integral_coefficient(f21):
+    chi = character_table(f21).rows[3]
+    k = next(k for k, v in enumerate(chi.values) if not v.is_rational)
+    values = list(chi.values)
+    values[k] = values[k] + Fraction(1, 2) * root_of_unity(7)
+    with pytest.raises(NotACharacterError, match="algebraic integer"):
+        constituents(ClassFunction(f21, values))
+
+
+def test_constituents_rejects_a_non_integral_multiplicity(s4):
+    # (chi_0 + sign) / 2 takes the values 1 and 0, so every value is integral
+    tab = character_table(s4)
+    half = ClassFunction(s4, (Fraction(1, 2) * v for v in (tab.rows[0] + tab.rows[1]).values))
+    assert all(v in (0, 1) for v in half.values)
+    with pytest.raises(NotACharacterError, match="1/2"):
+        constituents(half)
+    with pytest.raises(NotACharacterError, match="1/2"):
+        inner_product_int(half, tab.rows[0])
+
+
+def test_irrational_pairing_is_rejected(c7):
+    # zeta_7 added to chi_0 at one class: the pairing with chi_0 is 7 + zeta_7,
+    # whose rational part alone would pass as multiplicity 1
+    chi0 = character_table(c7).rows[0]
+    f = ClassFunction(c7, (chi0.values[0], chi0.values[1] + root_of_unity(7)) + chi0.values[2:])
+    with pytest.raises(NotACharacterError, match="not rational"):
+        inner_product_int(f, chi0)
+    with pytest.raises(NotACharacterError, match="not rational"):
+        constituents(f)
+
+
+def test_constituents_reconstruction_catches_a_misdecoded_pairing(monkeypatch, s4):
+    from charcorr import chartab
+
+    chi = character_table(s4).rows[2]
+    real = chartab._pairings
+
+    def one_more_trivial(left, right):
+        pairings, vectors = real(left, right)
+        pairings[0][0] += s4.order  # still a multiple of |G|, and nonnegative
+        return pairings, vectors
+
+    monkeypatch.setattr(chartab, "_pairings", one_more_trivial)
+    with pytest.raises(RuntimeError, match="reconstruct"):
+        constituents(chi)
 
 
 def test_constituents_over_examples(s4):

@@ -105,6 +105,18 @@ def test_non_integer_group_description_exits_2(tmp_path, capsys, record):
     assert err.startswith("error: bad: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name", [[1, {"a": None}], {"a": 1}, None, "x" * 10**6], ids=["list", "object", "null", "long"]
+)
+def test_group_name_must_be_a_short_string(tmp_path, capsys, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": name, "degree": 2, "generators": [[1, 0]]}))
+    assert main(["table", "--group", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: group name is not a string of at most 256 characters")
+    assert "Traceback" not in err
+
+
 def _assert_unreadable_group_exits_2(path, capsys):
     assert main(["table", "--group", str(path)]) == 2
     err = capsys.readouterr().err
@@ -227,6 +239,27 @@ def test_verify_all(tmp_path):
     assert sum("SKIP descent" in l for l in lines) == 3
 
 
+def test_verify_all_builds_each_corpus_table_once(monkeypatch):
+    # F21 is listed at p=3 and at p=7; both entries share one loaded group
+    from functools import lru_cache
+
+    from charcorr import chartab, cli
+
+    built = []
+    real = chartab._dixon_schneider
+
+    def counting(G):
+        built.append(G.name)
+        return real(G)
+
+    monkeypatch.setattr(chartab, "_dixon_schneider", counting)
+    # a loader cache of its own, so no corpus group arrives with its table built
+    fresh = lru_cache(maxsize=None)(cli.load_corpus_group.__wrapped__)
+    monkeypatch.setattr(cli, "load_corpus_group", fresh)
+    assert main(["verify", "--all", "--out", "/dev/null"]) == 0
+    assert built.count("F21") == 1
+
+
 def test_verify_all_structured_golden(tmp_path):
     code, text = run_cli(["verify", "--all", "--format", "structured"], tmp_path)
     assert code == 0
@@ -303,26 +336,37 @@ def test_remark_byte_identical_across_runs(tmp_path):
     assert a == b == (GOLDEN / "remark648.json").read_bytes()
 
 
-# -- stress group: the Heisenberg group mod 7 -----------------------------------------
+# -- stress groups: Heisenberg groups mod p -------------------------------------------
 
 
-def heisenberg7_file(tmp_path):
-    """Heisenberg group mod 7 (order 343, 55 classes) on the 49 points of Z_7^2.
+def heisenberg_file(tmp_path, p):
+    """Heisenberg group mod p (order p^3, p^2 + p - 1 classes) on the points of Z_p^2.
 
-    Point (x, y) is 7x + y.  The generators are the affine maps
+    Point (x, y) is px + y.  The generators are the affine maps
     (x, y) -> (x + 1, y) and (x, y) -> (x, y + x); their commutator is the
     central translation (x, y) -> (x, y + 1).
     """
-    shift = [7 * ((x + 1) % 7) + y for x in range(7) for y in range(7)]
-    shear = [7 * x + (y + x) % 7 for x in range(7) for y in range(7)]
-    path = tmp_path / "heis7.json"
-    path.write_text(json.dumps({"name": "heis7", "degree": 49, "generators": [shift, shear]}))
+    shift = [p * ((x + 1) % p) + y for x in range(p) for y in range(p)]
+    shear = [p * x + (y + x) % p for x in range(p) for y in range(p)]
+    path = tmp_path / f"heis{p}.json"
+    record = {"name": f"heis{p}", "degree": p * p, "generators": [shift, shear]}
+    path.write_text(json.dumps(record))
     return path
 
 
 def test_table_heisenberg7_structured_golden(tmp_path):
     code, text = run_cli(
-        ["table", "--group", str(heisenberg7_file(tmp_path)), "--format", "structured"], tmp_path
+        ["table", "--group", str(heisenberg_file(tmp_path, 7)), "--format", "structured"],
+        tmp_path,
     )
     assert code == 0
     assert text == (GOLDEN / "heis7_table.json").read_text()
+
+
+def test_verify_heisenberg5_structured_golden(tmp_path):
+    # 25 linear characters of a p-group: 25 decompositions on its own table
+    group = str(heisenberg_file(tmp_path, 5))
+    args = ["verify", "--group", group, "-p", "5", "--format", "structured"]
+    code, text = run_cli(args, tmp_path)
+    assert code == 0
+    assert text == (GOLDEN / "heis5_verify.json").read_text()

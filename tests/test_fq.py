@@ -4,7 +4,11 @@ import random
 
 import pytest
 
-from charcorr.fq import PrimeField, charpoly, eigenvalues, matvec, nullspace, poly_eval, rref
+from charcorr.fq import PrimeField, charpoly, eigenvalues, nullspace, poly_eval, rref
+
+
+def matvec(M, v, q):
+    return [sum(a * b for a, b in zip(row, v)) % q for row in M]
 
 
 def brute_charpoly(M, q):
