@@ -3,8 +3,10 @@
 Tables are computed by the standard two-phase scheme: common eigenvectors of
 the class-algebra matrices over a prime field F_q (q = 1 mod exp(G), large
 enough that degrees and multiplicities lift uniquely), then exact character
-values recovered per class by counting root-of-unity multiplicities through
-a discrete Fourier sum over powers of the class representative.  One exact
+values recovered by counting root-of-unity multiplicities through a discrete
+Fourier sum over powers of the class representative.  What that sum needs
+beyond the F_q row depends only on the class, so it is built once per class
+and table; ``_lift_value`` is the per-entry step that reads it.  One exact
 engine, ``_pairings``, computes sum_i |C_i| a(g_i) conj(b(g_i)) on
 Kronecker-packed integers: it verifies row orthogonality of every table at
 construction time (for a square table the column relation follows) and
@@ -19,7 +21,7 @@ from operator import mul
 
 from . import perm as pm
 from .cyclotomic import Cyc, dixon_prime, power_basis, primitive_root, render_cyc, root_sum
-from .fq import PrimeField, eigenvalues, nullspace, rref
+from .fq import eigenvalues, nullspace, rref
 from .groups import (
     ConjClasses,
     PermGroup,
@@ -157,13 +159,14 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
     so omega is a right eigenvector of every class matrix.  The common
     eigenspaces are lines, so each eigenvector is a multiple of some omega,
     and omega_0 = 1 on the identity class fixes the scale: omega is read off
-    the eigenvector with no further class matrix built.
+    the eigenvector with no further class matrix built.  The lifting data of
+    every class is built once, before the row loop, and ``_lift_value`` turns
+    one F_q entry into an exact value with it.
     """
     classes = conjugacy_classes(G)
     r = classes.count
     n = G.order
     q = dixon_prime(G.exponent, n)
-    field = PrimeField(q)
 
     def class_matrix(i):
         return pure.class_matrix(G.ctx, classes.class_of_id, classes.members_ids[i], classes.rep_ids)
@@ -171,24 +174,49 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
     vectors = _common_eigenvectors(class_matrix, r, q)
     if len(vectors) != r:
         raise RuntimeError(f"{G.name}: {len(vectors)} common eigenvectors for {r} classes")
-    inv_sizes = [field.inv(s) for s in classes.sizes]
-    w0 = primitive_root(q)
+    inv_sizes = [pow(s, q - 2, q) for s in classes.sizes]
+    lifting = _lifting_data(G, q)
+    inverse_class = [powers[-1] for powers, _ in lifting]  # g^(m-1) = g^-1
     rows = []
     for vec in vectors:
         if vec[0] == 0:
             raise RuntimeError(f"{G.name}: common eigenvector vanishes on the identity class")
-        inv0 = field.inv(vec[0])
+        inv0 = pow(vec[0], q - 2, q)
         omega = [(x * inv0) % q for x in vec]
-        t = sum(omega[i] * omega[classes.inverse_class(i)] * inv_sizes[i] for i in range(r)) % q
-        d2 = (n * field.inv(t)) % q
-        d = next(k for k in range(1, isqrt(n) + 1) if (k * k) % q == d2)
+        t = sum(omega[i] * omega[inverse_class[i]] * inv_sizes[i] for i in range(r)) % q
+        d2 = (n * pow(t, q - 2, q)) % q
+        d = next((k for k in range(1, isqrt(n) + 1) if (k * k) % q == d2), None)
+        if d is None:
+            raise RuntimeError(f"{G.name}: no degree d <= sqrt(|G|) has d^2 = {d2} mod {q}")
         fq_values = [(d * omega[i] * inv_sizes[i]) % q for i in range(r)]
-        values = [_lift_value(classes, i, fq_values, d, w0, field) for i in range(r)]
+        values = [_lift_value(fq_values, d, powers, roots, q) for powers, roots in lifting]
         rows.append(ClassFunction(G, values))
     rows.sort(key=lambda f: (f.degree_int(), tuple(v.sort_key() for v in f.values)))
     table = CharacterTable(G, classes, rows)
     _verify_table(table)
     return table
+
+
+def _lifting_data(G: PermGroup, q: int) -> list[tuple[list[int], list[int]]]:
+    """Per class, with g its representative and m = ord(g): (powers, roots).
+
+    powers[j] is the class of g^j and roots[j] = w^-j mod q for j < m, with w
+    the m-th root of unity w0^((q-1)/m), w0 the least primitive root mod q.
+    """
+    classes = conjugacy_classes(G)
+    w0 = primitive_root(q)
+    out = []
+    for i, g in enumerate(classes.rep_ids):
+        m = classes.rep_order(i)
+        w_inv = pow(w0, (q - 1) // m * (m - 1), q)
+        powers, roots = [], []
+        x, y = 0, 1  # id 0 is the identity
+        for _ in range(m):
+            powers.append(classes.class_of_id[x])
+            roots.append(y)
+            x, y = G.mul(x, g), (y * w_inv) % q
+        out.append((powers, roots))
+    return out
 
 
 def _common_eigenvectors(class_matrix, r, q):
@@ -247,16 +275,19 @@ def _common_eigenvectors(class_matrix, r, q):
     return [basis[0] for basis, _ in spaces]
 
 
-def _lift_value(classes, i, fq_values, degree, w0, field):
-    """Exact value at class i from the F_q row, by root-of-unity counting."""
-    q = field.q
-    m = classes.rep_order(i)
-    wm = pow(w0, (q - 1) // m, q)
-    inv_m = field.inv(m)
-    counts = []
-    for k in range(m):
-        s = sum(fq_values[classes.power_class(i, j)] * pow(wm, (-j * k) % m, q) for j in range(m))
-        counts.append((s * inv_m) % q)
+def _lift_value(fq_values, degree, powers, roots, q):
+    """Exact value at one class from the F_q row and the class's lifting data.
+
+    The multiplicity of w^k among the eigenvalues of the representation at g
+    is (1/m) sum_j chi(g^j) w^(-jk) mod q; the multiplicities must add up to
+    the degree.
+    """
+    m = len(powers)
+    inv_m = pow(m, q - 2, q)
+    row = [fq_values[c] for c in powers]
+    counts = [
+        (sum(x * roots[(j * k) % m] for j, x in enumerate(row)) * inv_m) % q for k in range(m)
+    ]
     if sum(counts) != degree:
         raise RuntimeError("root-of-unity multiplicities do not add up to the degree")
     return root_sum(m, counts)
@@ -303,9 +334,11 @@ def _pairings(left, right) -> tuple[list[list[int]], list]:
     that must not go through the packed products.
     """
     G = left[0].group
-    for f in (*left, *right):
+    functions = (*left, *right)
+    for f in functions:
         check_same_group("pairing", f.group, G)
-    forms = {v.min_form(): v for f in (*left, *right) for v in f.values}
+    keys = [[v.min_form() for v in f.values] for f in functions]  # one lookup per value
+    forms = {k: v for f, ks in zip(functions, keys) for k, v in zip(ks, f.values)}
     m = lcm(*(d for d, _ in forms))
     basis = power_basis(m)
     embedded = {}
@@ -318,13 +351,13 @@ def _pairings(left, right) -> tuple[list[list[int]], list]:
     width = (2 * G.order * basis.phi * top * top).bit_length()
     packed = {form: (_pack(x, width), _pack(y, width)) for form, (x, y) in embedded.items()}
     sizes = conjugacy_classes(G).sizes
-    wtd = [[s * packed[v.min_form()][0] for s, v in zip(sizes, f.values)] for f in left]
-    conj = [[packed[v.min_form()][1] for v in f.values] for f in right]
+    wtd = [[s * packed[k][0] for s, k in zip(sizes, ks)] for ks in keys[: len(left)]]
+    conj = [[packed[k][1] for k in ks] for ks in keys[len(left) :]]
     slots = 2 * basis.phi - 1
     sums = [[basis.reduce(_unpack(sum(map(mul, x, y)), width, slots)) for y in conj] for x in wtd]
     if any(any(c[1:]) for row in sums for c in row):
         raise NotACharacterError("a pairing is not rational")
-    vectors = [[embedded[v.min_form()][0] for v in f.values] for f in (*left, *right)]
+    vectors = [[embedded[k][0] for k in ks] for ks in keys]
     return [[c[0] for c in row] for row in sums], vectors
 
 

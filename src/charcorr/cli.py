@@ -48,8 +48,18 @@ class RunConfig:
     def __post_init__(self):
         if self.cap < 1:
             raise MalformedGroupError(f"cap must be >= 1, got {self.cap}")
-        if self.prime is not None and not is_prime(self.prime):
-            raise HypothesisError(f"{self.prime} is not prime")
+        if self.command == "verify":
+            given = self.group is not None or self.prime is not None
+            complete = bool(self.group) and self.prime is not None
+            if (self.run_all and given) or not (self.run_all or complete):
+                raise HypothesisError("verify needs --group and -p, or --all")
+        if self.prime is not None:
+            # no group within the cap has an order that a larger prime divides;
+            # refusing it first keeps a huge p from reaching trial division
+            if self.prime > self.cap:
+                raise HypothesisError(f"p = {self.prime} exceeds the cap {self.cap} on |G|")
+            if not is_prime(self.prime):
+                raise HypothesisError(f"{self.prime} is not prime")
         if self.out:
             if os.path.isdir(self.out):
                 raise OutputError(f"--out {self.out} is a directory")
@@ -286,8 +296,6 @@ def main(argv=None) -> int:
                 raise MalformedGroupError("table needs --group")
             return cmd_table(cfg)
         if cfg.command == "verify":
-            if not cfg.run_all and (not cfg.group or cfg.prime is None):
-                raise HypothesisError("verify needs --group and -p, or --all")
             return cmd_verify(cfg)
         return cmd_remark(cfg)
     except FalsificationError as exc:

@@ -7,28 +7,6 @@ free columns, eigenvalues are reported ascending.
 
 from __future__ import annotations
 
-from .cyclotomic import is_prime
-
-
-class PrimeField:
-    """Arithmetic mod a validated prime q."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: int):
-        if not is_prime(q):
-            raise ValueError(f"modulus {q} is not prime")
-        self.q = q
-
-    def inv(self, a: int) -> int:
-        a %= self.q
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_q")
-        return pow(a, self.q - 2, self.q)
-
-    def __repr__(self):
-        return f"PrimeField({self.q})"
-
 
 def rref(rows, q):
     """Reduced row echelon form; returns (rows, pivot column list)."""

@@ -321,7 +321,6 @@ class ConjClasses:
         self.sizes = sizes
         self.class_of_id = class_of_id
         self.members_ids = members_ids
-        self._power_cache: dict[tuple[int, int], int] = {}
 
     @property
     def count(self) -> int:
@@ -335,18 +334,6 @@ class ConjClasses:
 
     def rep_order(self, i: int) -> int:
         return self.group.element_order(self.rep_ids[i])
-
-    def power_class(self, i: int, j: int) -> int:
-        """Class index of rep(i)**j."""
-        key = (i, j)
-        got = self._power_cache.get(key)
-        if got is None:
-            got = self.class_of_id[self.group.id_of(pm.power(self.rep(i), j))]
-            self._power_cache[key] = got
-        return got
-
-    def inverse_class(self, i: int) -> int:
-        return self.power_class(i, -1)
 
 
 def conjugacy_classes(G: PermGroup) -> ConjClasses:

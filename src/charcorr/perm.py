@@ -44,20 +44,6 @@ def conjugate(h: Perm, g: Perm) -> Perm:
     return compose(compose(inverse(g), h), g)
 
 
-def power(a: Perm, k: int) -> Perm:
-    n = len(a)
-    if k < 0:
-        return power(inverse(a), -k)
-    result = identity(n)
-    base = a
-    while k:
-        if k & 1:
-            result = compose(result, base)
-        base = compose(base, base)
-        k >>= 1
-    return result
-
-
 def cycles(a: Perm, include_fixed: bool = False) -> list[list[int]]:
     """Disjoint cycle decomposition, each cycle starting at its least point."""
     seen = [False] * len(a)

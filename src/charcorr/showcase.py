@@ -36,10 +36,13 @@ from .groups import (
     PermGroup,
     Subgroup,
     centralizer_of_subgroup,
+    conjugacy_classes,
     derived_subgroup,
     fixed_points_on_cosets,
+    intersection,
     load_group,
     normalizer,
+    product_subgroup,
     sylow,
 )
 from .mckay import FalsificationError
@@ -149,8 +152,6 @@ def build_remark_group(cap: int = DEFAULT_CAP) -> RemarkData:
     _require(N.order == 72, f"|N_G(P)| = {N.order}, expected 72")
 
     # N = L x H as an internal direct product
-    from .groups import intersection, product_subgroup
-
     _require(product_subgroup(L, H).member_ids == N.member_ids, "N != L*H")
     _require(intersection(L, H).order == 1, "L and H intersect nontrivially")
     for zid in L.sorted_ids:
@@ -215,11 +216,8 @@ def verify_fully_ramified(data: RemarkData) -> int:
 
 def inflate_from_direct_factor(data: RemarkData, f: ClassFunction) -> ClassFunction:
     """Lift a class function of H to N = L x H through the projection N -> H."""
-    G = data.G
     n_view = data.N.view
     h_view = data.H.view
-    from .groups import conjugacy_classes
-
     n_classes = conjugacy_classes(n_view)
     h_classes = conjugacy_classes(h_view)
     l_members = data.L.members()
@@ -253,8 +251,6 @@ def recover_psi(data: RemarkData) -> tuple[dict, ...]:
     n_view = data.N.view
     n_table = character_table(n_view)
     h_table = character_table(data.H.view)
-    from .groups import conjugacy_classes
-
     h_classes = conjugacy_classes(data.H.view)
     n_in_g = data.N
 
@@ -282,14 +278,11 @@ def recover_psi(data: RemarkData) -> tuple[dict, ...]:
         for b in deg2:
             psi_h = h_table.rows[a] + h_table.rows[b]
             psi_n = inflate_from_direct_factor(data, psi_h)
-            matches = {}
-            for ci in odd_chis:
-                hits = [
-                    xi
-                    for xi in odd_xis
-                    if chi_restrictions[ci].values == mul_classfn(psi_n, n_table.rows[xi]).values
-                ]
-                matches[ci] = hits
+            products = {xi: mul_classfn(psi_n, n_table.rows[xi]).values for xi in odd_xis}
+            matches = {
+                ci: [xi for xi in odd_xis if chi_restrictions[ci].values == products[xi]]
+                for ci in odd_chis
+            }
             viable = (
                 all(len(h) == 1 for h in matches.values())
                 and len({h[0] for h in matches.values()}) == len(odd_xis)
@@ -392,8 +385,6 @@ def remark_data(cap: int = DEFAULT_CAP) -> RemarkData:
 
 def remark_report(cap: int = DEFAULT_CAP) -> dict:
     data = remark_data(cap=cap)
-    from .groups import conjugacy_classes
-
     h_classes = conjugacy_classes(data.H.view)
     by_order: dict[str, list[str]] = {}
     for c in range(h_classes.count):

@@ -27,12 +27,20 @@ from charcorr.chartab import (
     orbit_and_stabilizer,
     p_prime_irreducibles,
     restrict,
+    _lifting_data,
     _pack,
     _pairings,
     _unpack,
     _verify_table,
 )
-from charcorr.cyclotomic import Cyc, prime_factors, render_cyc, root_of_unity
+from charcorr.cyclotomic import (
+    Cyc,
+    dixon_prime,
+    prime_factors,
+    primitive_root,
+    render_cyc,
+    root_of_unity,
+)
 from charcorr.groups import conjugacy_classes, normal_subgroups, sylow
 from charcorr.showcase import corpus, load_corpus_group, remark_data
 from chartab_reference import inner_product
@@ -95,6 +103,28 @@ def test_table_builds_only_the_class_matrices_the_split_needs(monkeypatch):
     r = conjugacy_classes(G).count
     assert table.count == r == 24
     assert 0 < len(built) < r
+
+
+@pytest.mark.parametrize("name", sorted({e.name for e in corpus()}))
+def test_lifting_data_matches_repeated_products(name):
+    G = load_corpus_group(name)
+    classes = conjugacy_classes(G)
+    q = dixon_prime(G.exponent, G.order)
+    data = _lifting_data(G, q)
+    assert len(data) == classes.count
+    for i, (powers, roots) in enumerate(data):
+        g = classes.rep(i)
+        m = pm.order(g)
+        expected, x = [], pm.identity(G.degree)
+        for _ in range(m):
+            expected.append(classes.class_of_perm(x))
+            x = pm.compose(x, g)
+        assert powers == expected  # entry j is the class of g^j
+        assert powers[-1] == classes.class_of_perm(pm.inverse(g))
+        assert len(roots) == len(set(roots)) == m
+        assert all(pow(y, m, q) == 1 for y in roots)
+        w = pow(primitive_root(q), (q - 1) // m, q)
+        assert roots == [pow(w, -j, q) for j in range(m)]  # w^-j, not w^j
 
 
 def test_sum_of_degree_squares(s4, sl23):

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from charcorr.cli import main
+from charcorr.groups import DEFAULT_CAP
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -59,6 +60,30 @@ def test_engine_error_exits_3_without_traceback(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("engine error: S4: first orthogonality fails")
     assert "Traceback" not in err and "FALSIFIED" not in err
+
+
+def test_degree_recovery_fault_exits_3_without_traceback(monkeypatch, capsys):
+    # Shifting one entry of one common eigenvector breaks the degree step:
+    # d^2 = |G| / t has no root d <= sqrt(|G|) mod q, or t = 0 (shown as d^2 = 0).
+    from charcorr import chartab
+
+    real = chartab._common_eigenvectors
+    errors = []
+    for delta in range(1, 13):  # q = 13 for S4
+
+        def perturbed(class_matrix, r, q, delta=delta):
+            vectors = real(class_matrix, r, q)
+            vectors[0] = vectors[0][:-1] + [(vectors[0][-1] + delta) % q]
+            return vectors
+
+        monkeypatch.setattr(chartab, "_common_eigenvectors", perturbed)
+        assert main(["table", "--group", "s4"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("engine error: ") and "Traceback" not in err
+        errors.append(err)
+    no_degree = [e for e in errors if "S4: no degree d <= sqrt(|G|) has d^2 = " in e]
+    assert any("d^2 = 0 mod 13" in e for e in no_degree)
+    assert any("d^2 = 0 mod 13" not in e for e in no_degree)
 
 
 def test_malformed_generators_exit_2(tmp_path, capsys):
@@ -227,6 +252,43 @@ def test_verify_hypothesis_failure_exits_2(capsys):
 
 def test_verify_non_prime_exits_2(capsys):
     assert main(["verify", "--group", "s4", "-p", "6"]) == 2
+
+
+def test_verify_prime_above_the_cap_exits_2_before_any_primality_test(monkeypatch, capsys):
+    from charcorr import cli
+
+    def must_not_run(n):
+        raise AssertionError("a prime above the cap reached the primality test")
+
+    monkeypatch.setattr(cli, "is_prime", must_not_run)
+    for args, p, cap in (
+        (["-p", "1000000000000000003"], 1000000000000000003, DEFAULT_CAP),
+        (["-p", "29", "--cap", "24"], 29, 24),
+    ):
+        assert main(["verify", "--group", "s4", *args]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: p = {p} exceeds the cap {cap} on |G|\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--all", "--group", "s4"],
+        ["--all", "-p", "2"],
+        ["--all", "--group", "s4", "-p", "2"],
+        ["--group", "s4"],  # a missing option gets the same message
+        ["-p", "2"],
+    ],
+)
+def test_verify_needs_group_and_prime_or_all_alone(monkeypatch, capsys, args):
+    from charcorr import cli
+
+    def must_not_run(*args):
+        raise AssertionError("the computation ran although the options conflict")
+
+    monkeypatch.setattr(cli, "cmd_verify", must_not_run)
+    assert main(["verify", *args]) == 2
+    assert capsys.readouterr().err == "error: verify needs --group and -p, or --all\n"
 
 
 def test_verify_all(tmp_path):

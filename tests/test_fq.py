@@ -2,9 +2,7 @@
 
 import random
 
-import pytest
-
-from charcorr.fq import PrimeField, charpoly, eigenvalues, nullspace, poly_eval, rref
+from charcorr.fq import charpoly, eigenvalues, nullspace, poly_eval, rref
 
 
 def matvec(M, v, q):
@@ -46,15 +44,6 @@ def brute_charpoly(M, q):
     out = det(rows)
     out += [0] * (n + 1 - len(out))
     return [c % q for c in out]
-
-
-def test_prime_field_validates():
-    f = PrimeField(13)
-    assert f.inv(5) == pow(5, 11, 13)
-    with pytest.raises(ValueError):
-        PrimeField(12)
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
 
 
 def test_charpoly_against_brute_force():

@@ -54,3 +54,20 @@ def test_no_private_names_imported_across_modules():
     # gets a public name instead.
     found = [f"{where} {name}" for where, node in _package_nodes() for name in _private_imports(node)]
     assert not found, found
+
+
+def _imports_in_function(node) -> list[int]:
+    """Lines of the import statements in a function's body, nested functions included."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return []
+    return [n.lineno for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+def test_no_imports_inside_functions():
+    # A module's dependencies all show in its import list at the top.
+    found = {
+        f"{where.partition(':')[0]}:{line}"
+        for where, node in _package_nodes()
+        for line in _imports_in_function(node)
+    }
+    assert not found, sorted(found)
