@@ -104,7 +104,7 @@ class CharacterTable:
     def index_of(self, f: ClassFunction) -> int:
         check_same_group("CharacterTable.index_of", f.group, self.group)
         for i, row in enumerate(self.rows):
-            if row.values == f.values:  # Cyc equality ignores the conductor
+            if row.values == f.values:  # each Cyc is stored in its one (least-conductor) form
                 return i
         raise ValueError("class function is not a row of this table")
 
@@ -322,8 +322,9 @@ def _verify_table(table: CharacterTable) -> None:
 def _pairings(left, right) -> tuple[list[list[int]], list]:
     """sum_i |C_i| a(g_i) conj(b(g_i)) for a in left, b in right, all on one group.
 
-    Each value is embedded from its least conductor (``min_form``) into
-    Z[zeta_m], m the lcm of those conductors: it and its conjugate become
+    Each value is embedded from its stored conductor, which is its least one,
+    into Z[zeta_m], m the lcm of those conductors; values are keyed by their
+    cached integer form (``min_form``).  Each value and its conjugate become
     integer power-basis vectors, or NotACharacterError if it is not an
     algebraic integer.  Each vector is packed into one int (Kronecker
     substitution, slots wide enough for any coefficient of the sum), one

@@ -146,8 +146,9 @@ def _log(cfg: RunConfig, message: str) -> None:
 def _run_corpus_entry(entry, cap: int) -> dict:
     G = load_corpus_group(entry.name, cap=cap)
     inst = check_hypotheses(G, entry.prime)
-    counts = mckay_count(inst)
-    record = {
+    rep = verify_main(inst) if inst.hypotheses_ok else None
+    counts = rep.counts if rep else mckay_count(inst)
+    return {
         "name": entry.name,
         "group": G.name,
         "order": G.order,
@@ -155,17 +156,10 @@ def _run_corpus_entry(entry, cap: int) -> dict:
         "expect": entry.expect,
         "flags": dict(sorted(inst.flag_summary().items())),
         "counts": {"irr_p_prime_g": counts[0], "irr_p_prime_n": counts[1], "equal": counts[2]},
+        "report": rep.to_dict() if rep else None,
+        "verdict": rep.verdict if rep else None,
+        "ok": rep.verdict if rep else counts[2],  # the verdict already requires equal counts
     }
-    if inst.hypotheses_ok:
-        rep = verify_main(inst)
-        record["report"] = rep.to_dict()
-        record["verdict"] = rep.verdict
-        record["ok"] = rep.verdict and counts[2]
-    else:
-        record["report"] = None
-        record["verdict"] = None
-        record["ok"] = counts[2]
-    return record
 
 
 def cmd_verify(cfg: RunConfig) -> int:

@@ -1,9 +1,13 @@
 """Exact cyclotomic numbers: Q(zeta_n) in the power basis mod the n-th
 cyclotomic polynomial, with rational (Fraction) coefficients.
 
-Conductors are kept canonical: n = 1 or n not congruent to 2 mod 4.  Values
-whose higher coefficients vanish collapse eagerly to conductor 1, so
-rational fast paths fire throughout.  Everything here is immutable and pure.
+Every value is stored in one form: at its least conductor n, which is
+canonical (n = 1 or n not congruent to 2 mod 4), with its coordinates in the
+power basis of Q(zeta_n).  The constructor establishes this: a rational value
+collapses to conductor 1, and any other is moved to the least canonical
+divisor d of n with the value in Q(zeta_d).  Equality, hashing, ordering and
+rendering then read the stored fields directly, and rational fast paths fire
+throughout.  Everything here is immutable and pure.
 
 All power-basis work goes through ``power_basis(n)``, one cached context per
 conductor: its row table holds x^j mod Phi_n, ``substitute`` rewrites
@@ -56,6 +60,12 @@ def divisors(n: int) -> list[int]:
     out = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     out += [n // d for d in reversed(out) if d * d != n]
     return out
+
+
+@lru_cache(maxsize=None)
+def _subfield_conductors(n: int) -> tuple[int, ...]:
+    """The canonical conductors d with 1 < d < n dividing n, ascending."""
+    return tuple(d for d in divisors(n)[1:-1] if d % 4 != 2)
 
 
 def primitive_root(q: int) -> int:
@@ -182,16 +192,23 @@ def power_basis(n: int) -> _Context:
 
 
 class Cyc:
-    """An exact element of Q(zeta_n); immutable."""
+    """An exact element of Q(zeta_n), stored at its least conductor; immutable."""
 
     __slots__ = ("n", "coeffs", "_min", "_hash")
 
     def __init__(self, n: int, coeffs):
+        if n < 1 or n % 4 == 2:
+            raise ValueError(f"non-canonical conductor {n}")
         coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
         if len(coeffs) != euler_phi(n):
             raise ValueError(f"Q(zeta_{n}) needs {euler_phi(n)} coefficients, got {len(coeffs)}")
         if n > 1 and not any(coeffs[1:]):
             n, coeffs = 1, (coeffs[0],)
+        for d in _subfield_conductors(n):  # rationals collapsed above, so no d = 1
+            sol = _express_in_subfield(n, coeffs, d)
+            if sol is not None:
+                n, coeffs = d, tuple(sol)
+                break
         self.n = n
         self.coeffs = coeffs
         self._min = None
@@ -295,14 +312,12 @@ class Cyc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.n == other.n:
-            return self.coeffs == other.coeffs
-        m = lcm(self.n, other.n)
-        return self._embedded(m) == other._embedded(m)
+        return self.n == other.n and self.coeffs == other.coeffs
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.min_form())
+            # a rational value hashes as the number it equals
+            self._hash = hash(self.coeffs[0] if self.n == 1 else self.min_form())
         return self._hash
 
     # Galois action
@@ -323,27 +338,16 @@ class Cyc:
         """Complex conjugation: zeta -> zeta^-1."""
         return self.galois(self.n - 1) if self.n > 1 else self
 
-    # canonical minimal form, rendering, ordering
+    # integer key, ordering
 
     def min_form(self) -> tuple:
-        """(d, coefficient pairs) at the least conductor d containing the value."""
-        if self._min is None:
-            self._min = self._compute_min_form()
-        return self._min
+        """(n, (numerator, denominator) per coefficient): the stored form as ints.
 
-    def _compute_min_form(self) -> tuple:
-        if self.n == 1:
-            c = self.coeffs[0]
-            return (1, ((c.numerator, c.denominator),))
-        for d in divisors(self.n):
-            if d != 1 and d % 4 == 2:
-                continue
-            if d == self.n:
-                break
-            sol = _express_in_subfield(self, d)
-            if sol is not None:
-                return (d, tuple((c.numerator, c.denominator) for c in sol))
-        return (self.n, tuple((c.numerator, c.denominator) for c in self.coeffs))
+        Cached, since hashing, sorting and the pairing engine key values by it.
+        """
+        if self._min is None:
+            self._min = (self.n, tuple((c.numerator, c.denominator) for c in self.coeffs))
+        return self._min
 
     def sort_key(self) -> tuple:
         """Total order for deterministic tie-breaks; 1 sorts before everything."""
@@ -368,15 +372,15 @@ _ZERO = Cyc(1, (Fraction(0),))
 _ONE = Cyc(1, (Fraction(1),))
 
 
-def _express_in_subfield(value: Cyc, d: int):
-    """Coefficients of value in the power basis of Q(zeta_d), or None."""
-    n = value.n
+def _express_in_subfield(n: int, coeffs, d: int):
+    """Coefficients in the power basis of Q(zeta_d) of the element of Q(zeta_n)
+    with power-basis coefficients ``coeffs``, or None if it is not in Q(zeta_d)."""
     ctx = power_basis(n)
     phid = euler_phi(d)
     step = n // d
     basis = [ctx.rows[i * step] for i in range(phid)]
-    # Solve sum_i c_i basis[i] = value.coeffs by Gaussian elimination over Q.
-    rows = [[Fraction(basis[i][j]) for i in range(phid)] + [value.coeffs[j]] for j in range(ctx.phi)]
+    # Solve sum_i c_i basis[i] = coeffs by Gaussian elimination over Q.
+    rows = [[Fraction(basis[i][j]) for i in range(phid)] + [coeffs[j]] for j in range(ctx.phi)]
     ncols = phid
     pivot_row = 0
     pivots = []
@@ -406,16 +410,15 @@ def _express_in_subfield(value: Cyc, d: int):
 
 
 def root_of_unity(n: int, k: int = 1) -> Cyc:
-    """zeta_n^k, stored at its canonical conductor."""
+    """zeta_n^k."""
     if n <= 0:
         raise ValueError("order must be positive")
-    k %= n
-    g = gcd(n, k)
-    return root_sum(n // g, [0] * (k // g) + [1])
+    return root_sum(n, [0] * (k % n) + [1])
 
 
 def root_sum(m: int, counts) -> Cyc:
-    """sum_k counts[k] * zeta_m^k, stored at the canonical conductor of m."""
+    """sum_k counts[k] * zeta_m^k, built at the canonical conductor of m (the
+    constructor then stores it at its least one)."""
     k = 1
     if m % 4 == 2:
         # zeta_m = -zeta_c^((c+1)/2) with c = m/2 odd, so zeta_m^i picks up (-1)^i
@@ -431,9 +434,8 @@ def sqrt_minus3() -> Cyc:
 
 
 def render_cyc(v: Cyc) -> str:
-    """Exact printer: minimal conductor, e.g. '1+2*z3', '-1/2', 'z8^3'."""
-    d, pairs = v.min_form()
-    coeffs = [Fraction(num, den) for num, den in pairs]
+    """Exact printer at the stored (least) conductor, e.g. '1+2*z3', '-1/2', 'z8^3'."""
+    d, coeffs = v.n, v.coeffs
     if d == 1:
         return str(coeffs[0])
     parts = []

@@ -408,10 +408,10 @@ def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
 
 
 def centralizer_of_subgroup(G: PermGroup, H: Subgroup) -> Subgroup:
-    """Elements of G commuting with every member of H."""
+    """Elements of G commuting with every member of H, i.e. with its generators."""
     check_same_group("centralizer_of_subgroup", H.parent, G)
     out = set(range(G.order))
-    for hid in H.sorted_ids:
+    for hid in H.gen_ids:
         out &= set(pure.centralizer_ids(G.ctx, hid))
     return G.subgroup_from_ids(out)
 

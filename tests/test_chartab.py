@@ -44,6 +44,7 @@ from charcorr.cyclotomic import (
 from charcorr.groups import conjugacy_classes, normal_subgroups, sylow
 from charcorr.showcase import corpus, load_corpus_group, remark_data
 from chartab_reference import inner_product
+from cyclotomic_reference import reference_conductor
 from test_closure import s4_wreath_c2
 
 
@@ -186,8 +187,8 @@ def test_verifier_rejects_non_integral_value(f21):
 
 
 def test_remark648_tables_are_checked_at_conductor_3(monkeypatch):
-    # every value of these tables lies in Q(zeta_3), though some are stored
-    # at conductor 12 or 36: the engine must embed from the least conductor
+    # every value of these tables lies in Q(zeta_3), though some are lifted
+    # at conductor 9 or 12: the engine must embed from the least conductor
     from charcorr import chartab, groups
 
     conductors, checked = [], []
@@ -207,6 +208,54 @@ def test_remark648_tables_are_checked_at_conductor_3(monkeypatch):
     monkeypatch.setattr(groups, "_VIEW_CACHE", {})  # fresh subgroup views, no tables yet
     remark_data.__wrapped__()  # the showcase pipeline on a freshly built group
     assert sorted(checked) == [(3, [3]), (24, [3]), (27, [3]), (72, [3]), (648, [3])]
+
+
+def _lifted_at(table, i) -> int:
+    """The canonical conductor of the order of class i, where its values are lifted."""
+    m = table.classes.rep_order(i)
+    return m // 2 if m % 4 == 2 else m
+
+
+def _off_least_conductor(table) -> list:
+    """(row, class) of every value not stored at its least conductor."""
+    return [
+        (r, i)
+        for i in range(table.classes.count)
+        for r, row in enumerate(table.rows)
+        if row.values[i].n != reference_conductor(row.values[i], _lifted_at(table, i))
+    ]
+
+
+@pytest.mark.parametrize("name", sorted({e.name for e in corpus()}))
+def test_corpus_table_values_sit_at_their_least_conductor(name):
+    assert _off_least_conductor(character_table(load_corpus_group(name))) == []
+
+
+def test_remark648_pipeline_values_sit_at_their_least_conductor(monkeypatch):
+    from charcorr import chartab, groups
+
+    tables = []
+    real_verify = chartab._verify_table
+
+    def recording_verify(table):
+        real_verify(table)
+        tables.append(table)
+
+    monkeypatch.setattr(chartab, "_verify_table", recording_verify)
+    monkeypatch.setattr(groups, "_VIEW_CACHE", {})  # fresh subgroup views, no tables yet
+    remark_data.__wrapped__()
+    assert sorted(t.group.order for t in tables) == [3, 24, 27, 72, 648]
+    assert all(_off_least_conductor(t) == [] for t in tables)
+    # the irrational values lifted at conductor 9 or 12 all lie in Q(zeta_3)
+    moved = [
+        row.values[i].n
+        for t in tables
+        for i in range(t.classes.count)
+        if _lifted_at(t, i) in (9, 12)
+        for row in t.rows
+        if not row.values[i].is_rational
+    ]
+    assert len(moved) == 44 and set(moved) == {3}
 
 
 # -- the pairing engine --------------------------------------------------------------

@@ -1,11 +1,15 @@
 """CLI exit codes, output formats, golden files, and byte determinism."""
 
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charcorr.cli import main
 from charcorr.groups import DEFAULT_CAP
@@ -177,6 +181,49 @@ def test_group_file_permission_denied_exits_2(tmp_path, monkeypatch, capsys):
     _assert_unreadable_group_exits_2(path, capsys)
 
 
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def near_miss_records(draw):
+    """{name, degree, generators} records at degree <= 6: well formed, or with one flaw."""
+    degree = draw(st.integers(min_value=0, max_value=6))
+    generators = draw(st.lists(st.permutations(range(degree)).map(list), max_size=3))
+    record = {"name": draw(st.text(max_size=6)), "degree": degree, "generators": generators}
+    flaw = draw(st.sampled_from([None, "name", "degree", "generators", "image", "missing"]))
+    if flaw in ("name", "generators"):
+        record[flaw] = draw(json_documents)
+    elif flaw == "degree":
+        record["degree"] = draw(
+            st.integers(min_value=-3, max_value=-1)
+            | st.sampled_from([2.0, float("nan"), float("inf"), "3", True, None, [3], {}])
+        )
+    elif flaw == "image":
+        image = st.integers(min_value=-1, max_value=7) | st.sampled_from([1.5, True, "1", None])
+        generators.append(draw(st.lists(image, max_size=7)))
+    elif flaw == "missing":
+        del record[draw(st.sampled_from(sorted(record)))]
+    return record
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_documents | near_miss_records())
+def test_any_group_file_exits_0_or_2_without_traceback(tmp_path_factory, document):
+    path = tmp_path_factory.getbasetemp() / "arbitrary.json"
+    path.write_text(json.dumps(document))  # NaN and infinities as Python's json writes them
+    for args in (["table"], ["verify", "-p", "2"], ["verify", "-p", "3"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*args, "--group", str(path)])
+        assert code in (0, 2), (args, document, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+
 def test_out_unwritable_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
     from charcorr import cli
 
@@ -320,6 +367,24 @@ def test_verify_all_builds_each_corpus_table_once(monkeypatch):
     monkeypatch.setattr(cli, "load_corpus_group", fresh)
     assert main(["verify", "--all", "--out", "/dev/null"]) == 0
     assert built.count("F21") == 1
+
+
+def test_verify_all_computes_each_instances_counts_once(monkeypatch):
+    # a positive instance's counts come from its report, not from a second count
+    from charcorr import cli, mckay
+    from charcorr.showcase import corpus
+
+    counted = []
+    real = mckay.mckay_count
+
+    def counting(inst):
+        counted.append((inst.group.name, inst.p))
+        return real(inst)
+
+    monkeypatch.setattr(mckay, "mckay_count", counting)
+    monkeypatch.setattr(cli, "mckay_count", counting)
+    assert main(["verify", "--all", "--out", "/dev/null"]) == 0
+    assert len(counted) == len(set(counted)) == len(corpus())
 
 
 def test_verify_all_structured_golden(tmp_path):

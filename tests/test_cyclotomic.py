@@ -19,6 +19,7 @@ from charcorr.cyclotomic import (
     root_sum,
     sqrt_minus3,
 )
+from cyclotomic_reference import least_conductor, reference_conductor
 
 CONDUCTORS = (3, 4, 8, 12, 24)
 
@@ -150,14 +151,49 @@ def test_power_basis_rows_substitute_and_reduce(n):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from((1, 2, 3, 4, 6, 9, 10, 12, 14, 18)), st.data())
-def test_root_sum_adds_its_roots_at_the_canonical_conductor(m, data):
+def test_root_sum_adds_its_roots_at_the_least_conductor(m, data):
     counts = data.draw(st.lists(small_ints, min_size=1, max_size=m))
     value = root_sum(m, counts)
     expected = Cyc.rational(0)
     for k, c in enumerate(counts):
         expected = expected + c * zeta(m, k)
     assert value == expected
-    assert value.n in (1, m // 2 if m % 4 == 2 else m)
+    assert value.n == reference_conductor(value, m // 2 if m % 4 == 2 else m)
+
+
+def canonical_multiples(d):
+    """d * k for k <= 5, each doubled if it is 2 mod 4."""
+    return [2 * n if n % 4 == 2 else n for n in (d * k for k in range(1, 6))]
+
+
+@pytest.mark.parametrize("d", (1, 3, 4, 5, 8, 12))
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_a_value_embedded_at_a_multiple_comes_back_at_its_least_conductor(d, data):
+    phi, den = euler_phi(d), data.draw(st.sampled_from((1, 2, 3)))
+    coeffs = [Fraction(c, den) for c in data.draw(st.lists(small_ints, min_size=phi, max_size=phi))]
+    n = data.draw(st.sampled_from(canonical_multiples(d)))
+    built = Cyc(d, coeffs)
+    embedded = power_basis(n).substitute(coeffs, n // d)
+    value = Cyc(n, embedded)
+    assert built.n == least_conductor(d, coeffs)
+    assert value.n == least_conductor(n, embedded)
+    assert value == built and value.coeffs == built.coeffs
+    assert hash(value) == hash(built)
+
+
+def test_rational_values_hash_as_the_numbers_they_equal():
+    assert 2 in {Cyc.rational(2)}
+    assert Fraction(1, 2) in {Cyc.rational(Fraction(1, 2))}
+    assert Cyc.rational(2) in {2}
+    assert hash(Cyc.rational(Fraction(-1, 2))) == hash(Fraction(-1, 2))
+
+
+def test_a_non_canonical_conductor_is_refused_when_built():
+    with pytest.raises(ValueError, match="non-canonical conductor 10"):
+        Cyc(10, (0, 1, 0, 0))
+    with pytest.raises(ValueError, match="non-canonical conductor 0"):
+        Cyc(0, ())
 
 
 # -- rendering (part of the golden surface) --------------------------------------------
@@ -236,6 +272,12 @@ def test_roundtrip_canonical_form(n, data):
     v = cyc_from_coeffs(n, coeffs)
     # the power-basis coefficients ARE the canonical form below phi(n)
     assert v == Cyc(n, [Fraction(c) for c in coeffs])
+
+
+def test_equal_coefficients_at_different_conductors_are_different_values():
+    # zeta_3 and zeta_4 are both stored as (0, 1); the conductor tells them apart
+    assert zeta(3) != zeta(4)
+    assert Cyc(5, (1, 2, 3, 4)) != Cyc(8, (1, 2, 3, 4)) != Cyc(12, (1, 2, 3, 4))
 
 
 def test_cross_conductor_equality_and_hash():
