@@ -1,16 +1,22 @@
 """Exact character tables and class-function operations.
 
-Tables are computed by the standard two-phase scheme: common eigenvectors of
-the class-algebra matrices over a prime field F_q (q = 1 mod exp(G), large
-enough that degrees and multiplicities lift uniquely), then exact character
-values recovered by counting root-of-unity multiplicities through a discrete
-Fourier sum over powers of the class representative.  What that sum needs
-beyond the F_q row depends only on the class, so it is built once per class
-and table; ``_lift_value`` is the per-entry step that reads it.  One exact
-engine, ``_pairings``, computes sum_i |C_i| a(g_i) conj(b(g_i)) on
-Kronecker-packed integers: it verifies row orthogonality of every table at
-construction time (for a square table the column relation follows) and
-decomposes class functions into irreducibles.
+Tables are computed by the standard two-phase scheme (Dixon, Schneider):
+common eigenvectors of the class-algebra matrices over a prime field F_q
+(q = 1 mod exp(G), large enough that degrees and multiplicities lift
+uniquely), then exact character values recovered by counting root-of-unity
+multiplicities through a discrete Fourier sum over powers of the class
+representative.  The class matrices come as sparse columns, so an image
+costs one pass over the nonzero entries; basis rows of an eigenspace are
+packed into one integer each, so the invariance check and the lifting of
+eigen-coordinates are one big-int combination per vector.  What the Fourier
+sum needs beyond the F_q row depends only on the class, so it is built once
+per class and table; ``_lift_value`` is the per-entry step that reads it,
+and it runs once per distinct row of F_q values on a class's powers, since
+its result depends on nothing else.  One exact engine, ``_pairings``,
+computes sum_i |C_i| a(g_i) conj(b(g_i)) on Kronecker-packed integers: it
+verifies row orthogonality of every table at construction time (for a square
+table the column relation follows) and decomposes class functions into
+irreducibles.
 """
 
 from __future__ import annotations
@@ -161,7 +167,9 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
     and omega_0 = 1 on the identity class fixes the scale: omega is read off
     the eigenvector with no further class matrix built.  The lifting data of
     every class is built once, before the row loop, and ``_lift_value`` turns
-    one F_q entry into an exact value with it.
+    the F_q values of a row on the powers of a class into an exact value with
+    it.  Those values are the key of a per-table dict, so each distinct key
+    is lifted, and checked, once.
     """
     classes = conjugacy_classes(G)
     r = classes.count
@@ -177,6 +185,7 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
     inv_sizes = [pow(s, q - 2, q) for s in classes.sizes]
     lifting = _lifting_data(G, q)
     inverse_class = [powers[-1] for powers, _ in lifting]  # g^(m-1) = g^-1
+    lifted = {}  # one exact value per distinct row of F_q values on a class's powers
     rows = []
     for vec in vectors:
         if vec[0] == 0:
@@ -189,7 +198,13 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
         if d is None:
             raise RuntimeError(f"{G.name}: no degree d <= sqrt(|G|) has d^2 = {d2} mod {q}")
         fq_values = [(d * omega[i] * inv_sizes[i]) % q for i in range(r)]
-        values = [_lift_value(fq_values, d, powers, roots, q) for powers, roots in lifting]
+        values = []
+        for powers, roots in lifting:
+            key = tuple(fq_values[c] for c in powers)
+            value = lifted.get(key)
+            if value is None:
+                value = lifted[key] = _lift_value(key, roots, q)
+            values.append(value)
         rows.append(ClassFunction(G, values))
     rows.sort(key=lambda f: (f.degree_int(), tuple(v.sort_key() for v in f.values)))
     table = CharacterTable(G, classes, rows)
@@ -222,34 +237,47 @@ def _lifting_data(G: PermGroup, q: int) -> list[tuple[list[int], list[int]]]:
 def _common_eigenvectors(class_matrix, r, q):
     """Split F_q^r into common 1-dim eigenspaces of the class matrices.
 
-    ``class_matrix(i)`` builds the matrix of class i; it is called in
-    canonical class order and only until every space is a line, so matrices
-    the split does not need are never built.  Spaces are row bases in reduced
-    row echelon form and eigen-subspaces are ordered by ascending eigenvalue,
-    so the output is deterministic.  Returns one spanning vector per line.
+    ``class_matrix(i)`` builds the matrix of class i as sparse columns (see
+    ``kernels.pure.class_matrix``); it is called in canonical class order and
+    only until every space is a line, so matrices the split does not need are
+    never built.  The image of a basis row is summed over its nonzero entries
+    and the columns they pick, so the first split, on the identity basis,
+    costs one pass over the matrix.  Each basis row is packed into one integer
+    (``_pack``, slots wide enough for any sum of dim products of residues), so
+    the invariance check and the lifting of eigen-coordinates back to F_q^r
+    take one big-int combination per vector (``_fq_combination``).  Spaces are
+    row bases in reduced row echelon form and eigen-subspaces are ordered by
+    ascending eigenvalue, so the output is deterministic.  Returns one
+    spanning vector per line.
     """
     identity = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     spaces = [(identity, list(range(r)))]
     for i in range(1, r):
         if all(len(basis) == 1 for basis, _ in spaces):
             break
-        mat = class_matrix(i)
+        columns = class_matrix(i)
         nxt = []
         for basis, pivots in spaces:
             dim = len(basis)
             if dim == 1:
                 nxt.append((basis, pivots))
                 continue
-            images = [
-                [sum(mat[j][k] * b[k] for k in range(r)) % q for j in range(r)] for b in basis
-            ]
+            images = []
+            for b in basis:
+                image = [0] * r
+                for k, x in enumerate(b):
+                    if x:
+                        for j, c in columns[k]:
+                            image[j] += c * x
+                images.append([v % q for v in image])
             # images[j] = mat * basis[j]; T expresses that in the basis, so a
             # coordinate row c transforms as c -> c*T and eigen-coordinates
             # are nullspace vectors of (T^t - lambda).
-            T = [[images[j][p] for p in pivots] for j in range(dim)]
-            for j in range(dim):  # invariance check: image must lie in the space
-                recon = [sum(T[j][l] * basis[l][c] for l in range(dim)) % q for c in range(r)]
-                if recon != images[j]:
+            T = [[image[p] for p in pivots] for image in images]
+            width = (dim * (q - 1) ** 2).bit_length()
+            packed = [_pack(b, width) for b in basis]
+            for t, image in zip(T, images):  # invariance check: image must lie in the space
+                if _fq_combination(t, packed, width, r, q) != image:
                     raise RuntimeError("class-matrix eigenspace is not invariant")
             Tt = [[T[b][a] for b in range(dim)] for a in range(dim)]
             covered = 0
@@ -258,10 +286,7 @@ def _common_eigenvectors(class_matrix, r, q):
                     [(Tt[a][b] - (lam if a == b else 0)) % q for b in range(dim)]
                     for a in range(dim)
                 ]
-                vecs = [
-                    [sum(c[l] * basis[l][col] for l in range(dim)) % q for col in range(r)]
-                    for c in nullspace(shifted, q)
-                ]
+                vecs = [_fq_combination(c, packed, width, r, q) for c in nullspace(shifted, q)]
                 if vecs:
                     rows, pivs = rref(vecs, q)
                     covered += len(rows)
@@ -275,20 +300,33 @@ def _common_eigenvectors(class_matrix, r, q):
     return [basis[0] for basis, _ in spaces]
 
 
-def _lift_value(fq_values, degree, powers, roots, q):
-    """Exact value at one class from the F_q row and the class's lifting data.
+def _fq_combination(coeffs, packed, width: int, length: int, q: int) -> list[int]:
+    """sum_l coeffs[l] * row_l mod q, for rows of residues packed by ``_pack``.
 
-    The multiplicity of w^k among the eigenvalues of the representation at g
-    is (1/m) sum_j chi(g^j) w^(-jk) mod q; the multiplicities must add up to
-    the degree.
+    Exact when every slot of the sum stays below 2^width, that is when
+    len(coeffs) * (q-1)^2 < 2^width: no slot then carries into the next.
     """
-    m = len(powers)
+    acc = sum(map(mul, coeffs, packed))
+    mask = (1 << width) - 1
+    return [((acc >> (width * c)) & mask) % q for c in range(length)]
+
+
+def _lift_value(row, roots, q):
+    """Exact value at a class g of order m from the F_q values of chi on its powers.
+
+    ``row[j]`` is chi(g^j) mod q for j < m, so row[0] is the degree, and
+    ``roots`` is the class's lifting data.  The multiplicity of w^k among
+    the eigenvalues of the representation at g is
+    (1/m) sum_j chi(g^j) w^(-jk) mod q; the multiplicities must add up to
+    the degree.  The result depends on nothing but ``row``, since q is fixed
+    per table and ``roots`` by m = len(row).
+    """
+    m = len(row)
     inv_m = pow(m, q - 2, q)
-    row = [fq_values[c] for c in powers]
     counts = [
         (sum(x * roots[(j * k) % m] for j, x in enumerate(row)) * inv_m) % q for k in range(m)
     ]
-    if sum(counts) != degree:
+    if sum(counts) != row[0]:
         raise RuntimeError("root-of-unity multiplicities do not add up to the degree")
     return root_sum(m, counts)
 

@@ -69,7 +69,6 @@ class PermGroup:
         self.order = len(self.elements)
         self.name = name
         self._ctx = None
-        self._orders: list[int] | None = None
         self._classes = None
         self._subgroups: dict[frozenset[int], "Subgroup"] = {}
         self._normals = None
@@ -133,14 +132,13 @@ class PermGroup:
         return self.mul(self.mul(self.inv(j), i), j)
 
     def element_order(self, i: int) -> int:
-        if self._orders is None:
-            self._orders = [pm.order(p) for p in self.elements]
-        return self._orders[i]
+        """Order of element i, read off its conjugacy class."""
+        cls = conjugacy_classes(self)
+        return cls.orders[cls.class_of_id[i]]
 
     @property
     def exponent(self) -> int:
-        cls = conjugacy_classes(self)
-        return lcm(*(self.element_order(r) for r in cls.rep_ids))
+        return lcm(*conjugacy_classes(self).orders)
 
     def pruned_closure_ids(self, seed_ids) -> tuple[list[int], list[int]]:
         """Closure of the seeds, adjoining only seeds that enlarge it.
@@ -312,13 +310,15 @@ class ConjClasses:
 
     Classes are sorted by (element order of the representative, class size,
     canonical position of the least member); the representative is that least
-    member.  Class 0 is always the identity class.
+    member.  Class 0 is always the identity class.  ``orders`` holds the
+    element order of each class, which is a class invariant.
     """
 
-    def __init__(self, group, rep_ids, sizes, class_of_id, members_ids):
+    def __init__(self, group, rep_ids, sizes, orders, class_of_id, members_ids):
         self.group = group
         self.rep_ids = rep_ids
         self.sizes = sizes
+        self.orders = orders
         self.class_of_id = class_of_id
         self.members_ids = members_ids
 
@@ -333,7 +333,7 @@ class ConjClasses:
         return self.class_of_id[self.group.id_of(p)]
 
     def rep_order(self, i: int) -> int:
-        return self.group.element_order(self.rep_ids[i])
+        return self.orders[i]
 
 
 def conjugacy_classes(G: PermGroup) -> ConjClasses:
@@ -344,18 +344,20 @@ def conjugacy_classes(G: PermGroup) -> ConjClasses:
     buckets: dict[int, list[int]] = {}
     for eid, oid in enumerate(orbit):
         buckets.setdefault(oid, []).append(eid)
-    orbits = [sorted(b) for b in buckets.values()]
-    orbits.sort(key=lambda ms: (G.element_order(ms[0]), len(ms), ms[0]))
+    # one element order per orbit: conjugate elements have the same order
+    orbits = [(pm.order(G.elements[ms[0]]), sorted(ms)) for ms in buckets.values()]
+    orbits.sort(key=lambda om: (om[0], len(om[1]), om[1][0]))
     class_of = [0] * G.order
-    for ci, ms in enumerate(orbits):
+    for ci, (_, ms) in enumerate(orbits):
         for eid in ms:
             class_of[eid] = ci
     classes = ConjClasses(
         G,
-        tuple(ms[0] for ms in orbits),
-        tuple(len(ms) for ms in orbits),
+        tuple(ms[0] for _, ms in orbits),
+        tuple(len(ms) for _, ms in orbits),
+        tuple(o for o, _ in orbits),
         tuple(class_of),
-        tuple(tuple(ms) for ms in orbits),
+        tuple(tuple(ms) for _, ms in orbits),
     )
     G._classes = classes
     return classes
@@ -376,9 +378,9 @@ def sylow(G: PermGroup, p: int) -> Subgroup:
     target = p_part(G.order, p)
     if target == 1:
         return G.trivial_subgroup()
-    p_elements = [
-        i for i in range(G.order) if G.element_order(i) > 1 and _is_p_power(G.element_order(i), p)
-    ]
+    cls = conjugacy_classes(G)
+    p_classes = {c for c, o in enumerate(cls.orders) if o > 1 and _is_p_power(o, p)}
+    p_elements = [i for i, c in enumerate(cls.class_of_id) if c in p_classes]
     members = {0}
     gens: list[int] = []
     while len(members) < target:
@@ -489,7 +491,8 @@ def o_p_residual(X, p: int) -> Subgroup:
     else:
         scope = list(X.sorted_ids)
         ambient_order = X.order
-    seeds = [i for i in scope if gcd(G.element_order(i), p) == 1]
+    cls = conjugacy_classes(G)
+    seeds = [i for i in scope if gcd(cls.orders[cls.class_of_id[i]], p) == 1]
     members, _ = G.pruned_closure_ids(seeds)
     if not _is_p_power(ambient_order // len(members), p):
         raise RuntimeError("o_p_residual: quotient is not a p-group")  # unreachable

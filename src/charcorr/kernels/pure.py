@@ -156,20 +156,23 @@ def centralizer_ids(ctx: GroupCtx, gid: int) -> list[int]:
 
 def class_matrix(
     ctx: GroupCtx, class_of: list[int], members_i: list[int], rep_ids: list[int]
-) -> list[list[int]]:
-    """Class-algebra structure constants for one class.
+) -> list[list[tuple[int, int]]]:
+    """Class-algebra structure constants for one class, as sparse columns.
 
-    Returns the r x r matrix A with A[j][k] = #{x in C_i : x^-1 * z_k in C_j},
-    i.e. the matrix of multiplication by the class sum of C_i acting on class
-    sums, whose common eigenvectors drive the character table computation.
+    With c_ijk = #{x in C_i : x^-1 * z_k in C_j}, the r x r matrix holding
+    c_ijk at row j, column k is multiplication by the class sum of C_i acting
+    on class sums; its common eigenvectors drive the character table
+    computation.  Column k is returned as the list of (j, c_ijk) with
+    c_ijk != 0, ascending j: it has at most |C_i| entries.
     """
     elements, index = ctx.elements, ctx.index
-    r = len(rep_ids)
-    rows = [[0] * r for _ in range(r)]
     inv_members = [inverse(elements[x]) for x in members_i]
-    for k, zk in enumerate(rep_ids):
+    columns = []
+    for zk in rep_ids:
         z = elements[zk]
+        counts: dict[int, int] = {}
         for xinv in inv_members:
             j = class_of[index[compose(xinv, z)]]
-            rows[j][k] += 1
-    return rows
+            counts[j] = counts.get(j, 0) + 1
+        columns.append(sorted(counts.items()))
+    return columns

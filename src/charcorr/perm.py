@@ -8,6 +8,7 @@ so conjugation is ``h ** g = g^-1 h g``.
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 
 Perm = tuple[int, ...]
 
@@ -29,7 +30,9 @@ def is_perm(images) -> bool:
 
 def compose(a: Perm, b: Perm) -> Perm:
     """Product a*b: apply a first, then b."""
-    return tuple(b[x] for x in a)
+    if len(a) > 1:
+        return itemgetter(*a)(b)
+    return tuple(b[x] for x in a)  # itemgetter of one index returns the bare item
 
 
 def inverse(a: Perm) -> Perm:

@@ -27,6 +27,8 @@ from charcorr.chartab import (
     orbit_and_stabilizer,
     p_prime_irreducibles,
     restrict,
+    _fq_combination,
+    _lift_value,
     _lifting_data,
     _pack,
     _pairings,
@@ -41,11 +43,12 @@ from charcorr.cyclotomic import (
     render_cyc,
     root_of_unity,
 )
-from charcorr.groups import conjugacy_classes, normal_subgroups, sylow
-from charcorr.showcase import corpus, load_corpus_group, remark_data
+from charcorr.groups import conjugacy_classes, load_group, normal_subgroups, sylow
+from charcorr.kernels import pure
+from charcorr.showcase import corpus, corpus_path, load_corpus_group, remark_data
 from chartab_reference import inner_product
 from cyclotomic_reference import reference_conductor
-from test_closure import s4_wreath_c2
+from test_closure import CORPUS, named_group, s4_wreath_c2
 
 
 def brute_induce(theta, H):
@@ -126,6 +129,129 @@ def test_lifting_data_matches_repeated_products(name):
         assert all(pow(y, m, q) == 1 for y in roots)
         w = pow(primitive_root(q), (q - 1) // m, q)
         assert roots == [pow(w, -j, q) for j in range(m)]  # w^-j, not w^j
+
+
+# -- class matrices, the eigenspace split and the lift --------------------------------
+
+
+def brute_class_columns(G, i):
+    """Sparse columns of class matrix i, counted over all products x*y, x in C_i, y in G."""
+    cls = conjugacy_classes(G)
+    rep_of = {cls.rep(k): k for k in range(cls.count)}
+    counts = [{} for _ in range(cls.count)]
+    for x in (G.elements[e] for e in cls.members_ids[i]):
+        for yid, y in enumerate(G.elements):
+            k = rep_of.get(tuple(y[t] for t in x))  # x*y: apply x, then y
+            if k is not None:
+                j = cls.class_of_id[yid]
+                counts[k][j] = counts[k].get(j, 0) + 1
+    return [sorted(c.items()) for c in counts]
+
+
+@pytest.mark.parametrize("name", CORPUS + ("s4wrc2#1",))
+def test_class_matrix_columns_are_the_structure_constants(name):
+    G = named_group(name)
+    cls = conjugacy_classes(G)
+    for i in range(cls.count):
+        got = pure.class_matrix(G.ctx, cls.class_of_id, cls.members_ids[i], cls.rep_ids)
+        assert got == brute_class_columns(G, i)
+
+
+def test_fq_combination_is_exact_at_the_slot_bound():
+    # every coefficient and entry q - 1: each slot sums to dim * (q-1)^2, the most it can
+    for q in (5, 13, 37, 1021):
+        for dim in range(1, 56):
+            width = (dim * (q - 1) ** 2).bit_length()
+            rows = [[q - 1] * 7 for _ in range(dim)]
+            coeffs = [q - 1] * dim
+            plain = [sum(c * row[k] for c, row in zip(coeffs, rows)) % q for k in range(7)]
+            packed = [_pack(row, width) for row in rows]
+            assert _fq_combination(coeffs, packed, width, 7, q) == plain
+
+
+def with_foreign_identity_column(real):
+    """A ``class_matrix`` whose second build (class 2) takes column 0 from the first.
+
+    Column 0 of class matrix i marks the class of inverses of C_i, so the
+    patched matrix lies outside the class algebra; on S4 the eigenspaces that
+    class 1 splits off are not invariant under it.
+    """
+    built = []
+
+    def patched(*args):
+        columns = real(*args)
+        built.append(columns)
+        return built[0][:1] + columns[1:] if len(built) == 2 else columns
+
+    return patched
+
+
+def test_eigensplit_rejects_a_matrix_outside_the_class_algebra(monkeypatch):
+    monkeypatch.setattr(pure, "class_matrix", with_foreign_identity_column(pure.class_matrix))
+    with pytest.raises(RuntimeError, match="class-matrix eigenspace is not invariant"):
+        character_table(load_group(corpus_path("s4")))  # fresh group: no cached table
+
+
+def test_lift_rejects_multiplicities_that_miss_the_degree():
+    q, roots = 13, [1, 12]  # order 2: w = -1, roots[j] = w^-j
+    assert _lift_value((3, 1), roots, q) == 1  # eigenvalues 1, 1, -1
+    with pytest.raises(RuntimeError, match="do not add up to the degree"):
+        _lift_value((2, 1), roots, q)  # multiplicities 3/2 and 1/2 mod 13
+
+
+def _fq_image(v, q):
+    """v mod q, with zeta_n sent to w0^((q-1)/n) for w0 the least primitive root mod q."""
+    w = pow(primitive_root(q), (q - 1) // v.n, q)
+    terms = (
+        c.numerator * pow(c.denominator, -1, q) * pow(w, j, q) for j, c in enumerate(v.coeffs)
+    )
+    return sum(terms) % q
+
+
+def _lift_inputs(table):
+    """(F_q values of the row on the class's powers, roots, q, value) for every entry."""
+    G = table.group
+    q = dixon_prime(G.exponent, G.order)
+    lifting = _lifting_data(G, q)
+    out = []
+    for row in table.rows:
+        image = [_fq_image(v, q) for v in row.values]
+        for (powers, roots), value in zip(lifting, row.values):
+            out.append((tuple(image[c] for c in powers), roots, q, value))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted({e.name for e in corpus()}))
+def test_corpus_values_are_the_lifts_of_their_own_entries(name):
+    for key, roots, q, value in _lift_inputs(character_table(load_corpus_group(name))):
+        assert _lift_value(key, roots, q) == value
+
+
+def test_remark648_pipeline_lifts_each_distinct_power_row_once(monkeypatch):
+    from charcorr import chartab, groups
+
+    calls, tables = [], []
+    real_lift, real_verify = chartab._lift_value, chartab._verify_table
+
+    def counting_lift(*args):
+        calls.append(args)
+        return real_lift(*args)
+
+    def recording_verify(table):
+        real_verify(table)
+        tables.append((table, len(calls)))
+        calls.clear()
+
+    monkeypatch.setattr(chartab, "_lift_value", counting_lift)
+    monkeypatch.setattr(chartab, "_verify_table", recording_verify)
+    monkeypatch.setattr(groups, "_VIEW_CACHE", {})  # fresh subgroup views, no tables yet
+    remark_data.__wrapped__()
+    assert sorted(t.group.order for t, _ in tables) == [3, 24, 27, 72, 648]
+    for table, lifts in tables:
+        inputs = _lift_inputs(table)
+        assert lifts == len({key for key, *_ in inputs}) < len(inputs)
+        for key, roots, q, value in inputs:
+            assert real_lift(key, roots, q) == value
 
 
 def test_sum_of_degree_squares(s4, sl23):

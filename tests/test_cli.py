@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from charcorr.cli import main
 from charcorr.groups import DEFAULT_CAP
+from test_chartab import with_foreign_identity_column
+from test_closure import s4_wreath_c2_record
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -88,6 +90,27 @@ def test_degree_recovery_fault_exits_3_without_traceback(monkeypatch, capsys):
     no_degree = [e for e in errors if "S4: no degree d <= sqrt(|G|) has d^2 = " in e]
     assert any("d^2 = 0 mod 13" in e for e in no_degree)
     assert any("d^2 = 0 mod 13" not in e for e in no_degree)
+
+
+def test_eigensplit_invariance_fault_exits_3_without_traceback(monkeypatch, capsys):
+    from charcorr.kernels import pure
+
+    monkeypatch.setattr(pure, "class_matrix", with_foreign_identity_column(pure.class_matrix))
+    assert main(["table", "--group", "s4"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("engine error: class-matrix eigenspace is not invariant")
+    assert "Traceback" not in err and "FALSIFIED" not in err
+
+
+@pytest.mark.parametrize("generators", [[], [[0]]], ids=["no generators", "identity"])
+def test_degree_one_group_exits_0(tmp_path, capsys, generators):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"name": "one", "degree": 1, "generators": generators}))
+    code, text = run_cli(["table", "--group", str(path)], tmp_path)
+    assert code == 0 and text.endswith("chi.0   1\n")
+    code, text = run_cli(["verify", "--group", str(path), "-p", "2"], tmp_path)
+    assert code == 0 and "verdict: TRUE" in text
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_malformed_generators_exit_2(tmp_path, capsys):
@@ -497,3 +520,21 @@ def test_verify_heisenberg5_structured_golden(tmp_path):
     code, text = run_cli(args, tmp_path)
     assert code == 0
     assert text == (GOLDEN / "heis5_verify.json").read_text()
+
+
+def test_verify_heisenberg7_structured_golden(tmp_path):
+    # a p-group at p = 7: its 49 p'-degree characters are its linear ones
+    group = str(heisenberg_file(tmp_path, 7))
+    args = ["verify", "--group", group, "-p", "7", "--format", "structured"]
+    code, _ = run_cli(args, tmp_path)
+    assert code == 0
+    assert (tmp_path / "out.txt").read_bytes() == (GOLDEN / "heis7_verify.json").read_bytes()
+
+
+def test_verify_s4_wreath_c2_structured_golden(tmp_path):
+    path = tmp_path / "s4wrc2.json"
+    path.write_text(json.dumps(s4_wreath_c2_record(1)))
+    args = ["verify", "--group", str(path), "-p", "2", "--format", "structured"]
+    code, _ = run_cli(args, tmp_path)
+    assert code == 0
+    assert (tmp_path / "out.txt").read_bytes() == (GOLDEN / "s4wrc2_verify.json").read_bytes()

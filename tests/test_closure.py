@@ -20,9 +20,8 @@ from charcorr.showcase import corpus_path, load_corpus_group, remark_data
 CORPUS = ("s3", "c3xc2", "s4", "d8", "c7", "f21", "c5c5_c3", "sl23", "remark648")
 
 
-@lru_cache(maxsize=None)
-def s4_wreath_c2(seed: int) -> PermGroup:
-    """S4 wr C2 (order 1152) on 8 points, its points relabelled by a seeded shuffle."""
+def s4_wreath_c2_record(seed: int) -> dict:
+    """Group record of S4 wr C2 (order 1152) on 8 points, relabelled by a seeded shuffle."""
     gens = [
         [1, 0, 2, 3, 4, 5, 6, 7],  # a transposition in the first S4
         [1, 2, 3, 0, 4, 5, 6, 7],  # a 4-cycle in the first S4
@@ -36,7 +35,13 @@ def s4_wreath_c2(seed: int) -> PermGroup:
         for i in range(8):
             h[pi[i]] = pi[g[i]]
         relabelled.append(h)
-    return PermGroup.from_generators(8, relabelled, name=f"S4wrC2#{seed}")
+    return {"name": f"S4wrC2#{seed}", "degree": 8, "generators": relabelled}
+
+
+@lru_cache(maxsize=None)
+def s4_wreath_c2(seed: int) -> PermGroup:
+    """S4 wr C2 (order 1152) on 8 points, its points relabelled by a seeded shuffle."""
+    return groups.group_from_dict(s4_wreath_c2_record(seed))
 
 
 def named_group(name: str) -> PermGroup:

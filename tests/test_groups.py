@@ -8,6 +8,7 @@ closure over all pairs, exhaustive subgroup scans on the smallest groups).
 import json
 import time
 import tracemalloc
+from math import lcm
 
 import pytest
 
@@ -183,6 +184,15 @@ def test_class_canonical_order(s4):
     assert keys == sorted(keys)
     assert cls.sizes[0] == 1 and cls.rep_order(0) == 1
     assert cls.sizes == (1, 3, 6, 8, 6)
+
+
+def test_element_orders_are_read_off_the_classes():
+    for entry in corpus():
+        G = load_corpus_group(entry.name)
+        cls = conjugacy_classes(G)
+        assert cls.orders == tuple(pm.order(cls.rep(i)) for i in range(cls.count))
+        assert [G.element_order(i) for i in range(G.order)] == [pm.order(p) for p in G.elements]
+        assert G.exponent == lcm(*(pm.order(p) for p in G.elements))
 
 
 def test_cyclic_group_classes(c7):

@@ -49,6 +49,30 @@ def test_conjugate_moves_points():
     assert moved == sorted((g[0], g[1]))
 
 
+def reference_compose(a, b):
+    return tuple(b[x] for x in a)
+
+
+def test_compose_at_degrees_0_1_2():
+    pairs = [((), ()), ((0,), (0,))]
+    pairs += [(a, b) for a in ((0, 1), (1, 0)) for b in ((0, 1), (1, 0))]
+    for a, b in pairs:
+        ab = pm.compose(a, b)
+        assert type(ab) is tuple and ab == reference_compose(a, b)
+
+
+def perm_pairs(n):
+    perms = st.permutations(range(n)).map(tuple)
+    return st.tuples(perms, perms)
+
+
+@given(st.integers(min_value=0, max_value=30).flatmap(perm_pairs))
+def test_compose_matches_the_reference(pair):
+    a, b = pair
+    ab = pm.compose(a, b)
+    assert type(ab) is tuple and ab == reference_compose(a, b)
+
+
 @given(perms5, perms5)
 def test_inverse_and_associativity(a, b):
     e = pm.identity(5)
