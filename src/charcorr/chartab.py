@@ -177,7 +177,7 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
     q = dixon_prime(G.exponent, n)
 
     def class_matrix(i):
-        return pure.class_matrix(G.ctx, classes.class_of_id, classes.members_ids[i], classes.rep_ids)
+        return pure.class_matrix(G, classes.class_of_id, classes.members_ids[i], classes.rep_ids)
 
     vectors = _common_eigenvectors(class_matrix, r, q)
     if len(vectors) != r:
@@ -524,7 +524,7 @@ def conjugate_classfn(theta: ClassFunction, N: Subgroup, g: pm.Perm) -> ClassFun
     ginv = pm.inverse(g)
     values = []
     for c in range(cls.count):
-        t = pm.conjugate(cls.rep(c), ginv)  # g * rep * g^-1
+        t = pm.compose(pm.compose(g, cls.rep(c)), ginv)  # g * rep * g^-1
         values.append(theta.values[cls.class_of_perm(t)])
     return ClassFunction(view, values)
 

@@ -5,8 +5,10 @@ scale, capped).  Element order is canonical: breadth-first closure from the
 generators in listed order, each level sorted lexicographically by image
 tuple.  Subgroups are member sets of a parent group, interned per parent;
 every subgroup also exposes a canonical ``view`` of itself as a stand-alone
-PermGroup, shared globally by member set so that equal subgroups always
-yield the identical view object (and hence identical class data downstream).
+PermGroup.  A full subgroup's view is its parent, so a group has one table
+however it is reached; proper subgroups share one view per member set, so
+equal subgroups always yield the identical view object (and hence identical
+class data downstream).
 
 Subgroups are generated by coset extension (Dimino's algorithm, in
 ``kernels.pure.extend_closure``): adjoining a generator to a closed subgroup
@@ -30,6 +32,7 @@ DEFAULT_CAP = 20000
 MAX_DEGREE = 1024
 MAX_GENERATORS = 64
 MAX_NAME_LENGTH = 256
+MAX_FILE_BYTES = 16 * 1024 * 1024  # a group file is read only up to this size
 
 
 class MalformedGroupError(ValueError):
@@ -68,7 +71,8 @@ class PermGroup:
         self.elements: tuple[Perm, ...] = tuple(elements)
         self.order = len(self.elements)
         self.name = name
-        self._ctx = None
+        self.index = {p: i for i, p in enumerate(self.elements)}  # permutation -> id
+        self._inv: list[int] | None = None
         self._classes = None
         self._subgroups: dict[frozenset[int], "Subgroup"] = {}
         self._normals = None
@@ -109,23 +113,19 @@ class PermGroup:
 
     # -- id-level arithmetic -------------------------------------------------
 
-    @property
-    def ctx(self):
-        if self._ctx is None:
-            self._ctx = pure.GroupCtx(self.degree, list(self.elements))
-        return self._ctx
-
     def id_of(self, p: Perm) -> int:
         try:
-            return self.ctx.index[p]
+            return self.index[p]
         except KeyError:
             raise ValueError(f"{self.name}: permutation {p} is not a group element") from None
 
     def mul(self, i: int, j: int) -> int:
-        return pure.mul(self.ctx, i, j)
+        return self.index[pm.compose(self.elements[i], self.elements[j])]
 
     def inv(self, i: int) -> int:
-        return pure.inv(self.ctx, i)
+        if self._inv is None:
+            self._inv = [self.index[pm.inverse(p)] for p in self.elements]
+        return self._inv[i]
 
     def conj(self, i: int, j: int) -> int:
         """Id of elements[j]^-1 * elements[i] * elements[j]."""
@@ -154,7 +154,7 @@ class PermGroup:
         for s in seed_ids:
             if s not in members:
                 gens.append(s)
-                members = pure.extend_closure(self.ctx, members, gens)
+                members = pure.extend_closure(self, members, gens)
         return sorted(members), gens
 
     # -- subgroups -----------------------------------------------------------
@@ -180,8 +180,9 @@ class PermGroup:
         return f"PermGroup({self.name}, degree={self.degree}, order={self.order})"
 
 
-# Canonical stand-alone views of subgroups, shared by member set so equal
-# member sets always resolve to the identical PermGroup object.
+# Canonical stand-alone views of proper subgroups, shared by member set so
+# equal member sets always resolve to the identical PermGroup object.  A full
+# subgroup's view is its parent and is not stored here.
 _VIEW_CACHE: dict[tuple[int, frozenset[Perm]], PermGroup] = {}
 
 
@@ -224,7 +225,13 @@ class Subgroup:
 
     @property
     def view(self) -> PermGroup:
-        """Canonical PermGroup over exactly these members (globally shared)."""
+        """Canonical PermGroup over exactly these members.
+
+        The parent itself for a full subgroup; otherwise the view shared
+        globally by member set.
+        """
+        if self.order == self.parent.order:
+            return self.parent
         if self._view is None:
             key = (self.parent.degree, self.member_set())
             view = _VIEW_CACHE.get(key)
@@ -288,14 +295,18 @@ def group_from_dict(data: dict, cap: int = DEFAULT_CAP) -> PermGroup:
 def load_group(path, cap: int = DEFAULT_CAP) -> PermGroup:
     """Load a group description file (UTF-8 JSON: name, degree, generators).
 
-    A missing file raises FileNotFoundError; any other failure to read or
-    decode it (permissions, bad encoding, invalid or too deeply nested JSON)
-    raises MalformedGroupError.
+    A missing file raises FileNotFoundError; a file over MAX_FILE_BYTES, and
+    any other failure to read or decode it (permissions, bad encoding,
+    invalid or too deeply nested JSON), raises MalformedGroupError.  At most
+    MAX_FILE_BYTES + 1 bytes are read, and nothing is parsed before the check.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
+        with open(path, "rb") as fh:
+            raw = fh.read(MAX_FILE_BYTES + 1)
+        if len(raw) > MAX_FILE_BYTES:
+            raise MalformedGroupError(f"{path}: group file exceeds {MAX_FILE_BYTES} bytes")
+        data = json.loads(raw.decode("utf-8"))
+    except (FileNotFoundError, MalformedGroupError):
         raise
     except (OSError, ValueError, RecursionError) as exc:
         raise MalformedGroupError(f"{path}: not a readable JSON file ({exc})") from exc
@@ -340,7 +351,7 @@ def conjugacy_classes(G: PermGroup) -> ConjClasses:
     if G._classes is not None:
         return G._classes
     gen_ids = [G.id_of(g) for g in G.generators]
-    orbit = pure.conj_orbit_ids(G.ctx, gen_ids)
+    orbit = pure.conj_orbit_ids(G, gen_ids)
     buckets: dict[int, list[int]] = {}
     for eid, oid in enumerate(orbit):
         buckets.setdefault(oid, []).append(eid)
@@ -387,7 +398,7 @@ def sylow(G: PermGroup, p: int) -> Subgroup:
         for x in p_elements:
             if x in members:
                 continue
-            trial = pure.extend_closure(G.ctx, members, gens + [x], limit=target)
+            trial = pure.extend_closure(G, members, gens + [x], limit=target)
             if trial is not None and _is_p_power(len(trial), p):
                 gens.append(x)
                 members = trial
@@ -405,7 +416,7 @@ def _is_p_power(n: int, p: int) -> bool:
 
 def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
     check_same_group("normalizer", H.parent, G)
-    ids = pure.normalizer_ids(G.ctx, set(H.member_ids), list(H.gen_ids) or [0])
+    ids = pure.normalizer_ids(G, set(H.member_ids), list(H.gen_ids) or [0])
     return G.subgroup_from_ids(ids)
 
 
@@ -414,15 +425,8 @@ def centralizer_of_subgroup(G: PermGroup, H: Subgroup) -> Subgroup:
     check_same_group("centralizer_of_subgroup", H.parent, G)
     out = set(range(G.order))
     for hid in H.gen_ids:
-        out &= set(pure.centralizer_ids(G.ctx, hid))
+        out &= set(pure.centralizer_ids(G, hid))
     return G.subgroup_from_ids(out)
-
-
-def _subgroup_gen_ids(X) -> tuple[PermGroup, list[int]]:
-    """(ambient group, generator ids) for a PermGroup or Subgroup argument."""
-    if isinstance(X, PermGroup):
-        return X, [X.id_of(g) for g in X.generators]
-    return X.parent, list(X.gen_ids)
 
 
 def normal_closure_ids(G: PermGroup, seed_ids, under_gen_ids) -> tuple[list[int], list[int]]:
@@ -437,20 +441,18 @@ def normal_closure_ids(G: PermGroup, seed_ids, under_gen_ids) -> tuple[list[int]
                 c = G.conj(s, g)
                 if c not in mset:
                     gens.append(c)
-                    mset = pure.extend_closure(G.ctx, mset, gens)
+                    mset = pure.extend_closure(G, mset, gens)
                     changed = True
     return sorted(mset), gens
 
 
-def derived_subgroup(X) -> Subgroup:
-    """Commutator subgroup of a PermGroup or Subgroup (as Subgroup of the ambient group).
+def derived_subgroup(S: Subgroup) -> Subgroup:
+    """Commutator subgroup of S, as a subgroup of the same parent.
 
-    Memoized on the interned Subgroup (the full subgroup for a PermGroup),
-    since it depends only on the member set.
+    Memoized on the interned Subgroup, since it depends only on the member set.
     """
-    S = X.full_subgroup() if isinstance(X, PermGroup) else X
     if S._derived is None:
-        G, gen_ids = _subgroup_gen_ids(X)
+        G, gen_ids = S.parent, S.gen_ids
         seeds = set()
         for a in gen_ids:
             for b in gen_ids:
@@ -461,13 +463,9 @@ def derived_subgroup(X) -> Subgroup:
     return S._derived
 
 
-def derived_series(X) -> list[Subgroup]:
-    """X >= X' >= X'' >= ..., ending when the term stabilizes."""
-    G, _ = _subgroup_gen_ids(X)
-    if isinstance(X, PermGroup):
-        current = G.full_subgroup()
-    else:
-        current = X
+def derived_series(G: PermGroup) -> list[Subgroup]:
+    """G >= G' >= G'' >= ..., ending when the term stabilizes."""
+    current = G.full_subgroup()
     series = [current]
     while True:
         nxt = derived_subgroup(current)
@@ -478,23 +476,16 @@ def derived_series(X) -> list[Subgroup]:
     return series
 
 
-def is_solvable(X) -> bool:
-    return derived_series(X)[-1].order == 1
+def is_solvable(G: PermGroup) -> bool:
+    return derived_series(G)[-1].order == 1
 
 
-def o_p_residual(X, p: int) -> Subgroup:
+def o_p_residual(G: PermGroup, p: int) -> Subgroup:
     """Smallest normal subgroup with p-group quotient: closure of all p'-elements."""
-    G, _ = _subgroup_gen_ids(X)
-    if isinstance(X, PermGroup):
-        scope = list(range(G.order))
-        ambient_order = G.order
-    else:
-        scope = list(X.sorted_ids)
-        ambient_order = X.order
     cls = conjugacy_classes(G)
-    seeds = [i for i in scope if gcd(cls.orders[cls.class_of_id[i]], p) == 1]
+    seeds = [i for i in range(G.order) if gcd(cls.orders[cls.class_of_id[i]], p) == 1]
     members, _ = G.pruned_closure_ids(seeds)
-    if not _is_p_power(ambient_order // len(members), p):
+    if not _is_p_power(G.order // len(members), p):
         raise RuntimeError("o_p_residual: quotient is not a p-group")  # unreachable
     return G.subgroup_from_ids(members)
 
@@ -515,10 +506,14 @@ def intersection(A: Subgroup, B: Subgroup) -> Subgroup:
     return A.parent.subgroup_from_ids(A.member_ids & B.member_ids)
 
 
+def _normalizes(G: PermGroup, gen_ids, H: Subgroup) -> bool:
+    """True if conjugating by each of the given generator ids maps H into H."""
+    return all(G.conj(x, g) in H.member_ids for x in H.gen_ids for g in gen_ids)
+
+
 def is_normal(G: PermGroup, N: Subgroup) -> bool:
     check_same_group("is_normal", N.parent, G)
-    gen_ids = [G.id_of(g) for g in G.generators]
-    return all(G.conj(x, g) in N.member_ids for x in N.gen_ids for g in gen_ids)
+    return _normalizes(G, [G.id_of(g) for g in G.generators], N)
 
 
 def normal_subgroups(G: PermGroup) -> tuple[Subgroup, ...]:
@@ -567,10 +562,6 @@ def coset_rep_ids(K: Subgroup, N: Subgroup) -> list[int]:
     return reps
 
 
-def _normalizes(G: PermGroup, P: Subgroup, H: Subgroup) -> bool:
-    return all(G.conj(x, g) in H.member_ids for x in H.gen_ids for g in P.gen_ids)
-
-
 def fixed_points_on_cosets(P: Subgroup, K: Subgroup, N: Subgroup) -> int:
     """Number of cosets kN in K fixed by every generator of P.
 
@@ -582,9 +573,9 @@ def fixed_points_on_cosets(P: Subgroup, K: Subgroup, N: Subgroup) -> int:
         raise ValueError("fixed_points_on_cosets: subgroups of different parents")
     if not N.member_ids <= K.member_ids:
         raise ValueError("fixed_points_on_cosets: N is not contained in K")
-    if not _normalizes(G, K, N):
+    if not _normalizes(G, K.gen_ids, N):
         raise ValueError("fixed_points_on_cosets: N is not normal in K")
-    if not _normalizes(G, P, K) or not _normalizes(G, P, N):
+    if not _normalizes(G, P.gen_ids, K) or not _normalizes(G, P.gen_ids, N):
         raise ValueError("fixed_points_on_cosets: P does not normalize K and N")
     count = 0
     for k in coset_rep_ids(K, N):

@@ -1,38 +1,19 @@
 """Pure-Python group kernels: the hot loops behind enumeration and classes.
 
 All functions work on element ids (positions in the canonical element list)
-except ``closure_bfs``, which produces that list in the first place.
+except ``closure_bfs``, which produces that list in the first place.  The
+others take the ``PermGroup`` and read its ``elements`` and ``index``
+(permutation -> id).
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..perm import Perm, compose, identity, inverse
 
-
-class GroupCtx:
-    """Element list plus lookup structures for id-level arithmetic."""
-
-    __slots__ = ("degree", "elements", "index", "_inv")
-
-    def __init__(self, degree: int, elements: list[Perm]):
-        self.degree = degree
-        self.elements = elements
-        self.index = {p: i for i, p in enumerate(elements)}
-        self._inv: list[int] | None = None
-
-    def inverses(self) -> list[int]:
-        if self._inv is None:
-            idx = self.index
-            self._inv = [idx[inverse(p)] for p in self.elements]
-        return self._inv
-
-
-def mul(ctx: GroupCtx, i: int, j: int) -> int:
-    return ctx.index[compose(ctx.elements[i], ctx.elements[j])]
-
-
-def inv(ctx: GroupCtx, i: int) -> int:
-    return ctx.inverses()[i]
+if TYPE_CHECKING:
+    from ..groups import PermGroup
 
 
 def closure_bfs(degree: int, gens: list[Perm], cap: int) -> list[Perm]:
@@ -63,7 +44,7 @@ def closure_bfs(degree: int, gens: list[Perm], cap: int) -> list[Perm]:
     return out
 
 
-def extend_closure(ctx: GroupCtx, base, gen_ids, limit: int | None = None) -> set[int] | None:
+def extend_closure(G: PermGroup, base, gen_ids, limit: int | None = None) -> set[int] | None:
     """Member ids of the subgroup generated by ``gen_ids``, grown from ``base``.
 
     ``base`` holds the member ids of a subgroup H of that group, typically
@@ -79,7 +60,7 @@ def extend_closure(ctx: GroupCtx, base, gen_ids, limit: int | None = None) -> se
     Returns None as soon as the size would exceed ``limit``, so exactly when
     the generated group is larger than ``limit``.
     """
-    elements, index = ctx.elements, ctx.index
+    elements, index = G.elements, G.index
     members = set(base)
     if limit is not None and len(members) > limit:
         return None
@@ -98,13 +79,13 @@ def extend_closure(ctx: GroupCtx, base, gen_ids, limit: int | None = None) -> se
     return members
 
 
-def conj_orbit_ids(ctx: GroupCtx, gen_ids: list[int]) -> list[int]:
+def conj_orbit_ids(G: PermGroup, gen_ids: list[int]) -> list[int]:
     """Conjugation-orbit id for every element, orbits numbered by first rep.
 
     Scans elements in canonical order; each unseen element starts the next
     orbit, closed under conjugation by the given generator ids.
     """
-    elements, index = ctx.elements, ctx.index
+    elements, index = G.elements, G.index
     n = len(elements)
     gens = [(elements[i], inverse(elements[i])) for i in gen_ids]
     orbit = [-1] * n
@@ -128,9 +109,9 @@ def conj_orbit_ids(ctx: GroupCtx, gen_ids: list[int]) -> list[int]:
     return orbit
 
 
-def normalizer_ids(ctx: GroupCtx, member_ids: set[int], gen_ids: list[int]) -> list[int]:
+def normalizer_ids(G: PermGroup, member_ids: set[int], gen_ids: list[int]) -> list[int]:
     """Ids of all g with h^g inside the member set for every generator h."""
-    elements, index = ctx.elements, ctx.index
+    elements, index = G.elements, G.index
     gens = [elements[i] for i in gen_ids]
     out = []
     for gid, g in enumerate(elements):
@@ -143,9 +124,9 @@ def normalizer_ids(ctx: GroupCtx, member_ids: set[int], gen_ids: list[int]) -> l
     return out
 
 
-def centralizer_ids(ctx: GroupCtx, gid: int) -> list[int]:
+def centralizer_ids(G: PermGroup, gid: int) -> list[int]:
     """Ids of all elements commuting with element ``gid``."""
-    elements, index = ctx.elements, ctx.index
+    elements = G.elements
     g = elements[gid]
     out = []
     for xid, x in enumerate(elements):
@@ -155,7 +136,7 @@ def centralizer_ids(ctx: GroupCtx, gid: int) -> list[int]:
 
 
 def class_matrix(
-    ctx: GroupCtx, class_of: list[int], members_i: list[int], rep_ids: list[int]
+    G: PermGroup, class_of: list[int], members_i: list[int], rep_ids: list[int]
 ) -> list[list[tuple[int, int]]]:
     """Class-algebra structure constants for one class, as sparse columns.
 
@@ -165,7 +146,7 @@ def class_matrix(
     computation.  Column k is returned as the list of (j, c_ijk) with
     c_ijk != 0, ascending j: it has at most |C_i| entries.
     """
-    elements, index = ctx.elements, ctx.index
+    elements, index = G.elements, G.index
     inv_members = [inverse(elements[x]) for x in members_i]
     columns = []
     for zk in rep_ids:

@@ -39,12 +39,12 @@ from .groups import (
     PermGroup,
     Subgroup,
     check_same_group,
+    conjugacy_classes,
     derived_subgroup,
     fixed_points_on_cosets,
     intersection,
     is_normal,
     is_solvable,
-    normal_subgroups,
     normalizer,
     o_p_residual,
     p_part,
@@ -119,26 +119,24 @@ def instance_with_sylow(G: PermGroup, p: int, P: Subgroup) -> McKayInstance:
 
 
 def is_p_solvable(G: PermGroup, p: int) -> bool:
-    """Chief factors are p-groups or p'-groups (solvable groups trivially pass)."""
+    """Chief factors are p-groups or p'-groups (solvable groups trivially pass).
+
+    Walks the residual series from S = G: X is generated by the p-elements
+    of S, so S/X is a p'-group, and Y by the p'-elements of X, so X/Y is a
+    p-group; then S = Y, until Y stops shrinking.  G is p-solvable exactly
+    when the series ends at the identity.
+    """
     if is_solvable(G):
         return True
-    normals = normal_subgroups(G)
-    current = frozenset([0])
-    cur_order = 1
-    while cur_order < G.order:
-        over = [M for M in normals if current < M.member_ids]
-        minimal = min(
-            (M for M in over if not any(current < X.member_ids < M.member_ids for X in over)),
-            key=lambda M: (M.order, M.sorted_ids),
-        )
-        index = minimal.order // cur_order
-        reduced = index
-        while reduced % p == 0:
-            reduced //= p
-        if reduced != index and reduced != 1:
-            return False  # mixed order chief factor: neither p- nor p'-group
-        current, cur_order = minimal.member_ids, minimal.order
-    return True
+    cls = conjugacy_classes(G)
+    orders = [cls.orders[c] for c in cls.class_of_id]
+    current = list(range(G.order))
+    while True:
+        x, _ = G.pruned_closure_ids([i for i in current if p_part(orders[i], p) == orders[i]])
+        y, _ = G.pruned_closure_ids([i for i in x if p_part(orders[i], p) == 1])
+        if len(y) == len(current):
+            return len(y) == 1
+        current = y
 
 
 # -- the star map -----------------------------------------------------------------
@@ -333,13 +331,9 @@ def isaacs_descent(
         )
         group = H.view
         current = h_table.rows[eta_index]
-    # land on the canonical shared view of P and read off the row index
-    p_final = group.subgroup(P_perms)
-    if p_final.order != group.order:
-        raise RuntimeError(f"descent ended on {group.name}, not on the Sylow subgroup")
-    final_fn = restrict(current, p_final)
+    # group is now P's view (the last H.view, or G itself when P = G): read off the row
     p_table = character_table(inst.sylow.view)
-    xi_index = p_table.index_of(final_fn)
+    xi_index = p_table.index_of(current)
     if p_table.degrees[xi_index] != 1:
         raise FalsificationError(
             "descent terminated on a non-linear character",

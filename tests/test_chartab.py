@@ -43,7 +43,7 @@ from charcorr.cyclotomic import (
     render_cyc,
     root_of_unity,
 )
-from charcorr.groups import conjugacy_classes, load_group, normal_subgroups, sylow
+from charcorr.groups import PermGroup, conjugacy_classes, load_group, normal_subgroups, sylow
 from charcorr.kernels import pure
 from charcorr.showcase import corpus, corpus_path, load_corpus_group, remark_data
 from chartab_reference import inner_product
@@ -153,7 +153,7 @@ def test_class_matrix_columns_are_the_structure_constants(name):
     G = named_group(name)
     cls = conjugacy_classes(G)
     for i in range(cls.count):
-        got = pure.class_matrix(G.ctx, cls.class_of_id, cls.members_ids[i], cls.rep_ids)
+        got = pure.class_matrix(G, cls.class_of_id, cls.members_ids[i], cls.rep_ids)
         assert got == brute_class_columns(G, i)
 
 
@@ -677,6 +677,16 @@ def test_galois_classfn_permutes_rows(f21):
             continue
         for row in tab.rows:
             tab.index_of(galois_classfn(row, k))  # raises if not a row
+
+
+def test_index_of_refuses_a_row_of_another_group_object(s4):
+    # the descent reads its last character off P's table with index_of, so a
+    # level that is a different object over P's members must be refused
+    view = sylow(s4, 2).view
+    twin = PermGroup.from_generators(view.degree, view.generators, name=view.name)
+    assert set(twin.elements) == set(view.elements)
+    with pytest.raises(ValueError, match="operands on different groups"):
+        character_table(view).index_of(character_table(twin).rows[0])
 
 
 # -- exports (golden surface) ---------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charcorr.cli import main
-from charcorr.groups import DEFAULT_CAP
+from charcorr.groups import DEFAULT_CAP, MAX_FILE_BYTES
 from test_chartab import with_foreign_identity_column
 from test_closure import s4_wreath_c2_record
 
@@ -204,6 +204,37 @@ def test_group_file_permission_denied_exits_2(tmp_path, monkeypatch, capsys):
     _assert_unreadable_group_exits_2(path, capsys)
 
 
+def test_oversized_group_file_exits_2_before_it_is_parsed(tmp_path, capsys):
+    import tracemalloc
+
+    path = tmp_path / "huge.json"
+    with open(path, "wb") as fh:
+        fh.truncate(48 * 1024 * 1024)  # sparse: no disk blocks behind it
+    tracemalloc.start()
+    try:
+        code = main(["table", "--group", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: group file exceeds {MAX_FILE_BYTES} bytes")
+    assert "Traceback" not in err
+    assert peak < 20 * 1024 * 1024
+
+
+def test_group_file_size_limit_is_inclusive(tmp_path, capsys):
+    record = json.dumps({"name": "S3", "degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]})
+    path = tmp_path / "padded.json"
+    path.write_text(record + " " * (MAX_FILE_BYTES - len(record)))
+    code, text = run_cli(["table", "--group", str(path)], tmp_path)
+    assert code == 0 and text.count("chi.") == 3
+    with open(path, "a") as fh:
+        fh.write(" ")
+    assert main(["table", "--group", str(path)]) == 2
+    assert "group file exceeds" in capsys.readouterr().err
+
+
 json_documents = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4)
@@ -390,6 +421,24 @@ def test_verify_all_builds_each_corpus_table_once(monkeypatch):
     monkeypatch.setattr(cli, "load_corpus_group", fresh)
     assert main(["verify", "--all", "--out", "/dev/null"]) == 0
     assert built.count("F21") == 1
+
+
+@pytest.mark.parametrize("name, p", [("c7", "7"), ("d8", "2")])
+def test_verify_on_a_p_group_builds_one_table(monkeypatch, name, p):
+    # P = G, so the Sylow subgroup's view is G itself and shares its table
+    from charcorr import chartab, groups
+
+    built = []
+    real = chartab._dixon_schneider
+
+    def counting(G):
+        built.append(G.name)
+        return real(G)
+
+    monkeypatch.setattr(chartab, "_dixon_schneider", counting)
+    monkeypatch.setattr(groups, "_VIEW_CACHE", {})  # fresh subgroup views, no tables yet
+    assert main(["verify", "--group", name, "-p", p, "--out", "/dev/null"]) == 0
+    assert len(built) == 1  # --group loads a fresh group each time
 
 
 def test_verify_all_computes_each_instances_counts_once(monkeypatch):

@@ -243,7 +243,7 @@ def test_centralizer_of_sylow_is_the_member_by_member_intersection():
             P = sylow(G, p)
             expected = set(range(G.order))
             for hid in P.sorted_ids:
-                expected &= set(pure.centralizer_ids(G.ctx, hid))
+                expected &= set(pure.centralizer_ids(G, hid))
             assert centralizer_of_subgroup(G, P).member_ids == frozenset(expected)
 
 
@@ -268,13 +268,13 @@ def test_normalizer_of_sylow3_in_f21(f21):
 
 
 def test_derived_subgroup_s4_is_brute_commutator_closure(s4):
-    D = derived_subgroup(s4)
+    D = derived_subgroup(s4.full_subgroup())
     assert D.order == 12
     assert set(D.members()) == brute_commutator_closure(s4, s4.elements)
 
 
 def test_derived_subgroup_abelian_is_trivial(c7):
-    assert derived_subgroup(c7).order == 1
+    assert derived_subgroup(c7.full_subgroup()).order == 1
 
 
 def test_derived_series_s4(s4):
@@ -297,7 +297,7 @@ def test_o2_s4_is_closure_of_odd_elements(s4):
     assert K.order == 12
     odd = [p for p in s4.elements if pm.order(p) % 2 == 1]
     assert set(K.members()) >= set(odd)
-    assert derived_subgroup(s4).member_ids == K.member_ids  # O^2(S4) = A4
+    assert derived_subgroup(s4.full_subgroup()).member_ids == K.member_ids  # O^2(S4) = A4
 
 
 def test_o2_d8_trivial(d8):
@@ -344,6 +344,24 @@ def test_normal_subgroups_exhaustive_small(s3, d8):
         ours = {frozenset(N.members()) for N in normal_subgroups(G)}
         assert ours == brute
     assert len(normal_subgroups(d8)) == 6
+
+
+def test_is_normal_matches_brute_force_on_every_subgroup(s3, d8):
+    for G in (s3, d8):
+        verdicts = []
+        for fs in brute_all_subgroups(G):
+            brute = all(pm.conjugate(x, g) in fs for x in fs for g in G.generators)
+            assert is_normal(G, G.subgroup(fs)) == brute
+            verdicts.append(brute)
+        assert True in verdicts and False in verdicts  # S3's order-2 subgroups are not normal
+
+
+def test_full_subgroup_view_is_the_group(s4, d8):
+    for G in (s4, d8):
+        assert G.full_subgroup().view is G
+    P = sylow(s4, 2)  # a proper subgroup still gets its own shared view
+    assert P.view is not s4 and P.view.order == 8
+    assert P.view.full_subgroup().view is P.view
 
 
 # -- cosets and fixed points ------------------------------------------------------------------

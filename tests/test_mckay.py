@@ -71,12 +71,25 @@ def test_falsification_error_carries_context():
 
 
 def test_p_solvable():
-    a5 = PermGroup.from_generators(5, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]], name="A5")
+    a5_gens = [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]]
+    a5 = PermGroup.from_generators(5, a5_gens, name="A5")
     assert not is_p_solvable(a5, 2)
     assert not is_p_solvable(a5, 5)
     assert is_p_solvable(a5, 7)  # 7 does not divide 60: one p'-chief factor
     s4 = load_corpus_group("s4")
     assert is_p_solvable(s4, 2) and is_p_solvable(s4, 5)
+    # A5 is a chief factor of each; its order 60 is divisible by 2, 3 and 5 only
+    c7 = list(range(5)) + [6, 7, 8, 9, 10, 11, 5]
+    c2 = [0, 1, 2, 3, 4, 6, 5]
+    a5_on_12 = [g + list(range(5, 12)) for g in a5_gens]
+    groups = [
+        PermGroup.from_generators(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], name="S5"),
+        PermGroup.from_generators(12, a5_on_12 + [c7], name="A5xC7"),
+        PermGroup.from_generators(7, [g + [5, 6] for g in a5_gens] + [c2], name="A5xC2"),
+    ]
+    assert [G.order for G in groups] == [120, 420, 120]
+    for G in groups:
+        assert [is_p_solvable(G, p) for p in (2, 3, 5, 7, 11)] == [False, False, False, True, True]
 
 
 # -- star map -----------------------------------------------------------------------
