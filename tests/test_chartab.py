@@ -17,6 +17,7 @@ from charcorr.chartab import (
     character_table,
     constituents,
     constituents_over,
+    conjugate_classfn,
     fusion_map,
     galois_classfn,
     induce,
@@ -677,6 +678,20 @@ def test_galois_classfn_permutes_rows(f21):
             continue
         for row in tab.rows:
             tab.index_of(galois_classfn(row, k))  # raises if not a row
+
+
+def test_conjugate_classfn_reads_theta_at_g_x_g_inverse(f21):
+    # F21 acts on the linear characters of its C7 in orbits of length 3, so
+    # theta^g and theta^(g^-1) differ and the direction of conjugation shows
+    N = next(M for M in normal_subgroups(f21) if M.order == 7)
+    cls = conjugacy_classes(N.view)
+    theta = character_table(N.view).rows[1]
+    g = next(x for x in f21.elements if pm.order(x) == 3)
+    image = conjugate_classfn(theta, N, g)
+    for x in N.view.elements:
+        gxg = pm.conjugate(x, pm.inverse(g))  # g * x * g^-1
+        assert image.values[cls.class_of_perm(x)] == theta.values[cls.class_of_perm(gxg)]
+    assert image.values != conjugate_classfn(theta, N, pm.inverse(g)).values
 
 
 def test_index_of_refuses_a_row_of_another_group_object(s4):

@@ -346,8 +346,8 @@ def test_normal_subgroups_exhaustive_small(s3, d8):
     assert len(normal_subgroups(d8)) == 6
 
 
-def test_is_normal_matches_brute_force_on_every_subgroup(s3, d8):
-    for G in (s3, d8):
+def test_is_normal_matches_brute_force_on_every_subgroup(s3, d8, s4):
+    for G in (s3, d8, s4):
         verdicts = []
         for fs in brute_all_subgroups(G):
             brute = all(pm.conjugate(x, g) in fs for x in fs for g in G.generators)
