@@ -114,6 +114,11 @@ class CharacterTable:
                 return i
         raise ValueError("class function is not a row of this table")
 
+    def _rendered_rows(self) -> list[list[str]]:
+        """Each row's values as text; a value repeated across the table is rendered once."""
+        text = {v: render_cyc(v) for v in {v for row in self.rows for v in row.values}}
+        return [[text[v] for v in row.values] for row in self.rows]
+
     def to_dict(self) -> dict:
         cls = self.classes
         return {
@@ -124,7 +129,7 @@ class CharacterTable:
             "class_orders": [cls.rep_order(i) for i in range(cls.count)],
             "class_reps": [pm.cycle_string(cls.rep(i)) for i in range(cls.count)],
             "degrees": list(self.degrees),
-            "irreducibles": [[render_cyc(v) for v in row.values] for row in self.rows],
+            "irreducibles": self._rendered_rows(),
         }
 
     def render_text(self) -> str:
@@ -135,10 +140,7 @@ class CharacterTable:
             ["order"] + [str(cls.rep_order(i)) for i in range(cls.count)],
             ["rep"] + [pm.cycle_string(cls.rep(i)) for i in range(cls.count)],
         ]
-        body = [
-            [f"chi.{i}"] + [render_cyc(v) for v in row.values]
-            for i, row in enumerate(self.rows)
-        ]
+        body = [[f"chi.{i}"] + row for i, row in enumerate(self._rendered_rows())]
         grid = head + body
         widths = [max(len(r[c]) for r in grid) for c in range(cls.count + 1)]
         lines = [f"group {self.group.name}  order {self.group.order}  classes {cls.count}"]
@@ -580,8 +582,3 @@ def orbit_and_stabilizer(
 def p_prime_irreducibles(table: CharacterTable, p: int) -> tuple[int, ...]:
     """Row indices of irreducibles whose degree is coprime to p."""
     return tuple(i for i, d in enumerate(table.degrees) if d % p != 0)
-
-
-def galois_classfn(f: ClassFunction, k: int) -> ClassFunction:
-    """Apply the Galois map zeta -> zeta^k to every value."""
-    return ClassFunction(f.group, (v.galois(k) for v in f.values))

@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .chartab import character_table
 from .cyclotomic import is_prime
@@ -32,40 +31,6 @@ from .showcase import corpus, corpus_path, load_corpus_group, remark_report
 
 class OutputError(Exception):
     """The --out path cannot be written."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    group: str | None = None
-    prime: int | None = None
-    fmt: str = "text"
-    out: str | None = None
-    cap: int = DEFAULT_CAP
-    run_all: bool = False
-    verbose: bool = False
-
-    def __post_init__(self):
-        if self.cap < 1:
-            raise MalformedGroupError(f"cap must be >= 1, got {self.cap}")
-        if self.command == "verify":
-            given = self.group is not None or self.prime is not None
-            complete = bool(self.group) and self.prime is not None
-            if (self.run_all and given) or not (self.run_all or complete):
-                raise HypothesisError("verify needs --group and -p, or --all")
-        if self.prime is not None:
-            # no group within the cap has an order that a larger prime divides;
-            # refusing it first keeps a huge p from reaching trial division
-            if self.prime > self.cap:
-                raise HypothesisError(f"p = {self.prime} exceeds the cap {self.cap} on |G|")
-            if not is_prime(self.prime):
-                raise HypothesisError(f"{self.prime} is not prime")
-        if self.out:
-            if os.path.isdir(self.out):
-                raise OutputError(f"--out {self.out} is a directory")
-            folder = os.path.dirname(os.path.abspath(self.out))
-            if not os.path.isdir(folder):
-                raise OutputError(f"--out {self.out}: directory {folder} does not exist")
 
 
 def _resolve_group(spec: str, cap: int):
@@ -100,7 +65,7 @@ def _dump_json(payload) -> str:
 # -- table ---------------------------------------------------------------------------
 
 
-def cmd_table(cfg: RunConfig) -> int:
+def cmd_table(cfg: argparse.Namespace) -> int:
     G = _resolve_group(cfg.group, cfg.cap)
     _log(cfg, f"computing the character table of {G.name} (order {G.order})")
     table = character_table(G)
@@ -138,7 +103,7 @@ def _verify_report_text(rep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _log(cfg: RunConfig, message: str) -> None:
+def _log(cfg: argparse.Namespace, message: str) -> None:
     if cfg.verbose:
         print(message, file=sys.stderr)
 
@@ -162,7 +127,7 @@ def _run_corpus_entry(entry, cap: int) -> dict:
     }
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     if not cfg.run_all:
         G = _resolve_group(cfg.group, cfg.cap)
         inst = check_hypotheses(G, cfg.prime)
@@ -227,7 +192,7 @@ def _remark_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_remark(cfg: RunConfig) -> int:
+def cmd_remark(cfg: argparse.Namespace) -> int:
     _log(cfg, "building the order-648 group and running all showcase checks")
     report = remark_report(cap=cfg.cap)
     if cfg.fmt == "structured":
@@ -248,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--format", choices=("text", "structured"), default="text")
+        p.add_argument("--format", dest="fmt", choices=("text", "structured"), default="text")
         p.add_argument("--out", default=None, help="write output to this path")
         p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="element enumeration cap")
         p.add_argument("-v", "--verbose", action="store_true")
@@ -260,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify the correspondence coincidence")
     p_verify.add_argument("--group", help="group file path or builtin name")
     p_verify.add_argument("-p", "--prime", type=int, help="the prime p")
-    p_verify.add_argument("--all", action="store_true", help="run the whole corpus")
+    p_verify.add_argument("--all", dest="run_all", action="store_true", help="run the whole corpus")
     common(p_verify)
 
     p_remark = sub.add_parser("remark648", help="run the order-648 showcase verification")
@@ -268,26 +233,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        group=getattr(args, "group", None),
-        prime=getattr(args, "prime", None),
-        fmt=args.format,
-        out=args.out,
-        cap=args.cap,
-        run_all=getattr(args, "all", False),
-        verbose=args.verbose,
-    )
+def _check_config(cfg: argparse.Namespace) -> None:
+    """Refuse conflicting or out-of-range options before any work starts."""
+    group, prime = getattr(cfg, "group", None), getattr(cfg, "prime", None)
+    if cfg.cap < 1:
+        raise MalformedGroupError(f"cap must be >= 1, got {cfg.cap}")
+    if cfg.command == "verify":
+        given = group is not None or prime is not None
+        complete = bool(group) and prime is not None
+        if (cfg.run_all and given) or not (cfg.run_all or complete):
+            raise HypothesisError("verify needs --group and -p, or --all")
+    if prime is not None:
+        # no group within the cap has an order that a larger prime divides;
+        # refusing it first keeps a huge p from reaching trial division
+        if prime > cfg.cap:
+            raise HypothesisError(f"p = {prime} exceeds the cap {cfg.cap} on |G|")
+        if not is_prime(prime):
+            raise HypothesisError(f"{prime} is not prime")
+    if cfg.out:
+        if os.path.isdir(cfg.out):
+            raise OutputError(f"--out {cfg.out} is a directory")
+        folder = os.path.dirname(os.path.abspath(cfg.out))
+        if not os.path.isdir(folder):
+            raise OutputError(f"--out {cfg.out}: directory {folder} does not exist")
+    if cfg.command == "table" and not group:
+        raise MalformedGroupError("table needs --group")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    cfg = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        _check_config(cfg)
         if cfg.command == "table":
-            if not cfg.group:
-                raise MalformedGroupError("table needs --group")
             return cmd_table(cfg)
         if cfg.command == "verify":
             return cmd_verify(cfg)

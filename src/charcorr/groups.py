@@ -32,7 +32,8 @@ DEFAULT_CAP = 20000
 MAX_DEGREE = 1024
 MAX_GENERATORS = 64
 MAX_NAME_LENGTH = 256
-MAX_FILE_BYTES = 16 * 1024 * 1024  # a group file is read only up to this size
+MAX_FILE_BYTES = 16 * 1024 * 1024  # a larger group file is refused unparsed
+READ_CHUNK_BYTES = 64 * 1024
 
 
 class MalformedGroupError(ValueError):
@@ -297,15 +298,20 @@ def load_group(path, cap: int = DEFAULT_CAP) -> PermGroup:
 
     A missing file raises FileNotFoundError; a file over MAX_FILE_BYTES, and
     any other failure to read or decode it (permissions, bad encoding,
-    invalid or too deeply nested JSON), raises MalformedGroupError.  At most
-    MAX_FILE_BYTES + 1 bytes are read, and nothing is parsed before the check.
+    invalid or too deeply nested JSON), raises MalformedGroupError.  The file
+    is read in chunks of READ_CHUNK_BYTES until it ends or passes
+    MAX_FILE_BYTES, so a small file costs a small buffer and a large one is
+    refused unparsed after at most MAX_FILE_BYTES + READ_CHUNK_BYTES bytes.
     """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read(MAX_FILE_BYTES + 1)
-        if len(raw) > MAX_FILE_BYTES:
+            chunks, size = [], 0
+            while size <= MAX_FILE_BYTES and (chunk := fh.read(READ_CHUNK_BYTES)):
+                chunks.append(chunk)
+                size += len(chunk)
+        if size > MAX_FILE_BYTES:
             raise MalformedGroupError(f"{path}: group file exceeds {MAX_FILE_BYTES} bytes")
-        data = json.loads(raw.decode("utf-8"))
+        data = json.loads(b"".join(chunks).decode("utf-8"))
     except (FileNotFoundError, MalformedGroupError):
         raise
     except (OSError, ValueError, RecursionError) as exc:

@@ -18,15 +18,13 @@ FalsificationError with a forensic payload and is never patched over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
+from typing import NamedTuple
 
 from .chartab import (
     ClassFunction,
     character_table,
     constituents,
     constituents_over,
-    galois_classfn,
     induce,
     inner_product_int,
     is_invariant_under,
@@ -68,8 +66,7 @@ class FalsificationError(Exception):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class McKayInstance:
+class McKayInstance(NamedTuple):
     """A (G, p) verification instance with recomputed hypothesis flags."""
 
     group: PermGroup
@@ -187,8 +184,7 @@ def navarro_star(inst: McKayInstance, chi_index: int) -> int:
 # -- the descent map ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DescentStep:
+class DescentStep(NamedTuple):
     group_name: str
     group_order: int
     k_order: int
@@ -215,8 +211,7 @@ class DescentStep:
         }
 
 
-@dataclass(frozen=True)
-class DescentTrace:
+class DescentTrace(NamedTuple):
     steps: tuple[DescentStep, ...] = ()
 
     def to_dict(self) -> list:
@@ -433,8 +428,7 @@ def mckay_count(inst: McKayInstance) -> tuple[int, int, bool]:
 # -- the coincidence verdict -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairRecord:
+class PairRecord(NamedTuple):
     chi_index: int
     chi_degree: int
     star_index: int | None
@@ -455,8 +449,7 @@ class PairRecord:
         }
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     group_name: str
     group_order: int
     p: int
@@ -550,40 +543,6 @@ def verify_main(inst: McKayInstance) -> CorrespondenceReport:
 
 def _none_last(x):
     return (x is None, x)
-
-
-def check_galois_equivariance(inst: McKayInstance) -> int:
-    """(chi^sigma)* = (chi*)^sigma for every Galois map of Q(zeta_exp(G)).
-
-    Returns the number of (sigma, chi) pairs checked; any mismatch raises.
-    """
-    _require(inst.self_normalizing, "equivariance check needs the star map hypotheses")
-    _require(is_p_solvable(inst.group, inst.p), "equivariance check needs a p-solvable group")
-    G = inst.group
-    e = G.exponent
-    table = character_table(G)
-    p_table = character_table(inst.sylow.view)
-    p_rows = p_prime_irreducibles(table, inst.p)
-    stars = {ci: navarro_star(inst, ci) for ci in p_rows}
-    checked = 0
-    for k in range(1, e + 1):
-        if gcd(k, e) != 1:
-            continue
-        for ci in p_rows:
-            sigma_chi = table.index_of(galois_classfn(table.rows[ci], k))
-            lhs = stars[sigma_chi]
-            rhs = p_table.index_of(galois_classfn(p_table.rows[stars[ci]], k))
-            if lhs != rhs:
-                raise FalsificationError(
-                    "star map is not Galois equivariant",
-                    group=G.name,
-                    k=k,
-                    chi=ci,
-                    lhs=lhs,
-                    rhs=rhs,
-                )
-            checked += 1
-    return checked
 
 
 def _require(cond: bool, message: str) -> None:

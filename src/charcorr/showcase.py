@@ -14,9 +14,9 @@ verified here, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from . import perm as pm
 from .chartab import (
@@ -108,28 +108,29 @@ def remark_generators() -> list[tuple[int, ...]]:
 # -- showcase data -------------------------------------------------------------------
 
 
-@dataclass
 class RemarkData:
-    """Progressively filled record of the order-648 verification."""
+    """Progressively filled record of the order-648 verification.
 
-    G: PermGroup
-    K: Subgroup
-    L: Subgroup
-    H: Subgroup
-    P: Subgroup
-    N: Subgroup
-    theta_index: int | None = None
-    theta: ClassFunction | None = None
-    phi_index: int | None = None
-    phi: ClassFunction | None = None
-    e: int | None = None
-    psi_alpha: int | None = None
-    psi_beta: int | None = None
-    psi_h: ClassFunction | None = None
-    psi_n: ClassFunction | None = None
-    pairs: tuple[tuple[int, int], ...] = ()
-    viable: tuple[dict, ...] = ()
-    non_constituent: tuple[dict, ...] = ()
+    The group and its six named subgroups are fixed when it is built; each
+    verification step fills in its own fields.
+    """
+
+    def __init__(
+        self, G: PermGroup, K: Subgroup, L: Subgroup, H: Subgroup, P: Subgroup, N: Subgroup
+    ):
+        self.G, self.K, self.L, self.H, self.P, self.N = G, K, L, H, P, N
+        self.theta_index: int | None = None
+        self.theta: ClassFunction | None = None
+        self.phi_index: int | None = None
+        self.phi: ClassFunction | None = None
+        self.e: int | None = None
+        self.psi_alpha: int | None = None
+        self.psi_beta: int | None = None
+        self.psi_h: ClassFunction | None = None
+        self.psi_n: ClassFunction | None = None
+        self.pairs: tuple[tuple[int, int], ...] = ()
+        self.viable: tuple[dict, ...] = ()
+        self.non_constituent: tuple[dict, ...] = ()
 
 
 def build_remark_group(cap: int = DEFAULT_CAP) -> RemarkData:
@@ -428,8 +429,7 @@ def remark_report(cap: int = DEFAULT_CAP) -> dict:
 # -- the corpus -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     prime: int
     expect: str  # "theorem" | "hypothesis-fail" | "showcase"

@@ -1,0 +1,53 @@
+"""Galois equivariance of the star map, checked from the tests.
+
+No command of the CLI runs this check, so it lives beside the tests that
+use it rather than in the package: every CLI process would otherwise
+compile it without calling it.  ``galois_classfn`` applies zeta -> zeta^k to
+every value of a class function; ``check_galois_equivariance`` requires
+(chi^sigma)* = (chi*)^sigma for every sigma in Gal(Q(zeta_e)/Q), e the
+exponent of G.
+"""
+
+from math import gcd
+
+from charcorr.chartab import ClassFunction, character_table, p_prime_irreducibles
+from charcorr.mckay import FalsificationError, _require, is_p_solvable, navarro_star
+
+
+def galois_classfn(f: ClassFunction, k: int) -> ClassFunction:
+    """Apply the Galois map zeta -> zeta^k to every value."""
+    return ClassFunction(f.group, (v.galois(k) for v in f.values))
+
+
+def check_galois_equivariance(inst) -> int:
+    """(chi^sigma)* = (chi*)^sigma for every Galois map of Q(zeta_exp(G)).
+
+    Returns the number of (sigma, chi) pairs checked; any mismatch raises.
+    """
+    _require(inst.self_normalizing, "equivariance check needs the star map hypotheses")
+    _require(is_p_solvable(inst.group, inst.p), "equivariance check needs a p-solvable group")
+    G = inst.group
+    e = G.exponent
+    table = character_table(G)
+    p_table = character_table(inst.sylow.view)
+    p_rows = p_prime_irreducibles(table, inst.p)
+    stars = {ci: navarro_star(inst, ci) for ci in p_rows}
+    checked = 0
+    for k in range(1, e + 1):
+        if gcd(k, e) != 1:
+            continue
+        for ci in p_rows:
+            sigma_chi = table.index_of(galois_classfn(table.rows[ci], k))
+            lhs = stars[sigma_chi]
+            rhs = p_table.index_of(galois_classfn(p_table.rows[stars[ci]], k))
+            if lhs != rhs:
+                raise FalsificationError(
+                    "star map is not Galois equivariant",
+                    group=G.name,
+                    k=k,
+                    chi=ci,
+                    lhs=lhs,
+                    rhs=rhs,
+                )
+            checked += 1
+    return checked

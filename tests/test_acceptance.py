@@ -31,7 +31,6 @@ from charcorr.groups import (
 )
 from charcorr.mckay import (
     check_extension,
-    check_galois_equivariance,
     check_glauberman_unique,
     check_hypotheses,
     isaacs_descent,
@@ -40,6 +39,7 @@ from charcorr.mckay import (
 )
 from charcorr.showcase import load_corpus_group, remark_data
 from chartab_reference import inner_product
+from galois_check import check_galois_equivariance
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

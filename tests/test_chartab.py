@@ -19,7 +19,6 @@ from charcorr.chartab import (
     constituents_over,
     conjugate_classfn,
     fusion_map,
-    galois_classfn,
     induce,
     inner_product_int,
     is_invariant_under,
@@ -49,6 +48,7 @@ from charcorr.kernels import pure
 from charcorr.showcase import corpus, corpus_path, load_corpus_group, remark_data
 from chartab_reference import inner_product
 from cyclotomic_reference import reference_conductor
+from galois_check import galois_classfn
 from test_closure import CORPUS, named_group, s4_wreath_c2
 
 
@@ -724,3 +724,21 @@ def test_table_to_dict_roundtrips_as_json(s4):
     assert json.loads(json.dumps(d)) == d
     assert d["degrees"] == [1, 1, 2, 3, 3]
     assert d["irreducibles"][0] == ["1", "1", "1", "1", "1"]
+
+
+@pytest.mark.parametrize("export", ["to_dict", "render_text"])
+def test_table_exports_render_each_distinct_value_once(monkeypatch, export):
+    from charcorr import chartab
+
+    table = character_table(load_corpus_group("remark648"))
+    rendered = []
+
+    def counting_render(v):
+        rendered.append(v)
+        return render_cyc(v)
+
+    monkeypatch.setattr(chartab, "render_cyc", counting_render)
+    getattr(table, export)()
+    distinct = {v for row in table.rows for v in row.values}
+    assert len(rendered) == len(distinct) and set(rendered) == distinct
+    assert len(distinct) < table.count * table.classes.count  # values do repeat here

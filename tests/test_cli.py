@@ -392,6 +392,37 @@ def test_verify_needs_group_and_prime_or_all_alone(monkeypatch, capsys, args):
     assert capsys.readouterr().err == "error: verify needs --group and -p, or --all\n"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["table", "--group", "s3", "--cap", "0"], "cap must be >= 1, got 0"),
+        (["remark648", "--cap", "-3"], "cap must be >= 1, got -3"),
+        (["verify", "--all", "--cap", "0", "-p", "4"], "cap must be >= 1, got 0"),
+        (["verify", "--group", "", "-p", "2"], "verify needs --group and -p, or --all"),
+        (
+            ["verify", "--group", "s3", "-p", "101", "--cap", "100"],
+            "p = 101 exceeds the cap 100 on |G|",
+        ),
+        (["verify", "--group", "s3", "-p", "1"], "1 is not prime"),
+        (["verify", "--group", "s3", "-p", "-7"], "-7 is not prime"),
+        (["verify", "--group", "s3", "-p", "4", "--out", "."], "4 is not prime"),
+        (["table", "--group", "s3", "--out", "."], "--out . is a directory"),
+        (["table", "--group", "", "--out", "."], "--out . is a directory"),
+        (["table", "--group", ""], "table needs --group"),
+    ],
+)
+def test_option_checks_exit_2_with_their_message(monkeypatch, capsys, args, message):
+    from charcorr import cli
+
+    def must_not_run(*args):
+        raise AssertionError("the command ran although its options are invalid")
+
+    for command in ("cmd_table", "cmd_verify", "cmd_remark"):
+        monkeypatch.setattr(cli, command, must_not_run)
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_all(tmp_path):
     code, text = run_cli(["verify", "--all"], tmp_path)
     assert code == 0

@@ -134,6 +134,19 @@ def test_load_group_rejects_bad_json(tmp_path):
         load_group(path)
 
 
+def test_loading_a_small_group_file_reserves_no_large_buffer(tmp_path):
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps({"name": "S3", "degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]}))
+    tracemalloc.start()
+    try:
+        G = load_group(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.order == 6
+    assert peak < 1024 * 1024
+
+
 def test_group_description_bounds_checked_before_allocating():
     tracemalloc.start()
     t0 = time.perf_counter()

@@ -26,7 +26,6 @@ from charcorr.mckay import (
     FalsificationError,
     HypothesisError,
     check_extension,
-    check_galois_equivariance,
     check_glauberman_unique,
     check_hypotheses,
     instance_with_sylow,
@@ -37,6 +36,7 @@ from charcorr.mckay import (
     verify_main,
 )
 from charcorr.showcase import load_corpus_group
+from galois_check import check_galois_equivariance
 
 
 def std_char(s4):
@@ -349,6 +349,23 @@ def test_verify_main_d8_trivial(d8):
     rep = verify_main(check_hypotheses(d8, 2))
     assert rep.verdict and len(rep.pairs) == 4
     assert [p.star_index for p in rep.pairs] == [p.descent_index for p in rep.pairs]
+
+
+def test_verification_records_are_immutable(s4):
+    inst = check_hypotheses(s4, 2)
+    rep = verify_main(inst)
+    pair = next(p for p in rep.pairs if p.trace.steps)
+    for record, field in (
+        (inst, "p"),
+        (pair.trace.steps[0], "k_order"),
+        (pair.trace, "steps"),
+        (pair, "star_index"),
+        (rep, "verdict"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.note = "no new attributes either"
 
 
 def test_report_dict_shape(s4):

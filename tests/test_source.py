@@ -1,7 +1,10 @@
 """Source-level rules for the package itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "charcorr"
 TRIG = {"cos", "sin", "pi"}
@@ -71,3 +74,21 @@ def test_no_imports_inside_functions():
         for line in _imports_in_function(node)
     }
     assert not found, sorted(found)
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # Every check is a fresh CLI process, so what importing the package pulls
+    # in is paid on every run; dataclasses alone brings inspect, ast, dis and
+    # tokenize, and each dataclass costs about ten times a NamedTuple to create.
+    code = (
+        "import sys; before = set(sys.modules); import charcorr.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "charcorr.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
