@@ -5,8 +5,9 @@ Exit codes: 0 = everything verified, 1 = a falsification (a checked theorem
 statement failed), 2 = input or hypothesis error, including an ``--out``
 that cannot be written (a directory or a missing directory is refused before
 any work), 3 = engine error (an internal invariant failed, e.g. a table that
-fails orthogonality or a showcase ``ConstructionError``; this is a bug in the
-engine, not a statement about the group).
+fails orthogonality or a showcase ``ConstructionError``, or any other
+unexpected exception; this is a bug in the engine, not a statement about the
+group).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .groups import DEFAULT_CAP, GroupTooLargeError, MalformedGroupError, load_g
 from .mckay import (
     FalsificationError,
     HypothesisError,
+    as_json,
     check_hypotheses,
     mckay_count,
     verify_main,
@@ -59,7 +61,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(as_json(payload), indent=2, sort_keys=True) + "\n"
 
 
 # -- table ---------------------------------------------------------------------------
@@ -81,19 +83,20 @@ def cmd_table(cfg: argparse.Namespace) -> int:
 
 def _verify_report_text(rep) -> str:
     lines = [
-        f"group {rep.group_name}  order {rep.group_order}  p {rep.p}",
+        f"group {rep.group}  order {rep.order}  p {rep.p}",
         "flags " + " ".join(f"{k}={str(v).lower()}" for k, v in sorted(rep.flags.items())),
         f"sylow {rep.sylow_order}  normalizer {rep.normalizer_order}  Lin(P) {rep.linear_count}",
-        f"counts |Irr_p'(G)|={rep.counts[0]} |Irr_p'(N)|={rep.counts[1]} equal={str(rep.counts[2]).lower()}",
+        f"counts |Irr_p'(G)|={rep.counts.irr_p_prime_g} |Irr_p'(N)|={rep.counts.irr_p_prime_n}"
+        f" equal={str(rep.counts.equal).lower()}",
         "pairs:",
     ]
     for pr in rep.pairs:
         steps = " ".join(
-            f"[{s.group_order}->K{s.k_order}/L{s.l_order}->H{s.h_order}]" for s in pr.trace.steps
+            f"[{s.order}->K{s.k_order}/L{s.l_order}->H{s.h_order}]" for s in pr.trace
         )
         lines.append(
-            f"  chi {pr.chi_index} (deg {pr.chi_degree}) -> star {pr.star_index},"
-            f" descent {pr.descent_index}, coincide={str(pr.coincide).lower()}"
+            f"  chi {pr.chi} (deg {pr.chi_degree}) -> star {pr.star},"
+            f" descent {pr.descent}, coincide={str(pr.coincide).lower()}"
             + (f"  {steps}" if steps else "")
             + (f"  ERROR: {pr.error}" if pr.error else "")
         )
@@ -111,6 +114,11 @@ def _log(cfg: argparse.Namespace, message: str) -> None:
 def _run_corpus_entry(entry, cap: int) -> dict:
     G = load_corpus_group(entry.name, cap=cap)
     inst = check_hypotheses(G, entry.prime)
+    if inst.hypotheses_ok != (entry.expect == "theorem"):
+        raise RuntimeError(
+            f"corpus entry {entry.name} at p={entry.prime} expects {entry.expect},"
+            f" but its flags are {inst.flag_summary()}"
+        )
     rep = verify_main(inst) if inst.hypotheses_ok else None
     counts = rep.counts if rep else mckay_count(inst)
     return {
@@ -119,26 +127,20 @@ def _run_corpus_entry(entry, cap: int) -> dict:
         "order": G.order,
         "p": entry.prime,
         "expect": entry.expect,
-        "flags": dict(sorted(inst.flag_summary().items())),
-        "counts": {"irr_p_prime_g": counts[0], "irr_p_prime_n": counts[1], "equal": counts[2]},
-        "report": rep.to_dict() if rep else None,
+        "flags": inst.flag_summary(),
+        "counts": counts,
+        "report": rep,
         "verdict": rep.verdict if rep else None,
-        "ok": rep.verdict if rep else counts[2],  # the verdict already requires equal counts
+        "ok": rep.verdict if rep else counts.equal,  # the verdict already requires equal counts
     }
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
     if not cfg.run_all:
         G = _resolve_group(cfg.group, cfg.cap)
-        inst = check_hypotheses(G, cfg.prime)
-        if not inst.hypotheses_ok:
-            failed = [k for k, v in inst.flag_summary().items() if not v]
-            raise HypothesisError(
-                f"({G.name}, p={cfg.prime}) does not satisfy: {', '.join(failed)}"
-            )
-        rep = verify_main(inst)
+        rep = verify_main(check_hypotheses(G, cfg.prime))
         if cfg.fmt == "structured":
-            _emit(_dump_json(rep.to_dict()), cfg.out)
+            _emit(_dump_json(rep), cfg.out)
         else:
             _emit(_verify_report_text(rep), cfg.out)
         return 0 if rep.verdict else 1
@@ -155,13 +157,13 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         for r in records:
             c = r["counts"]
             if r["verdict"] is None:
-                failed = ", ".join(k for k, v in r["flags"].items() if not v)
+                failed = ", ".join(k for k, v in sorted(r["flags"].items()) if not v)
                 status = f"SKIP descent (hypothesis fails: {failed})"
             else:
-                status = f"verdict={str(r['verdict']).lower()} pairs={len(r['report']['pairs'])}"
+                status = f"verdict={str(r['verdict']).lower()} pairs={len(r['report'].pairs)}"
             lines.append(
-                f"{r['name']:<10s} p={r['p']}  {status}  counts=({c['irr_p_prime_g']},"
-                f"{c['irr_p_prime_n']},{str(c['equal']).lower()})"
+                f"{r['name']:<10s} p={r['p']}  {status}  counts=({c.irr_p_prime_g},"
+                f"{c.irr_p_prime_n},{str(c.equal).lower()})"
             )
         lines.append(f"all ok: {str(all_ok).lower()}")
         _emit("\n".join(lines) + "\n", cfg.out)
@@ -272,14 +274,20 @@ def main(argv=None) -> int:
     except FalsificationError as exc:
         print(f"FALSIFIED: {exc}", file=sys.stderr)
         return 1
-    except (MalformedGroupError, GroupTooLargeError, HypothesisError, OutputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (
+        MalformedGroupError,
+        GroupTooLargeError,
+        HypothesisError,
+        OutputError,
+        FileNotFoundError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ValueError) as exc:
         print(f"engine error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # any other engine bug is an engine error, not a falsification
+        print(f"engine error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -426,15 +426,6 @@ def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
     return G.subgroup_from_ids(ids)
 
 
-def centralizer_of_subgroup(G: PermGroup, H: Subgroup) -> Subgroup:
-    """Elements of G commuting with every member of H, i.e. with its generators."""
-    check_same_group("centralizer_of_subgroup", H.parent, G)
-    out = set(range(G.order))
-    for hid in H.gen_ids:
-        out &= set(pure.centralizer_ids(G, hid))
-    return G.subgroup_from_ids(out)
-
-
 def normal_closure_ids(G: PermGroup, seed_ids, under_gen_ids) -> tuple[list[int], list[int]]:
     """Closure of the seeds under generation and conjugation by the given gens."""
     members, gens = G.pruned_closure_ids(sorted(seed_ids))

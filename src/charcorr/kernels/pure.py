@@ -124,17 +124,6 @@ def normalizer_ids(G: PermGroup, member_ids: set[int], gen_ids: list[int]) -> li
     return out
 
 
-def centralizer_ids(G: PermGroup, gid: int) -> list[int]:
-    """Ids of all elements commuting with element ``gid``."""
-    elements = G.elements
-    g = elements[gid]
-    out = []
-    for xid, x in enumerate(elements):
-        if compose(x, g) == compose(g, x):
-            out.append(xid)
-    return out
-
-
 def class_matrix(
     G: PermGroup, class_of: list[int], members_i: list[int], rep_ids: list[int]
 ) -> list[list[tuple[int, int]]]:

@@ -14,6 +14,9 @@ self-normalizing Sylow p-subgroup P are computed independently:
 bijection onto Lin(P), and that the p'-degree counts match.  Internal
 uniqueness and progress conditions are theorem checks: a violation raises
 FalsificationError with a forensic payload and is never patched over.
+
+The result records are NamedTuples whose field names are the keys of the
+structured output; ``as_json`` is the one function that serializes them.
 """
 
 from __future__ import annotations
@@ -49,6 +52,17 @@ from .groups import (
     product_subgroup,
     sylow,
 )
+
+
+def as_json(value):
+    """Plain JSON data: a record becomes a dict of its fields, a tuple a list."""
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {k: as_json(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [as_json(v) for v in value]
+    return value
 
 
 class HypothesisError(Exception):
@@ -185,42 +199,26 @@ def navarro_star(inst: McKayInstance, chi_index: int) -> int:
 
 
 class DescentStep(NamedTuple):
-    group_name: str
-    group_order: int
+    group: str
+    order: int
     k_order: int
     l_order: int
     h_order: int
-    theta_index: int
+    theta: int
     theta_degree: int
     fixed_cosets: int
-    eta_index: int
+    eta: int
     eta_degree: int
-
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group_name,
-            "order": self.group_order,
-            "k_order": self.k_order,
-            "l_order": self.l_order,
-            "h_order": self.h_order,
-            "theta": self.theta_index,
-            "theta_degree": self.theta_degree,
-            "fixed_cosets": self.fixed_cosets,
-            "eta": self.eta_index,
-            "eta_degree": self.eta_degree,
-        }
-
-
-class DescentTrace(NamedTuple):
-    steps: tuple[DescentStep, ...] = ()
-
-    def to_dict(self) -> list:
-        return [s.to_dict() for s in self.steps]
 
 
 def _descent_step_context(group: PermGroup, p: int, P_perms: frozenset, memo: dict):
-    """K, L, P-inside, H for one descent level (chi-independent, so memoized)."""
-    ctx = memo.get(id(group))
+    """K, L, P-inside, H for one descent level (chi-independent, so memoized).
+
+    The memo is keyed by the group and P: instances on one group with
+    different Sylow subgroups descend through different H.
+    """
+    key = (id(group), P_perms)
+    ctx = memo.get(key)
     if ctx is not None:
         return ctx
     K = o_p_residual(group, p)
@@ -242,13 +240,13 @@ def _descent_step_context(group: PermGroup, p: int, P_perms: frozenset, memo: di
         raise FalsificationError("G is not K*P", group=group.name, kp=kp)
     H = product_subgroup(P_here, L)
     ctx = (K, L, P_here, H)
-    memo[id(group)] = ctx
+    memo[key] = ctx
     return ctx
 
 
 def isaacs_descent(
     inst: McKayInstance, chi_index: int, memo: dict | None = None
-) -> tuple[int, DescentTrace]:
+) -> tuple[int, tuple[DescentStep, ...]]:
     """Descend chi through H = P*L levels to a linear character of P.
 
     Every uniqueness, coprimality and progress condition along the way is a
@@ -278,7 +276,7 @@ def isaacs_descent(
                 "P-invariant constituent below chi is not unique",
                 group=group.name,
                 candidates=invariant,
-                trace=[s.to_dict() for s in steps],
+                trace=as_json(steps),
             )
         theta = l_table.rows[invariant[0]]
         _, k_theta = orbit_and_stabilizer(theta, L, actors=K)
@@ -288,7 +286,7 @@ def isaacs_descent(
                 "coprime fixed-point count on K_theta/L is not 1",
                 group=group.name,
                 fixed=fixed,
-                trace=[s.to_dict() for s in steps],
+                trace=as_json(steps),
             )
         chi_h = restrict(current, H)
         l_in_h = H.view.subgroup(L.members())
@@ -298,7 +296,7 @@ def isaacs_descent(
                 "constituent of chi_H over theta is not unique",
                 group=group.name,
                 candidates=over,
-                trace=[s.to_dict() for s in steps],
+                trace=as_json(steps),
             )
         h_table = character_table(H.view)
         eta_index = over[0]
@@ -312,15 +310,15 @@ def isaacs_descent(
             raise FalsificationError("descent made no progress", group=group.name)
         steps.append(
             DescentStep(
-                group_name=group.name,
-                group_order=group.order,
+                group=group.name,
+                order=group.order,
                 k_order=K.order,
                 l_order=L.order,
                 h_order=H.order,
-                theta_index=invariant[0],
+                theta=invariant[0],
                 theta_degree=l_table.degrees[invariant[0]],
                 fixed_cosets=fixed,
-                eta_index=eta_index,
+                eta=eta_index,
                 eta_degree=h_table.degrees[eta_index],
             )
         )
@@ -334,7 +332,7 @@ def isaacs_descent(
             "descent terminated on a non-linear character",
             degree=p_table.degrees[xi_index],
         )
-    return xi_index, DescentTrace(tuple(steps))
+    return xi_index, tuple(steps)
 
 
 # -- supporting theorem checks --------------------------------------------------------
@@ -418,78 +416,54 @@ def check_glauberman_unique(
     return len(invariant)
 
 
-def mckay_count(inst: McKayInstance) -> tuple[int, int, bool]:
+class Counts(NamedTuple):
+    irr_p_prime_g: int
+    irr_p_prime_n: int
+    equal: bool
+
+
+def mckay_count(inst: McKayInstance) -> Counts:
     """|Irr_{p'}(G)| vs |Irr_{p'}(N_G(P))| (valid even when N_G(P) > P)."""
     a = len(p_prime_irreducibles(character_table(inst.group), inst.p))
     b = len(p_prime_irreducibles(character_table(inst.normalizer.view), inst.p))
-    return a, b, a == b
+    return Counts(a, b, a == b)
 
 
 # -- the coincidence verdict -----------------------------------------------------------
 
 
 class PairRecord(NamedTuple):
-    chi_index: int
+    chi: int
     chi_degree: int
-    star_index: int | None
-    descent_index: int | None
+    star: int | None
+    descent: int | None
     coincide: bool
-    trace: DescentTrace
+    trace: tuple[DescentStep, ...]
     error: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "chi": self.chi_index,
-            "chi_degree": self.chi_degree,
-            "star": self.star_index,
-            "descent": self.descent_index,
-            "coincide": self.coincide,
-            "trace": self.trace.to_dict(),
-            "error": self.error,
-        }
 
 
 class CorrespondenceReport(NamedTuple):
-    group_name: str
-    group_order: int
+    group: str
+    order: int
     p: int
     flags: dict
     sylow_order: int
     normalizer_order: int
     linear_count: int
     pairs: tuple[PairRecord, ...]
-    counts: tuple[int, int, bool]
+    counts: Counts
     star_bijection: bool
     descent_bijection: bool
     verdict: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group_name,
-            "order": self.group_order,
-            "p": self.p,
-            "flags": dict(sorted(self.flags.items())),
-            "sylow_order": self.sylow_order,
-            "normalizer_order": self.normalizer_order,
-            "linear_count": self.linear_count,
-            "pairs": [p.to_dict() for p in self.pairs],
-            "counts": {
-                "irr_p_prime_g": self.counts[0],
-                "irr_p_prime_n": self.counts[1],
-                "equal": self.counts[2],
-            },
-            "star_bijection": self.star_bijection,
-            "descent_bijection": self.descent_bijection,
-            "verdict": self.verdict,
-        }
+    to_dict = as_json
 
 
 def verify_main(inst: McKayInstance) -> CorrespondenceReport:
     """Run both correspondences over all of Irr_{p'}(G) and compare."""
     if not inst.hypotheses_ok:
-        raise HypothesisError(
-            f"({inst.group.name}, p={inst.p}) fails hypotheses: {inst.flag_summary()}"
-        )
+        failed = ", ".join(k for k, v in inst.flag_summary().items() if not v)
+        raise HypothesisError(f"({inst.group.name}, p={inst.p}) does not satisfy: {failed}")
     table = character_table(inst.group)
     p_rows = p_prime_irreducibles(table, inst.p)
     p_table = character_table(inst.sylow.view)
@@ -500,7 +474,7 @@ def verify_main(inst: McKayInstance) -> CorrespondenceReport:
     for ci in p_rows:
         star_i = desc_i = None
         error = None
-        trace = DescentTrace()
+        trace = ()
         try:
             star_i = navarro_star(inst, ci)
             desc_i, trace = isaacs_descent(inst, ci, memo=memo)
@@ -510,24 +484,24 @@ def verify_main(inst: McKayInstance) -> CorrespondenceReport:
         all_ok = all_ok and coincide
         pairs.append(
             PairRecord(
-                chi_index=ci,
+                chi=ci,
                 chi_degree=table.degrees[ci],
-                star_index=star_i,
-                descent_index=desc_i,
+                star=star_i,
+                descent=desc_i,
                 coincide=coincide,
                 trace=trace,
                 error=error,
             )
         )
-    star_values = [p.star_index for p in pairs]
-    desc_values = [p.descent_index for p in pairs]
+    star_values = [p.star for p in pairs]
+    desc_values = [p.descent for p in pairs]
     star_bij = sorted(star_values, key=_none_last) == list(lin) and len(set(star_values)) == len(pairs)
     desc_bij = sorted(desc_values, key=_none_last) == list(lin) and len(set(desc_values)) == len(pairs)
     counts = mckay_count(inst)
-    verdict = all_ok and star_bij and desc_bij and counts[2]
+    verdict = all_ok and star_bij and desc_bij and counts.equal
     return CorrespondenceReport(
-        group_name=inst.group.name,
-        group_order=inst.group.order,
+        group=inst.group.name,
+        order=inst.group.order,
         p=inst.p,
         flags=inst.flag_summary(),
         sylow_order=inst.sylow.order,

@@ -35,7 +35,6 @@ from .groups import (
     DEFAULT_CAP,
     PermGroup,
     Subgroup,
-    centralizer_of_subgroup,
     conjugacy_classes,
     derived_subgroup,
     fixed_points_on_cosets,
@@ -45,7 +44,7 @@ from .groups import (
     product_subgroup,
     sylow,
 )
-from .mckay import FalsificationError
+from .mckay import FalsificationError, as_json
 
 
 class ConstructionError(RuntimeError):
@@ -108,32 +107,41 @@ def remark_generators() -> list[tuple[int, ...]]:
 # -- showcase data -------------------------------------------------------------------
 
 
-class RemarkData:
-    """Progressively filled record of the order-648 verification.
+class RemarkGroup(NamedTuple):
+    """The order-648 group and its six named subgroups."""
 
-    The group and its six named subgroups are fixed when it is built; each
-    verification step fills in its own fields.
-    """
-
-    def __init__(
-        self, G: PermGroup, K: Subgroup, L: Subgroup, H: Subgroup, P: Subgroup, N: Subgroup
-    ):
-        self.G, self.K, self.L, self.H, self.P, self.N = G, K, L, H, P, N
-        self.theta_index: int | None = None
-        self.theta: ClassFunction | None = None
-        self.phi_index: int | None = None
-        self.phi: ClassFunction | None = None
-        self.e: int | None = None
-        self.psi_alpha: int | None = None
-        self.psi_beta: int | None = None
-        self.psi_h: ClassFunction | None = None
-        self.psi_n: ClassFunction | None = None
-        self.pairs: tuple[tuple[int, int], ...] = ()
-        self.viable: tuple[dict, ...] = ()
-        self.non_constituent: tuple[dict, ...] = ()
+    G: PermGroup
+    K: Subgroup
+    L: Subgroup
+    H: Subgroup
+    P: Subgroup
+    N: Subgroup
 
 
-def build_remark_group(cap: int = DEFAULT_CAP) -> RemarkData:
+class RemarkData(NamedTuple):
+    """The group, its subgroups and every verified value, built once by ``remark_data``."""
+
+    G: PermGroup
+    K: Subgroup
+    L: Subgroup
+    H: Subgroup
+    P: Subgroup
+    N: Subgroup
+    theta_index: int
+    theta: ClassFunction
+    phi_index: int
+    phi: ClassFunction
+    e: int
+    psi_alpha: int
+    psi_beta: int
+    psi_h: ClassFunction
+    psi_n: ClassFunction
+    pairs: tuple[tuple[int, int], ...]
+    viable: tuple[dict, ...]
+    non_constituent: tuple[dict, ...]
+
+
+def build_remark_group(cap: int = DEFAULT_CAP) -> RemarkGroup:
     """Construct the group and named subgroups; assert every invariant."""
     gens = remark_generators()
     G = PermGroup.from_generators(27, gens, name="Remark648", cap=cap)
@@ -161,11 +169,10 @@ def build_remark_group(cap: int = DEFAULT_CAP) -> RemarkData:
 
     # K extraspecial of exponent 3: Z(K) = K' = L, every non-identity order 3
     kv = K.view
-    center = centralizer_of_subgroup(kv, kv.full_subgroup())
-    _require(center.order == 3, "Z(K) should have order 3")
-    _require(
-        frozenset(center.members()) == frozenset(L.members()), "Z(K) != L"
-    )
+    k_classes = conjugacy_classes(kv)
+    center = {kv.elements[r] for r, size in zip(k_classes.rep_ids, k_classes.sizes) if size == 1}
+    _require(len(center) == 3, "Z(K) should have order 3")
+    _require(center == L.member_set(), "Z(K) != L")
     _require(
         derived_subgroup(K).member_ids == L.member_ids, "K' != L"
     )
@@ -182,11 +189,16 @@ def build_remark_group(cap: int = DEFAULT_CAP) -> RemarkData:
         fixed = fixed_points_on_cosets(G.subgroup_from_ids(cyc_ids), K, L)
         _require(fixed == 1, f"C_(K/L)(x) != 1 for x of order {G.element_order(xid)}")
 
-    return RemarkData(G=G, K=K, L=L, H=H, P=P, N=N)
+    return RemarkGroup(G=G, K=K, L=L, H=H, P=P, N=N)
 
 
-def verify_fully_ramified(data: RemarkData) -> int:
-    """theta^K = e*phi and phi_L = e*theta for a single phi; returns e."""
+def verify_fully_ramified(
+    data: RemarkGroup,
+) -> tuple[int, ClassFunction, int, ClassFunction, int]:
+    """theta^K = e*phi and phi_L = e*theta for a single phi.
+
+    Returns (theta index, theta, phi index, phi, e).
+    """
     l_table = character_table(data.L.view)
     _require(l_table.degrees == (1, 1, 1), "Irr(L) should be three linears")
     theta = l_table.rows[1]  # canonical first nontrivial character of L
@@ -209,13 +221,10 @@ def verify_fully_ramified(data: RemarkData) -> int:
         raise FalsificationError("phi restricted to L is not e*theta", e=e)
     if e * e != data.K.order // data.L.order:
         raise FalsificationError("ramification index does not square to |K:L|", e=e)
-    data.theta_index, data.theta = 1, theta
-    data.phi_index, data.phi = phi_index, phi
-    data.e = e
-    return e
+    return 1, theta, phi_index, phi, e
 
 
-def inflate_from_direct_factor(data: RemarkData, f: ClassFunction) -> ClassFunction:
+def inflate_from_direct_factor(data: RemarkGroup, f: ClassFunction) -> ClassFunction:
     """Lift a class function of H to N = L x H through the projection N -> H."""
     n_view = data.N.view
     h_view = data.H.view
@@ -236,7 +245,7 @@ def inflate_from_direct_factor(data: RemarkData, f: ClassFunction) -> ClassFunct
     return ClassFunction(n_view, values)
 
 
-def recover_psi(data: RemarkData) -> tuple[dict, ...]:
+def recover_psi(data: RemarkGroup, theta: ClassFunction, phi: ClassFunction) -> tuple:
     """Search for the degree-3 product-relation character.
 
     Candidates are alpha + beta over the linear characters alpha and the
@@ -244,9 +253,10 @@ def recover_psi(data: RemarkData) -> tuple[dict, ...]:
     chi_N = psi_N * xi matches the odd-degree members of Irr(G|phi) and of
     Irr(N|theta) bijectively.  Viable candidates are then screened against
     the expected value pattern (-1 on order 2, +1 on order 4, +-sqrt(-3) on
-    order 3, faithful); at least one must survive.
+    order 3, faithful); at least one must survive.  Returns the first
+    survivor as (alpha, beta, psi on H, psi on N, its pairs) followed by the
+    records of all viable candidates.
     """
-    _require(data.phi is not None, "run verify_fully_ramified first")
     G = data.G
     g_table = character_table(G)
     n_view = data.N.view
@@ -257,13 +267,13 @@ def recover_psi(data: RemarkData) -> tuple[dict, ...]:
 
     odd_chis = [
         i
-        for i in lying_over(g_table, data.K, data.phi)
+        for i in lying_over(g_table, data.K, phi)
         if g_table.degrees[i] % 2 == 1
     ]
     l_in_n = n_view.subgroup(data.L.members())
     odd_xis = [
         i
-        for i in lying_over(n_table, l_in_n, data.theta)
+        for i in lying_over(n_table, l_in_n, theta)
         if n_table.degrees[i] % 2 == 1
     ]
     _require(len(odd_chis) == 4 and len(odd_xis) == 4, "expected 4 odd characters on each side")
@@ -275,10 +285,12 @@ def recover_psi(data: RemarkData) -> tuple[dict, ...]:
 
     root = sqrt_minus3()
     candidates = []
+    psis = {}
     for a in linears:
         for b in deg2:
             psi_h = h_table.rows[a] + h_table.rows[b]
             psi_n = inflate_from_direct_factor(data, psi_h)
+            psis[a, b] = psi_h, psi_n
             products = {xi: mul_classfn(psi_n, n_table.rows[xi]).values for xi in odd_xis}
             matches = {
                 ci: [xi for xi in odd_xis if chi_restrictions[ci].values == products[xi]]
@@ -319,8 +331,6 @@ def recover_psi(data: RemarkData) -> tuple[dict, ...]:
                     "order3_ok": order3_ok,
                     "faithful": faithful,
                     "values_ok": order2_ok and order4_ok and order3_ok and faithful,
-                    "_psi_h": psi_h,
-                    "_psi_n": psi_n,
                 }
             )
     viable = [c for c in candidates if c["viable"]]
@@ -331,22 +341,19 @@ def recover_psi(data: RemarkData) -> tuple[dict, ...]:
             viable=[(c["alpha"], c["beta"]) for c in viable],
         )
     chosen = good[0]
-    data.psi_alpha, data.psi_beta = chosen["alpha"], chosen["beta"]
-    data.psi_h, data.psi_n = chosen["_psi_h"], chosen["_psi_n"]
-    data.pairs = tuple(chosen["pairs"])
-    data.viable = tuple(
-        {k: v for k, v in c.items() if not k.startswith("_")} for c in viable
-    )
-    return data.viable
+    a, b = chosen["alpha"], chosen["beta"]
+    psi_h, psi_n = psis[a, b]
+    return a, b, psi_h, psi_n, tuple(chosen["pairs"]), tuple(viable)
 
 
-def verify_non_constituent(data: RemarkData) -> tuple[dict, ...]:
+def verify_non_constituent(
+    data: RemarkGroup, pairs: tuple[tuple[int, int], ...]
+) -> tuple[dict, ...]:
     """<chi_N, xi> for every matched pair; must vanish whenever xi is linear."""
-    _require(bool(data.pairs), "run recover_psi first")
     g_table = character_table(data.G)
     n_table = character_table(data.N.view)
     records = []
-    for ci, xi in data.pairs:
+    for ci, xi in pairs:
         chi_n = restrict(g_table.rows[ci], data.N)
         ip = inner_product_int(chi_n, n_table.rows[xi])
         norm = inner_product_int(chi_n, chi_n)
@@ -370,21 +377,24 @@ def verify_non_constituent(data: RemarkData) -> tuple[dict, ...]:
                 "asserted_zero": xi_degree == 1,
             }
         )
-    data.non_constituent = tuple(records)
-    return data.non_constituent
+    return tuple(records)
 
 
 @lru_cache(maxsize=None)
 def remark_data(cap: int = DEFAULT_CAP) -> RemarkData:
     """Full showcase pipeline, computed once per process."""
-    data = build_remark_group(cap=cap)
-    verify_fully_ramified(data)
-    recover_psi(data)
-    verify_non_constituent(data)
-    return data
+    group = build_remark_group(cap=cap)
+    theta_index, theta, phi_index, phi, e = verify_fully_ramified(group)
+    alpha, beta, psi_h, psi_n, pairs, viable = recover_psi(group, theta, phi)
+    non_constituent = verify_non_constituent(group, pairs)
+    return RemarkData(
+        *group, theta_index, theta, phi_index, phi, e,
+        alpha, beta, psi_h, psi_n, pairs, viable, non_constituent,
+    )
 
 
 def remark_report(cap: int = DEFAULT_CAP) -> dict:
+    """The showcase's structured output, as plain JSON data."""
     data = remark_data(cap=cap)
     h_classes = conjugacy_classes(data.H.view)
     by_order: dict[str, list[str]] = {}
@@ -392,12 +402,7 @@ def remark_report(cap: int = DEFAULT_CAP) -> dict:
         by_order.setdefault(str(h_classes.rep_order(c)), []).append(
             render_cyc(data.psi_h.values[c])
         )
-    candidates = []
-    for c in data.viable:
-        c = dict(sorted(c.items()))
-        c["pairs"] = [list(p) for p in c["pairs"]]
-        candidates.append(c)
-    return {
+    return as_json({
         "group": data.G.name,
         "orders": {
             "G": data.G.order,
@@ -420,10 +425,10 @@ def remark_report(cap: int = DEFAULT_CAP) -> dict:
             "values_by_class_order": {k: sorted(set(v)) for k, v in by_order.items()},
             "values": [render_cyc(v) for v in data.psi_h.values],
         },
-        "viable_candidates": candidates,
-        "pairs": [list(p) for p in data.pairs],
-        "non_constituent": [dict(sorted(r.items())) for r in data.non_constituent],
-    }
+        "viable_candidates": data.viable,
+        "pairs": data.pairs,
+        "non_constituent": data.non_constituent,
+    })
 
 
 # -- the corpus -----------------------------------------------------------------------

@@ -68,6 +68,18 @@ def test_engine_error_exits_3_without_traceback(monkeypatch, capsys):
     assert "Traceback" not in err and "FALSIFIED" not in err
 
 
+def test_any_other_engine_exception_exits_3_with_its_type(monkeypatch, capsys):
+    from charcorr import cli
+
+    def broken(G):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "character_table", broken)
+    assert main(["table", "--group", "s3"]) == 3
+    err = capsys.readouterr().err
+    assert err == "engine error: KeyError: 'boom'\n"
+
+
 def test_degree_recovery_fault_exits_3_without_traceback(monkeypatch, capsys):
     # Shifting one entry of one common eigenvector breaks the degree step:
     # d^2 = |G| / t has no root d <= sqrt(|G|) mod q, or t = 0 (shown as d^2 = 0).
@@ -351,6 +363,18 @@ def test_verify_hypothesis_failure_exits_2(capsys):
     assert "self_normalizing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "group, p, message",
+    [
+        ("sl23", "3", "(SL(2,3), p=3) does not satisfy: self_normalizing, parity"),
+        ("f21", "7", "(F21, p=7) does not satisfy: self_normalizing"),
+    ],
+)
+def test_verify_hypothesis_failure_names_the_failed_flags(capsys, group, p, message):
+    assert main(["verify", "--group", group, "-p", p]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_verify_non_prime_exits_2(capsys):
     assert main(["verify", "--group", "s4", "-p", "6"]) == 2
 
@@ -431,6 +455,29 @@ def test_verify_all(tmp_path):
     assert lines[-1] == "all ok: true"
     assert sum("verdict=true" in l for l in lines) == 7
     assert sum("SKIP descent" in l for l in lines) == 3
+
+
+@pytest.mark.parametrize(
+    "name, p, label, flags",
+    [
+        ("sl23", 3, "theorem", "'solvable': True, 'self_normalizing': False, 'parity': False"),
+        ("s4", 2, "hypothesis-fail", "'solvable': True, 'self_normalizing': True, 'parity': True"),
+    ],
+    ids=["theorem", "hypothesis-fail"],
+)
+def test_verify_all_refuses_a_corpus_label_its_flags_contradict(
+    monkeypatch, capsys, name, p, label, flags
+):
+    from charcorr import cli
+    from charcorr.showcase import CorpusEntry
+
+    monkeypatch.setattr(cli, "corpus", lambda: (CorpusEntry(name, p, label),))
+    assert main(["verify", "--all"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"engine error: corpus entry {name} at p={p} expects {label}, but its flags are {{{flags}}}\n"
+    )
 
 
 def test_verify_all_builds_each_corpus_table_once(monkeypatch):

@@ -19,7 +19,6 @@ from charcorr.groups import (
     GroupTooLargeError,
     MalformedGroupError,
     PermGroup,
-    centralizer_of_subgroup,
     conjugacy_classes,
     coset_rep_ids,
     derived_series,
@@ -37,7 +36,6 @@ from charcorr.groups import (
     product_subgroup,
     sylow,
 )
-from charcorr.kernels import pure
 from charcorr.showcase import corpus, load_corpus_group
 
 
@@ -247,17 +245,6 @@ def test_sylow_exact_p_part_everywhere():
         G = load_corpus_group(entry.name)
         for p in (2, 3, 5, 7):
             assert sylow(G, p).order == p_part(G.order, p)
-
-
-def test_centralizer_of_sylow_is_the_member_by_member_intersection():
-    for entry in corpus():
-        G = load_corpus_group(entry.name)
-        for p in (2, 3, 5, 7):
-            P = sylow(G, p)
-            expected = set(range(G.order))
-            for hid in P.sorted_ids:
-                expected &= set(pure.centralizer_ids(G, hid))
-            assert centralizer_of_subgroup(G, P).member_ids == frozenset(expected)
 
 
 # -- normalizer -----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 coprime uniqueness, counts, coincidence, and the supporting lemma checks
 run exhaustively over corpus-derivable configurations."""
 
+import json
+
 import pytest
 
 from charcorr import perm as pm
@@ -23,8 +25,11 @@ from charcorr.groups import (
     sylow,
 )
 from charcorr.mckay import (
+    Counts,
+    DescentStep,
     FalsificationError,
     HypothesisError,
+    as_json,
     check_extension,
     check_glauberman_unique,
     check_hypotheses,
@@ -137,7 +142,7 @@ def test_descent_on_p_group_is_identity(d8):
     tab = character_table(d8)
     for ci in p_prime_irreducibles(tab, 2):
         xi, trace = isaacs_descent(inst, ci)
-        assert trace.steps == ()
+        assert trace == ()
         p_tab = character_table(inst.sylow.view)
         assert p_tab.rows[xi].values == restrict(tab.rows[ci], inst.sylow.parent.full_subgroup()).values
 
@@ -145,9 +150,9 @@ def test_descent_on_p_group_is_identity(d8):
 def test_descent_standard_s4(s4):
     inst = check_hypotheses(s4, 2)
     xi, trace = isaacs_descent(inst, std_char(s4))
-    assert len(trace.steps) == 1
-    step = trace.steps[0]
-    assert (step.group_order, step.k_order, step.l_order, step.h_order) == (24, 12, 4, 8)
+    assert len(trace) == 1
+    step = trace[0]
+    assert (step.order, step.k_order, step.l_order, step.h_order) == (24, 12, 4, 8)
     assert step.theta_degree == 1 and step.fixed_cosets == 1
     assert xi == navarro_star(inst, std_char(s4))
 
@@ -157,8 +162,8 @@ def test_descent_f21_linear(f21):
     tab = character_table(f21)
     ci = 1  # a nontrivial linear character
     xi, trace = isaacs_descent(inst, ci)
-    assert len(trace.steps) == 1
-    step = trace.steps[0]
+    assert len(trace) == 1
+    step = trace[0]
     assert (step.k_order, step.l_order, step.h_order) == (7, 1, 3)
     p_tab = character_table(inst.sylow.view)
     assert p_tab.rows[xi].values == restrict(tab.rows[ci], inst.sylow).values
@@ -348,18 +353,19 @@ def test_verify_main_refuses_bad_instances(sl23):
 def test_verify_main_d8_trivial(d8):
     rep = verify_main(check_hypotheses(d8, 2))
     assert rep.verdict and len(rep.pairs) == 4
-    assert [p.star_index for p in rep.pairs] == [p.descent_index for p in rep.pairs]
+    assert [p.star for p in rep.pairs] == [p.descent for p in rep.pairs]
 
 
 def test_verification_records_are_immutable(s4):
     inst = check_hypotheses(s4, 2)
     rep = verify_main(inst)
-    pair = next(p for p in rep.pairs if p.trace.steps)
+    pair = next(p for p in rep.pairs if p.trace)
+    assert type(pair.trace) is tuple and type(rep.pairs) is tuple
     for record, field in (
         (inst, "p"),
-        (pair.trace.steps[0], "k_order"),
-        (pair.trace, "steps"),
-        (pair, "star_index"),
+        (pair.trace[0], "k_order"),
+        (pair, "star"),
+        (rep.counts, "equal"),
         (rep, "verdict"),
     ):
         with pytest.raises(AttributeError):
@@ -375,6 +381,68 @@ def test_report_dict_shape(s4):
     assert d["counts"]["equal"] is True
     assert len(d["pairs"]) == 4
     assert d["pairs"][0]["trace"][0]["k_order"] == 12
+
+
+def test_as_json_turns_a_record_inside_a_dict_inside_a_tuple_into_plain_json():
+    step = DescentStep("S4", 24, 12, 4, 8, 1, 1, 1, 2, 1)
+    value = ({"trace": (step,), "counts": Counts(4, 4, True)}, [None, (2, 3)])
+    plain = as_json(value)
+    assert plain == [
+        {
+            "trace": [
+                {
+                    "group": "S4",
+                    "order": 24,
+                    "k_order": 12,
+                    "l_order": 4,
+                    "h_order": 8,
+                    "theta": 1,
+                    "theta_degree": 1,
+                    "fixed_cosets": 1,
+                    "eta": 2,
+                    "eta_degree": 1,
+                }
+            ],
+            "counts": {"irr_p_prime_g": 4, "irr_p_prime_n": 4, "equal": True},
+        },
+        [None, [2, 3]],
+    ]
+    assert type(plain[0]["trace"][0]) is dict  # not the record itself
+    assert json.loads(json.dumps(plain)) == plain
+
+
+def test_report_serializes_by_its_field_names(s4):
+    rep = verify_main(check_hypotheses(s4, 2))
+    d = rep.to_dict()
+    assert list(d) == list(rep._fields)
+    assert list(d["pairs"][0]) == list(rep.pairs[0]._fields)
+
+
+def test_descent_memo_is_keyed_by_the_sylow_subgroup(s4):
+    # one memo shared by two instances on S4 whose Sylow 2-subgroups differ
+    base = check_hypotheses(s4, 2)
+    conjugates = (
+        s4.subgroup(pm.conjugate(x, g) for x in base.sylow.members()) for g in s4.elements
+    )
+    other = instance_with_sylow(s4, 2, next(Q for Q in conjugates if Q != base.sylow))
+    memo: dict = {}
+    rows = p_prime_irreducibles(character_table(s4), 2)
+    for inst in (base, other):
+        for ci in rows:
+            xi, trace = isaacs_descent(inst, ci, memo=memo)
+            assert xi == navarro_star(inst, ci)
+    assert len(memo) == 2
+    for K, L, P_here, H in memo.values():
+        assert P_here.parent is s4 and P_here.member_ids <= H.member_ids
+
+
+def test_verify_main_names_the_failed_flags_in_order(sl23, f21):
+    with pytest.raises(HypothesisError) as info:
+        verify_main(check_hypotheses(sl23, 3))
+    assert str(info.value) == "(SL(2,3), p=3) does not satisfy: self_normalizing, parity"
+    with pytest.raises(HypothesisError) as info:
+        verify_main(check_hypotheses(f21, 7))
+    assert str(info.value) == "(F21, p=7) does not satisfy: self_normalizing"
 
 
 def test_sylow_choice_independence(s4, f21):

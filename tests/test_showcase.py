@@ -59,11 +59,17 @@ def test_k_is_extraspecial_exponent_3(data):
     G = data.G
     assert is_normal(G, data.K)
     assert all(G.element_order(i) == 3 for i in data.K.sorted_ids if i != 0)
-    from charcorr.groups import centralizer_of_subgroup, derived_subgroup
+    from charcorr.groups import derived_subgroup
 
+    # Z(K) read off the classes of size 1, against the elements commuting with all of K
     kv = data.K.view
-    center = centralizer_of_subgroup(kv, kv.full_subgroup())
-    assert center.order == 3
+    k_classes = conjugacy_classes(kv)
+    center = {r for r, size in zip(k_classes.rep_ids, k_classes.sizes) if size == 1}
+    commuting = {
+        i for i in range(kv.order) if all(kv.mul(i, j) == kv.mul(j, i) for j in range(kv.order))
+    }
+    assert center == commuting and len(center) == 3
+    assert {kv.elements[i] for i in center} == data.L.member_set()
     assert derived_subgroup(data.K).member_ids == data.L.member_ids
 
 
@@ -201,8 +207,8 @@ def test_inside_theorem_regime_targets_are_constituents(s4):
     tab = character_table(s4)
     p_tab = character_table(inst.sylow.view)
     for pair in rep.pairs:
-        chi_p = restrict(tab.rows[pair.chi_index], inst.sylow)
-        assert inner_product_int(chi_p, p_tab.rows[pair.star_index]) == 1
+        chi_p = restrict(tab.rows[pair.chi], inst.sylow)
+        assert inner_product_int(chi_p, p_tab.rows[pair.star]) == 1
 
 
 def test_invariant_constituent_lemma_on_remark(data):
@@ -240,6 +246,13 @@ def test_invariant_constituent_lemma_on_remark(data):
 def test_mckay_count_remark(data):
     inst = check_hypotheses(data.G, 2)
     assert mckay_count(inst) == (12, 12, True)
+
+
+def test_remark_data_is_immutable(data):
+    with pytest.raises(AttributeError):
+        data.psi_h = data.psi_n
+    assert type(data.pairs) is tuple and type(data.viable) is tuple
+    assert all(not key.startswith("_") for c in data.viable for key in c)
 
 
 def test_remark_report_shape(data):
