@@ -99,6 +99,15 @@ class CharacterTable:
         self.classes = classes
         self.rows: tuple[ClassFunction, ...] = tuple(rows)
         self.degrees = tuple(r.degree_int() for r in self.rows)
+        self.conductor = lcm(*(v.n for r in self.rows for v in r.values))
+        self._embeddings: dict[int, _Embedding] = {}  # filled by embedding
+
+    def embedding(self, m: int) -> "_Embedding":
+        """The rows embedded in Z[zeta_m] for the pairing engine, built once per m."""
+        emb = self._embeddings.get(m)
+        if emb is None:
+            emb = self._embeddings[m] = _Embedding(self.rows, m)
+        return emb
 
     @property
     def count(self) -> int:
@@ -347,7 +356,7 @@ def _verify_table(table: CharacterTable) -> None:
     if not all(v == 1 for v in table.rows[0].values):
         raise RuntimeError(f"{G.name}: first irreducible is not the trivial character")
     try:
-        gram, _ = _pairings(table.rows, table.rows)
+        gram, _ = _pairings(table.rows, table.rows)  # embedded once, and not kept
     except NotACharacterError as exc:
         raise RuntimeError(f"{G.name}: {exc}") from exc
     for a, row in enumerate(gram):
@@ -359,47 +368,97 @@ def _verify_table(table: CharacterTable) -> None:
 # -- exact pairings -----------------------------------------------------------------
 
 
-def _pairings(left, right) -> tuple[list[list[int]], list]:
+class _Embedding:
+    """Class functions on one group with their values embedded in Z[zeta_m].
+
+    m is a multiple of every value's stored conductor, which is its least
+    one.  Values are keyed by their cached integer form (``min_form``), and
+    each distinct value and its conjugate become integer power-basis vectors
+    once (``vectors``, ``conjugates``), or NotACharacterError if it is not
+    an algebraic integer; ``top`` bounds every coefficient.  The packed rows
+    are kept per slot width, so a table's embedding, which meets many other
+    sides, packs its rows once per width.
+    """
+
+    __slots__ = ("group", "functions", "basis", "vectors", "conjugates", "top", "_packed")
+
+    def __init__(self, functions, m: int):
+        self.group = G = functions[0].group
+        for f in functions:
+            check_same_group("pairing", f.group, G)
+        self.functions = functions
+        self.basis = basis = power_basis(m)
+        forms = {v.min_form(): v for f in functions for v in f.values}
+        self.vectors, self.conjugates = vectors, conjugates = {}, {}
+        for (d, pairs), v in forms.items():
+            if any(den != 1 for _, den in pairs):
+                raise NotACharacterError(f"value {render_cyc(v)} is not an algebraic integer")
+            coeffs = [num for num, _ in pairs]
+            vectors[d, pairs] = basis.substitute(coeffs, m // d)
+            conjugates[d, pairs] = basis.substitute(coeffs, -m // d)
+        # every value may be 0
+        self.top = max(1, *(max(map(abs, x + conjugates[k])) for k, x in vectors.items()))
+        self._packed: dict[tuple[int, bool], list[list[int]]] = {}
+
+    def embedded(self, i: int) -> list[list[int]]:
+        """The embedded values of function i."""
+        return [self.vectors[v.min_form()] for v in self.functions[i].values]
+
+    def packed_rows(self, width: int, conjugate: bool) -> list[list[int]]:
+        """Per function, its values or their conjugates packed at this slot width (cached)."""
+        rows = self._packed.get((width, conjugate))
+        if rows is None:
+            source = self.conjugates if conjugate else self.vectors
+            forms = {k: _pack(x, width) for k, x in source.items()}
+            rows = [[forms[v.min_form()] for v in f.values] for f in self.functions]
+            self._packed[width, conjugate] = rows
+        return rows
+
+
+def _conductor(side) -> int:
+    """lcm of the stored conductors of the values on one side of a pairing."""
+    if isinstance(side, CharacterTable):
+        return side.conductor
+    return lcm(*(v.n for f in side for v in f.values))
+
+
+def _embedding(side, m: int) -> _Embedding:
+    if isinstance(side, CharacterTable):
+        return side.embedding(m)
+    return _Embedding(side, m)
+
+
+def _pairings(left, right) -> tuple[list[list[int]], tuple[_Embedding, _Embedding]]:
     """sum_i |C_i| a(g_i) conj(b(g_i)) for a in left, b in right, all on one group.
 
-    Each value is embedded from its stored conductor, which is its least one,
-    into Z[zeta_m], m the lcm of those conductors; values are keyed by their
-    cached integer form (``min_form``).  Each value and its conjugate become
-    integer power-basis vectors, or NotACharacterError if it is not an
-    algebraic integer.  Each vector is packed into one int (Kronecker
-    substitution, slots wide enough for any coefficient of the sum), one
-    big-int product per class gives the polynomial product, and the sum over
-    classes is decoded and reduced mod Phi_m once per pair; it must be
-    rational, or NotACharacterError.  Returns the pairing matrix, a row per
-    function of left, and the embedded values of left then right, for checks
-    that must not go through the packed products.
+    Each side is a list of class functions, or a CharacterTable standing for
+    its rows, whose embedding is built once and kept on the table.  Both are
+    embedded (``_Embedding``) into Z[zeta_m], m the lcm of their conductors;
+    a list paired with itself is embedded once.
+    Each vector is packed into one int (Kronecker substitution, slots wide
+    enough for any coefficient of the sum), one big-int product per class
+    gives the polynomial product, and the sum over classes is decoded and
+    reduced mod Phi_m once per pair; it must be rational, or
+    NotACharacterError.  Returns the pairing matrix, a row per function of
+    left, and the embeddings of left and right, whose ``embedded`` values
+    serve checks that must not go through the packed products.
     """
-    G = left[0].group
-    functions = (*left, *right)
-    for f in functions:
-        check_same_group("pairing", f.group, G)
-    keys = [[v.min_form() for v in f.values] for f in functions]  # one lookup per value
-    forms = {k: v for f, ks in zip(functions, keys) for k, v in zip(ks, f.values)}
-    m = lcm(*(d for d, _ in forms))
-    basis = power_basis(m)
-    embedded = {}
-    for (d, pairs), v in forms.items():
-        if any(den != 1 for _, den in pairs):
-            raise NotACharacterError(f"value {render_cyc(v)} is not an algebraic integer")
-        coeffs = [num for num, _ in pairs]
-        embedded[d, pairs] = (basis.substitute(coeffs, m // d), basis.substitute(coeffs, -m // d))
-    top = max(1, *(max(map(abs, x + y)) for x, y in embedded.values()))  # every value may be 0
+    m = lcm(_conductor(left), _conductor(right))
+    a = _embedding(left, m)
+    b = a if right is left else _embedding(right, m)
+    G = a.group
+    check_same_group("pairing", b.group, G)
+    basis = a.basis
+    top = max(a.top, b.top)
     width = (2 * G.order * basis.phi * top * top).bit_length()
-    packed = {form: (_pack(x, width), _pack(y, width)) for form, (x, y) in embedded.items()}
     sizes = conjugacy_classes(G).sizes
-    wtd = [[s * packed[k][0] for s, k in zip(sizes, ks)] for ks in keys[: len(left)]]
-    conj = [[packed[k][1] for k in ks] for ks in keys[len(left) :]]
+    wtd = [list(map(mul, sizes, row)) for row in a.packed_rows(width, False)]
+    conj = b.packed_rows(width, True)
     slots = 2 * basis.phi - 1
     sums = [[basis.reduce(_unpack(sum(map(mul, x, y)), width, slots)) for y in conj] for x in wtd]
     if any(any(c[1:]) for row in sums for c in row):
         raise NotACharacterError("a pairing is not rational")
-    vectors = [[embedded[k][0] for k in ks] for ks in keys]
-    return [[c[0] for c in row] for row in sums], vectors
+    return [[c[0] for c in row] for row in sums], (a, b)
 
 
 def _pack(coeffs, width: int) -> int:
@@ -485,8 +544,7 @@ def inner_product_int(a: ClassFunction, b: ClassFunction) -> int:
 
 def constituents(f: ClassFunction) -> list[tuple[int, int]]:
     """(row index, multiplicity) pairs; errors unless f is a genuine character."""
-    table = character_table(f.group)
-    (pairings,), (target, *row_vectors) = _pairings([f], table.rows)
+    (pairings,), (target, rows) = _pairings([f], character_table(f.group))
     out = []
     for i, c in enumerate(pairings):
         m = _multiplicity(c, f.group.order, f"multiplicity of row {i}")
@@ -496,7 +554,8 @@ def constituents(f: ClassFunction) -> list[tuple[int, int]]:
             out.append((i, m))
     # f = sum m_i chi_i holds for every class function, so a mismatch here
     # means the pairings were decoded wrongly.
-    for k, want in enumerate(target):
+    row_vectors = {i: rows.embedded(i) for i, _ in out}
+    for k, want in enumerate(target.embedded(0)):
         got = [sum(m * row_vectors[i][k][j] for i, m in out) for j in range(len(want))]
         if got != want:
             raise RuntimeError(f"constituents of f do not reconstruct its value at class {k}")
@@ -504,31 +563,26 @@ def constituents(f: ClassFunction) -> list[tuple[int, int]]:
 
 
 def lying_over(table: CharacterTable, N: Subgroup, theta: ClassFunction) -> list[int]:
-    """Indices of irreducibles chi with <chi_N, theta> != 0 (N normal)."""
+    """Indices of irreducibles chi with <chi_N, theta> != 0 (N normal, theta a character).
+
+    By Frobenius reciprocity <chi_N, theta> = <chi, theta^G>, so these are
+    the constituents of the induced character: one decomposition against the
+    table's cached embedding, with the same integrality checks.
+    """
     if not is_normal(table.group, N):
         raise ValueError("lying_over: N is not normal")
-    pairings, _ = _pairings([restrict(row, N) for row in table.rows], [theta])
-    return [i for i, (c,) in enumerate(pairings) if _multiplicity(c, N.order, "inner product")]
-
-
-def constituents_over(f: ClassFunction, N: Subgroup, theta: ClassFunction) -> list[int]:
-    """Constituent rows of f that lie over theta on the normal subgroup N."""
-    check_same_group("constituents_over", N.parent, f.group)
-    over = lying_over(character_table(f.group), N, theta)
-    return [i for i, _ in constituents(f) if i in over]
+    return [i for i, _ in constituents(induce(theta, N))]
 
 
 def conjugate_classfn(theta: ClassFunction, N: Subgroup, g: pm.Perm) -> ClassFunction:
-    """theta^g on the same view: (theta^g)(x) = theta(g x g^-1)."""
+    """theta^g on the same view: (theta^g)(x) = theta(g x g^-1).
+
+    A reindex through the class action of g, which the view's classes cache.
+    """
     view = N.view
     check_same_group("conjugate_classfn", theta.group, view)
-    cls = conjugacy_classes(view)
-    ginv = pm.inverse(g)
-    values = []
-    for c in range(cls.count):
-        t = pm.compose(pm.compose(g, cls.rep(c)), ginv)  # g * rep * g^-1
-        values.append(theta.values[cls.class_of_perm(t)])
-    return ClassFunction(view, values)
+    values = theta.values
+    return ClassFunction(view, (values[c] for c in conjugacy_classes(view).action_of(g)))
 
 
 def is_invariant_under(theta: ClassFunction, N: Subgroup, S: Subgroup) -> bool:

@@ -338,6 +338,7 @@ class ConjClasses:
         self.orders = orders
         self.class_of_id = class_of_id
         self.members_ids = members_ids
+        self._actions: dict[Perm, tuple[int, ...]] = {}  # filled by action_of
 
     @property
     def count(self) -> int:
@@ -351,6 +352,23 @@ class ConjClasses:
 
     def rep_order(self, i: int) -> int:
         return self.orders[i]
+
+    def action_of(self, g: Perm) -> tuple[int, ...]:
+        """The class of g * rep * g^-1 for every class, for g normalizing the group.
+
+        Cached per permutation g, so the group's classes hold the action of
+        every element that has conjugated a class function on it; g may come
+        from any group containing this one.
+        """
+        action = self._actions.get(g)
+        if action is None:
+            ginv = pm.inverse(g)
+            action = tuple(
+                self.class_of_perm(pm.compose(pm.compose(g, self.rep(c)), ginv))
+                for c in range(self.count)
+            )
+            self._actions[g] = action
+        return action
 
 
 def conjugacy_classes(G: PermGroup) -> ConjClasses:
@@ -422,7 +440,7 @@ def _is_p_power(n: int, p: int) -> bool:
 
 def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
     check_same_group("normalizer", H.parent, G)
-    ids = pure.normalizer_ids(G, set(H.member_ids), list(H.gen_ids) or [0])
+    ids = pure.normalizer_ids(G, H.member_ids, list(H.gen_ids) or [0])
     return G.subgroup_from_ids(ids)
 
 
@@ -488,8 +506,16 @@ def o_p_residual(G: PermGroup, p: int) -> Subgroup:
 
 
 def product_subgroup(A: Subgroup, B: Subgroup) -> Subgroup:
-    """Set product AB, which must be a subgroup (errors otherwise)."""
+    """Set product AB, which must be a subgroup (errors otherwise).
+
+    When one operand contains the other, AB is the larger one and is
+    returned as it is.
+    """
     check_same_group("product_subgroup", A.parent, B.parent)
+    if B.member_ids <= A.member_ids:
+        return A
+    if A.member_ids <= B.member_ids:
+        return B
     G = A.parent
     ab = {G.mul(a, b) for a in A.sorted_ids for b in B.sorted_ids}
     ba = {G.mul(b, a) for a in A.sorted_ids for b in B.sorted_ids}

@@ -15,6 +15,14 @@ bijection onto Lin(P), and that the p'-degree counts match.  Internal
 uniqueness and progress conditions are theorem checks: a violation raises
 FalsificationError with a forensic payload and is never patched over.
 
+What does not depend on chi is computed once per instance.  ``verify_main``
+threads one memo through every descent: per level (a group and P) it holds
+a ``DescentLevel`` with K, L, P, H and, per theta in Irr(L), whether P fixes
+theta, the fixed points of P on K_theta/L and the rows of Irr(H) over
+theta.  Each chi still runs every check on those values.  Character tables
+keep their rows packed for the pairing engine, and a group's classes keep
+the class action of each element that conjugated a class function on it.
+
 The result records are NamedTuples whose field names are the keys of the
 structured output; ``as_json`` is the one function that serializes them.
 """
@@ -27,10 +35,10 @@ from .chartab import (
     ClassFunction,
     character_table,
     constituents,
-    constituents_over,
     induce,
     inner_product_int,
     is_invariant_under,
+    lying_over,
     orbit_and_stabilizer,
     p_prime_irreducibles,
     restrict,
@@ -211,8 +219,55 @@ class DescentStep(NamedTuple):
     eta_degree: int
 
 
-def _descent_step_context(group: PermGroup, p: int, P_perms: frozenset, memo: dict):
-    """K, L, P-inside, H for one descent level (chi-independent, so memoized).
+class DescentLevel(NamedTuple):
+    """One descent level (a group and P inside it): K, L, P, H and per-theta results.
+
+    Everything here is chi-independent.  The three dicts are keyed by a row
+    index theta of Irr(L) and filled on first use, so each result is
+    computed once per (level, theta) however many characters descend
+    through it: ``invariant`` says whether P fixes theta, ``fixed`` counts
+    the cosets of L in K_theta that P fixes, and ``over`` holds the rows of
+    Irr(H) lying over theta.
+    """
+
+    K: Subgroup
+    L: Subgroup
+    P_here: Subgroup
+    H: Subgroup
+    invariant: dict
+    fixed: dict
+    over: dict
+
+    def is_p_invariant(self, theta: int) -> bool:
+        inv = self.invariant.get(theta)
+        if inv is None:
+            row = character_table(self.L.view).rows[theta]
+            inv = self.invariant[theta] = is_invariant_under(row, self.L, self.P_here)
+        return inv
+
+    def fixed_cosets(self, theta: int) -> int:
+        """Fixed points of P on K_theta/L, K_theta the stabilizer of theta in K."""
+        fixed = self.fixed.get(theta)
+        if fixed is None:
+            row = character_table(self.L.view).rows[theta]
+            _, k_theta = orbit_and_stabilizer(row, self.L, actors=self.K)
+            fixed = self.fixed[theta] = fixed_points_on_cosets(self.P_here, k_theta, self.L)
+        return fixed
+
+    def rows_over(self, theta: int) -> frozenset[int]:
+        over = self.over.get(theta)
+        if over is None:
+            view = self.H.view
+            row = character_table(self.L.view).rows[theta]
+            l_in_h = view.subgroup(self.L.members())
+            over = self.over[theta] = frozenset(lying_over(character_table(view), l_in_h, row))
+        return over
+
+
+def _descent_step_context(
+    group: PermGroup, p: int, P_perms: frozenset, memo: dict
+) -> DescentLevel:
+    """The descent level of a group (chi-independent, so memoized).
 
     The memo is keyed by the group and P: instances on one group with
     different Sylow subgroups descend through different H.
@@ -239,7 +294,7 @@ def _descent_step_context(group: PermGroup, p: int, P_perms: frozenset, memo: di
     if kp != group.order:
         raise FalsificationError("G is not K*P", group=group.name, kp=kp)
     H = product_subgroup(P_here, L)
-    ctx = (K, L, P_here, H)
+    ctx = DescentLevel(K, L, P_here, H, {}, {}, {})
     memo[key] = ctx
     return ctx
 
@@ -250,7 +305,9 @@ def isaacs_descent(
     """Descend chi through H = P*L levels to a linear character of P.
 
     Every uniqueness, coprimality and progress condition along the way is a
-    theorem check; failures raise FalsificationError with the partial trace.
+    theorem check, run for every chi on the level's cached per-theta results
+    (``DescentLevel``); failures raise FalsificationError with the partial
+    trace.  ``verify_main`` passes one memo for all characters of an instance.
     """
     _require(inst.hypotheses_ok, f"descent needs all hypothesis flags: {inst.flag_summary()}")
     table0 = character_table(inst.group)
@@ -265,12 +322,11 @@ def isaacs_descent(
     current = table0.rows[chi_index]
     steps: list[DescentStep] = []
     while group.order > len(P_perms):
-        K, L, P_here, H = _descent_step_context(group, p, P_perms, memo)
+        level = _descent_step_context(group, p, P_perms, memo)
+        K, L, H = level.K, level.L, level.H
         l_table = character_table(L.view)
         chi_l = restrict(current, L)
-        invariant = [
-            i for i, _ in constituents(chi_l) if is_invariant_under(l_table.rows[i], L, P_here)
-        ]
+        invariant = [i for i, _ in constituents(chi_l) if level.is_p_invariant(i)]
         if len(invariant) != 1:
             raise FalsificationError(
                 "P-invariant constituent below chi is not unique",
@@ -278,9 +334,8 @@ def isaacs_descent(
                 candidates=invariant,
                 trace=as_json(steps),
             )
-        theta = l_table.rows[invariant[0]]
-        _, k_theta = orbit_and_stabilizer(theta, L, actors=K)
-        fixed = fixed_points_on_cosets(P_here, k_theta, L)
+        theta = invariant[0]
+        fixed = level.fixed_cosets(theta)
         if fixed != 1:
             raise FalsificationError(
                 "coprime fixed-point count on K_theta/L is not 1",
@@ -289,8 +344,8 @@ def isaacs_descent(
                 trace=as_json(steps),
             )
         chi_h = restrict(current, H)
-        l_in_h = H.view.subgroup(L.members())
-        over = constituents_over(chi_h, l_in_h, theta)
+        over_theta = level.rows_over(theta)
+        over = [i for i, _ in constituents(chi_h) if i in over_theta]
         if len(over) != 1:
             raise FalsificationError(
                 "constituent of chi_H over theta is not unique",
@@ -315,8 +370,8 @@ def isaacs_descent(
                 k_order=K.order,
                 l_order=L.order,
                 h_order=H.order,
-                theta=invariant[0],
-                theta_degree=l_table.degrees[invariant[0]],
+                theta=theta,
+                theta_degree=l_table.degrees[theta],
                 fixed_cosets=fixed,
                 eta=eta_index,
                 eta_degree=h_table.degrees[eta_index],

@@ -267,7 +267,7 @@ def test_criterion_6_lemma_checks(corpus_instances, positive_instances):
         tab = character_table(inst.group)
         for ci in p_prime_irreducibles(tab, inst.p):
             isaacs_descent(inst, ci, memo=memo)
-        for K, L, P_here, H in memo.values():
+        for K, L, P_here, H, *_ in memo.values():
             l_tab = character_table(L.view)
             for i in range(l_tab.count):
                 theta = l_tab.rows[i]

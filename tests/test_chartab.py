@@ -16,7 +16,6 @@ from charcorr.chartab import (
     NotACharacterError,
     character_table,
     constituents,
-    constituents_over,
     conjugate_classfn,
     fusion_map,
     induce,
@@ -589,6 +588,32 @@ def test_irrational_pairing_is_rejected(c7):
         constituents(f)
 
 
+def test_a_cached_table_embedding_still_checks_every_decomposition(f21):
+    # the first decomposition leaves the table's rows embedded on the table;
+    # each later f is still checked on its own values, multiplicities and
+    # pairings, also when it needs the rows at a larger conductor
+    tab = character_table(f21)
+    chi = tab.rows[3]
+    assert constituents(chi) == [(3, 1)]
+    cached = tab.embedding(tab.conductor)
+    k = next(k for k, v in enumerate(chi.values) if not v.is_rational)
+    non_integral = list(chi.values)
+    non_integral[k] = non_integral[k] + Fraction(1, 2) * root_of_unity(7)
+    point = [Cyc.rational(1)] + [Cyc.zero()] * (tab.count - 1)  # <point, chi_0> = 1/21
+    off_field = list(chi.values)
+    off_field[k] = off_field[k] + root_of_unity(5)  # the rows are re-embedded at 5 * 21
+    for values, message in (
+        (non_integral, "algebraic integer"),
+        ((tab.rows[0] - tab.rows[1]).values, "not a character"),
+        (point, "not an integer"),
+        (off_field, "not rational"),
+    ):
+        with pytest.raises(NotACharacterError, match=message):
+            constituents(ClassFunction(f21, values))
+    assert tab.embedding(tab.conductor) is cached
+    assert constituents(chi) == [(3, 1)]
+
+
 def test_constituents_reconstruction_catches_a_misdecoded_pairing(monkeypatch, s4):
     from charcorr import chartab
 
@@ -614,9 +639,10 @@ def test_constituents_over_examples(s4):
     assert is_invariant_under(lam1, V4, P)
     chi_p = restrict(tab.rows[std_char(s4)], P)
     v4_in_p = P.view.subgroup(V4.members())
-    assert constituents_over(chi_p, v4_in_p, lam1) == [1]  # exactly beta
+    over = lying_over(character_table(P.view), v4_in_p, lam1)
+    assert [i for i, _ in constituents(chi_p) if i in over] == [1]  # exactly beta
     # trivial class function lies over only the trivial theta
-    assert constituents_over(restrict(tab.rows[0], P), v4_in_p, lam1) == []
+    assert [i for i, _ in constituents(restrict(tab.rows[0], P)) if i in over] == []
 
 
 def test_lying_over(s4):

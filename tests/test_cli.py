@@ -598,6 +598,22 @@ def test_remark_golden_with_asserts_stripped(tmp_path):
     assert out == (GOLDEN / "remark648.json").read_bytes()
 
 
+@pytest.mark.slow
+def test_s4_wreath_c2_verify_golden_with_asserts_stripped(tmp_path):
+    path = tmp_path / "s4wrc2.json"
+    path.write_text(json.dumps(s4_wreath_c2_record(1)))
+    args = ["verify", "--group", str(path), "-p", "2", "--format", "structured"]
+    out = _run_subprocess(args, tmp_path / "o.json", flags=("-O",))
+    assert out == (GOLDEN / "s4wrc2_verify.json").read_bytes()
+
+
+@pytest.mark.slow
+def test_heisenberg7_verify_golden_with_asserts_stripped(tmp_path):
+    args = ["verify", "--group", str(heisenberg_file(tmp_path, 7)), "-p", "7"]
+    out = _run_subprocess(args + ["--format", "structured"], tmp_path / "o.json", flags=("-O",))
+    assert out == (GOLDEN / "heis7_verify.json").read_bytes()
+
+
 def test_verify_jobs_option_is_gone():
     cmd = [sys.executable, "-m", "charcorr.cli", "verify", "--all", "--jobs", "2"]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
@@ -665,3 +681,27 @@ def test_verify_s4_wreath_c2_structured_golden(tmp_path):
     code, _ = run_cli(args, tmp_path)
     assert code == 0
     assert (tmp_path / "out.txt").read_bytes() == (GOLDEN / "s4wrc2_verify.json").read_bytes()
+
+
+def test_s4_wreath_c2_descent_does_its_theta_level_work_once_per_theta(tmp_path, monkeypatch):
+    # its 8 p'-degree characters descend through one level and share 2 thetas
+    from charcorr import mckay
+
+    calls = {}
+    theta_level = ("orbit_and_stabilizer", "fixed_points_on_cosets", "lying_over")
+    for name in theta_level + ("is_invariant_under",):
+
+        def counting(*args, _real=getattr(mckay, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mckay, name, counting)
+    path = tmp_path / "s4wrc2.json"
+    path.write_text(json.dumps(s4_wreath_c2_record(1)))
+    args = ["verify", "--group", str(path), "-p", "2", "--format", "structured"]
+    code, _ = run_cli(args, tmp_path)
+    assert code == 0
+    assert (tmp_path / "out.txt").read_bytes() == (GOLDEN / "s4wrc2_verify.json").read_bytes()
+    assert calls["orbit_and_stabilizer"] == calls["fixed_points_on_cosets"] == 2
+    assert calls["lying_over"] == 2
+    assert calls["is_invariant_under"] <= 10

@@ -119,7 +119,7 @@ def _descent_levels(G: PermGroup, p: int):
     group = G
     out = []
     while group.order > len(P_perms):
-        K, L, _, H = _descent_step_context(group, p, P_perms, memo)
+        K, L, _, H, *_ = _descent_step_context(group, p, P_perms, memo)
         out.append((group, K, L))
         group = H.view
     return out

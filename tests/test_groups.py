@@ -37,6 +37,7 @@ from charcorr.groups import (
     sylow,
 )
 from charcorr.showcase import corpus, load_corpus_group
+from test_closure import s4_wreath_c2
 
 
 # -- oracles -------------------------------------------------------------------
@@ -100,6 +101,11 @@ def brute_all_subgroups(G):
         if r >= 3:
             break  # every subgroup of a group of order <= 24 is 3-generated
     return found
+
+
+def brute_normalizer(G, fs) -> frozenset:
+    """{g : g^-1 H g = H} for the member set fs of H, by testing every element."""
+    return frozenset(g for g in G.elements if all(pm.conjugate(x, g) in fs for x in fs))
 
 
 # -- load_group -----------------------------------------------------------------
@@ -264,6 +270,15 @@ def test_normalizer_of_sylow3_in_f21(f21):
     assert normalizer(f21, P).order == 3
 
 
+def test_normalizer_of_sylow_subgroups_of_s4_wreath_c2():
+    G = s4_wreath_c2(1)
+    for p, order in ((2, 128), (3, 72)):
+        P = sylow(G, p)
+        N = normalizer(G, P)
+        assert frozenset(N.members()) == brute_normalizer(G, P.member_set())
+        assert N.order == order  # P self-normalizing at 2; N_G(P) = S3 wr C2 at 3
+
+
 # -- derived subgroup and series --------------------------------------------------------
 
 
@@ -318,6 +333,7 @@ def test_product_subgroup_pl_in_s4(s4):
     V4 = next(N for N in normal_subgroups(s4) if N.order == 4)
     PL = product_subgroup(P, V4)
     assert PL.order == 8  # V4 lies inside the dihedral Sylow
+    assert PL is P and product_subgroup(V4, P) is P  # the containing operand itself
 
 
 def test_product_subgroup_rejects_non_closed(s3):
@@ -352,6 +368,7 @@ def test_is_normal_matches_brute_force_on_every_subgroup(s3, d8, s4):
         for fs in brute_all_subgroups(G):
             brute = all(pm.conjugate(x, g) in fs for x in fs for g in G.generators)
             assert is_normal(G, G.subgroup(fs)) == brute
+            assert frozenset(normalizer(G, G.subgroup(fs)).members()) == brute_normalizer(G, fs)
             verdicts.append(brute)
         assert True in verdicts and False in verdicts  # S3's order-2 subgroups are not normal
 

@@ -301,7 +301,7 @@ def test_glauberman_descent_configurations(positive_instances):
         memo = {}
         for ci in p_prime_irreducibles(tab, inst.p):
             isaacs_descent(inst, ci, memo=memo)
-        for K, L, P_here, H in memo.values():
+        for K, L, P_here, H, *_ in memo.values():
             l_tab = character_table(L.view)
             for i in range(l_tab.count):
                 theta = l_tab.rows[i]
@@ -432,7 +432,7 @@ def test_descent_memo_is_keyed_by_the_sylow_subgroup(s4):
             xi, trace = isaacs_descent(inst, ci, memo=memo)
             assert xi == navarro_star(inst, ci)
     assert len(memo) == 2
-    for K, L, P_here, H in memo.values():
+    for K, L, P_here, H, *_ in memo.values():
         assert P_here.parent is s4 and P_here.member_ids <= H.member_ids
 
 
