@@ -15,11 +15,12 @@ bijection onto Lin(P), and that the p'-degree counts match.  Internal
 uniqueness and progress conditions are theorem checks: a violation raises
 FalsificationError with a forensic payload and is never patched over.
 
-What does not depend on chi is computed once per instance.  ``verify_main``
-threads one memo through every descent: per level (a group and P) it holds
-a ``DescentLevel`` with K, L, P, H and, per theta in Irr(L), whether P fixes
-theta, the fixed points of P on K_theta/L and the rows of Irr(H) over
-theta.  Each chi still runs every check on those values.  Character tables
+What does not depend on chi is computed once per instance.  The descent
+chain depends only on (G, P): ``descent_levels`` builds it once, a tuple of
+``DescentLevel`` values (the group, K, L, P, H), and runs its checks.  Each
+level fills in, per theta in Irr(L) on first use, whether P fixes theta, the
+fixed points of P on K_theta/L and the rows of Irr(H) over theta; each chi
+runs every chi-dependent check on those values.  Character tables
 keep their rows packed for the pairing engine, and a group's classes keep
 the class action of each element that conjugated a class function on it.
 
@@ -169,7 +170,7 @@ def navarro_star(inst: McKayInstance, chi_index: int) -> int:
     constituent of degree divisible by p.
     """
     _require(inst.self_normalizing, "star map needs a self-normalizing Sylow subgroup")
-    _require(is_p_solvable(inst.group, inst.p), "star map needs a p-solvable group")
+    _require(inst.solvable or is_p_solvable(inst.group, inst.p), "star map needs a p-solvable group")
     table = character_table(inst.group)
     _require(
         table.degrees[chi_index] % inst.p != 0,
@@ -220,7 +221,7 @@ class DescentStep(NamedTuple):
 
 
 class DescentLevel(NamedTuple):
-    """One descent level (a group and P inside it): K, L, P, H and per-theta results.
+    """One level of the descent chain: the group, K, L, P inside it, H = P*L, per-theta results.
 
     Everything here is chi-independent.  The three dicts are keyed by a row
     index theta of Irr(L) and filled on first use, so each result is
@@ -230,6 +231,7 @@ class DescentLevel(NamedTuple):
     Irr(H) lying over theta.
     """
 
+    group: PermGroup
     K: Subgroup
     L: Subgroup
     P_here: Subgroup
@@ -264,50 +266,53 @@ class DescentLevel(NamedTuple):
         return over
 
 
-def _descent_step_context(
-    group: PermGroup, p: int, P_perms: frozenset, memo: dict
-) -> DescentLevel:
-    """The descent level of a group (chi-independent, so memoized).
+def descent_levels(inst: McKayInstance) -> tuple[DescentLevel, ...]:
+    """The chain G = G_0 > H_0.view > ... > P, which depends only on (G, P).
 
-    The memo is keyed by the group and P: instances on one group with
-    different Sylow subgroups descend through different H.
+    At each level K = O^p(G_i), L = K' and H = P*L.  The chi-independent
+    theorem checks run here, once per level: L < K < G_i, K/L a p'-group,
+    G_i = K*P, and H < G_i.
     """
-    key = (id(group), P_perms)
-    ctx = memo.get(key)
-    if ctx is not None:
-        return ctx
-    K = o_p_residual(group, p)
-    L = derived_subgroup(K)
-    P_here = group.subgroup(P_perms)
-    if not (L.order < K.order < group.order):
-        raise FalsificationError(
-            "descent cannot progress: need L < K < G",
-            group=group.name,
-            k_order=K.order,
-            l_order=L.order,
-        )
-    if (K.order // L.order) % p == 0:
-        raise FalsificationError(
-            "K/L is not a p'-group", group=group.name, index=K.order // L.order
-        )
-    kp = K.order * P_here.order // intersection(K, P_here).order
-    if kp != group.order:
-        raise FalsificationError("G is not K*P", group=group.name, kp=kp)
-    H = product_subgroup(P_here, L)
-    ctx = DescentLevel(K, L, P_here, H, {}, {}, {})
-    memo[key] = ctx
-    return ctx
+    _require(inst.hypotheses_ok, f"descent needs all hypothesis flags: {inst.flag_summary()}")
+    p = inst.p
+    P_perms = inst.sylow.member_set()
+    group = inst.group
+    levels = []
+    while group.order > len(P_perms):
+        K = o_p_residual(group, p)
+        L = derived_subgroup(K)
+        P_here = group.subgroup(P_perms)
+        if not (L.order < K.order < group.order):
+            raise FalsificationError(
+                "descent cannot progress: need L < K < G",
+                group=group.name,
+                k_order=K.order,
+                l_order=L.order,
+            )
+        if (K.order // L.order) % p == 0:
+            raise FalsificationError(
+                "K/L is not a p'-group", group=group.name, index=K.order // L.order
+            )
+        kp = K.order * P_here.order // intersection(K, P_here).order
+        if kp != group.order:
+            raise FalsificationError("G is not K*P", group=group.name, kp=kp)
+        H = product_subgroup(P_here, L)
+        if H.order >= group.order:
+            raise FalsificationError("descent made no progress", group=group.name)
+        levels.append(DescentLevel(group, K, L, P_here, H, {}, {}, {}))
+        group = H.view
+    return tuple(levels)
 
 
 def isaacs_descent(
-    inst: McKayInstance, chi_index: int, memo: dict | None = None
+    inst: McKayInstance, chi_index: int, levels: tuple[DescentLevel, ...] | None = None
 ) -> tuple[int, tuple[DescentStep, ...]]:
-    """Descend chi through H = P*L levels to a linear character of P.
+    """Descend chi through the levels of ``descent_levels`` to a linear character of P.
 
-    Every uniqueness, coprimality and progress condition along the way is a
-    theorem check, run for every chi on the level's cached per-theta results
-    (``DescentLevel``); failures raise FalsificationError with the partial
-    trace.  ``verify_main`` passes one memo for all characters of an instance.
+    Every uniqueness and coprimality condition that depends on chi is a
+    theorem check, run for every chi on the level's cached per-theta
+    results; failures raise FalsificationError with the partial trace.
+    ``verify_main`` passes one chain for all characters of an instance.
     """
     _require(inst.hypotheses_ok, f"descent needs all hypothesis flags: {inst.flag_summary()}")
     table0 = character_table(inst.group)
@@ -315,15 +320,10 @@ def isaacs_descent(
         table0.degrees[chi_index] % inst.p != 0,
         f"chi has degree {table0.degrees[chi_index]} divisible by p={inst.p}",
     )
-    p = inst.p
-    P_perms = inst.sylow.member_set()
-    memo = {} if memo is None else memo
-    group = inst.group
     current = table0.rows[chi_index]
     steps: list[DescentStep] = []
-    while group.order > len(P_perms):
-        level = _descent_step_context(group, p, P_perms, memo)
-        K, L, H = level.K, level.L, level.H
+    for level in descent_levels(inst) if levels is None else levels:
+        group, K, L, H = level.group, level.K, level.L, level.H
         l_table = character_table(L.view)
         chi_l = restrict(current, L)
         invariant = [i for i, _ in constituents(chi_l) if level.is_p_invariant(i)]
@@ -355,14 +355,12 @@ def isaacs_descent(
             )
         h_table = character_table(H.view)
         eta_index = over[0]
-        if h_table.degrees[eta_index] % p == 0:
+        if h_table.degrees[eta_index] % inst.p == 0:
             raise FalsificationError(
                 "successor character has degree divisible by p",
                 group=group.name,
                 eta_degree=h_table.degrees[eta_index],
             )
-        if H.view.order >= group.order:
-            raise FalsificationError("descent made no progress", group=group.name)
         steps.append(
             DescentStep(
                 group=group.name,
@@ -377,9 +375,8 @@ def isaacs_descent(
                 eta_degree=h_table.degrees[eta_index],
             )
         )
-        group = H.view
         current = h_table.rows[eta_index]
-    # group is now P's view (the last H.view, or G itself when P = G): read off the row
+    # current is now a row of Irr(P) (on the last H.view, or on G itself when P = G)
     p_table = character_table(inst.sylow.view)
     xi_index = p_table.index_of(current)
     if p_table.degrees[xi_index] != 1:
@@ -523,7 +520,7 @@ def verify_main(inst: McKayInstance) -> CorrespondenceReport:
     p_rows = p_prime_irreducibles(table, inst.p)
     p_table = character_table(inst.sylow.view)
     lin = p_table.linear_indices()
-    memo: dict = {}
+    levels = None
     pairs = []
     all_ok = True
     for ci in p_rows:
@@ -532,7 +529,9 @@ def verify_main(inst: McKayInstance) -> CorrespondenceReport:
         trace = ()
         try:
             star_i = navarro_star(inst, ci)
-            desc_i, trace = isaacs_descent(inst, ci, memo=memo)
+            if levels is None:
+                levels = descent_levels(inst)
+            desc_i, trace = isaacs_descent(inst, ci, levels)
         except FalsificationError as exc:
             error = str(exc)
         coincide = error is None and star_i == desc_i

@@ -33,6 +33,7 @@ from charcorr.mckay import (
     check_extension,
     check_glauberman_unique,
     check_hypotheses,
+    descent_levels,
     isaacs_descent,
     mckay_count,
     navarro_star,
@@ -261,13 +262,7 @@ def test_criterion_6_lemma_checks(corpus_instances, positive_instances):
     data = remark_data()
     ok &= check_glauberman_unique(data.P, data.K, data.L, data.theta) == 1
     for entry, inst in positive_instances:
-        if inst.group.order == inst.sylow.order:
-            continue
-        memo = {}
-        tab = character_table(inst.group)
-        for ci in p_prime_irreducibles(tab, inst.p):
-            isaacs_descent(inst, ci, memo=memo)
-        for K, L, P_here, H, *_ in memo.values():
+        for _, K, L, P_here, *_ in descent_levels(inst):
             l_tab = character_table(L.view)
             for i in range(l_tab.count):
                 theta = l_tab.rows[i]

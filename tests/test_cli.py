@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from charcorr.cli import main
 from charcorr.groups import DEFAULT_CAP, MAX_FILE_BYTES
 from test_chartab import with_foreign_identity_column
-from test_closure import s4_wreath_c2_record
+from test_closure import gl23_record, s4_wreath_c2_record
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -614,6 +614,15 @@ def test_heisenberg7_verify_golden_with_asserts_stripped(tmp_path):
     assert out == (GOLDEN / "heis7_verify.json").read_bytes()
 
 
+@pytest.mark.slow
+def test_gl23_verify_golden_with_asserts_stripped(tmp_path):
+    path = tmp_path / "gl23.json"
+    path.write_text(json.dumps(gl23_record()))
+    args = ["verify", "--group", str(path), "-p", "2", "--format", "structured"]
+    out = _run_subprocess(args, tmp_path / "o.json", flags=("-O",))
+    assert out == (GOLDEN / "gl23_verify.json").read_bytes()
+
+
 def test_verify_jobs_option_is_gone():
     cmd = [sys.executable, "-m", "charcorr.cli", "verify", "--all", "--jobs", "2"]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
@@ -681,6 +690,16 @@ def test_verify_s4_wreath_c2_structured_golden(tmp_path):
     code, _ = run_cli(args, tmp_path)
     assert code == 0
     assert (tmp_path / "out.txt").read_bytes() == (GOLDEN / "s4wrc2_verify.json").read_bytes()
+
+
+def test_verify_gl23_structured_golden(tmp_path):
+    # every p'-character descends through three levels: 1296 -> 432 -> 48 -> 16
+    path = tmp_path / "gl23.json"
+    path.write_text(json.dumps(gl23_record()))
+    args = ["verify", "--group", str(path), "-p", "2", "--format", "structured"]
+    code, _ = run_cli(args, tmp_path)
+    assert code == 0
+    assert (tmp_path / "out.txt").read_bytes() == (GOLDEN / "gl23_verify.json").read_bytes()
 
 
 def test_s4_wreath_c2_descent_does_its_theta_level_work_once_per_theta(tmp_path, monkeypatch):

@@ -14,8 +14,8 @@ from charcorr import groups
 from charcorr.chartab import character_table, orbit_and_stabilizer
 from charcorr.groups import PermGroup, derived_subgroup, load_group, sylow
 from charcorr.kernels import pure
-from charcorr.mckay import _descent_step_context, check_hypotheses
-from charcorr.showcase import corpus_path, load_corpus_group, remark_data
+from charcorr.mckay import check_hypotheses, descent_levels
+from charcorr.showcase import corpus_path, load_corpus_group, remark_data, remark_generators
 
 CORPUS = ("s3", "c3xc2", "s4", "d8", "c7", "f21", "c5c5_c3", "sl23", "remark648")
 
@@ -36,6 +36,20 @@ def s4_wreath_c2_record(seed: int) -> dict:
             h[pi[i]] = pi[g[i]]
         relabelled.append(h)
     return {"name": f"S4wrC2#{seed}", "degree": 8, "generators": relabelled}
+
+
+def gl23_record() -> dict:
+    """Group record of 3^{1+2}:GL(2,3) (order 1296) on the 27 points of 3^{1+2}.
+
+    The order-648 showcase generators give 3^{1+2}:SL(2,3).  The extra one,
+    (a, b, c) -> (a, -b, -c), lifts diag(1, -1); for this det -1 matrix the
+    zero quadratic form is the only one that makes the lift an automorphism.
+    It makes the Sylow 2-subgroup self-normalizing, and the descent takes
+    three levels: 1296 -> 432 -> 48 -> 16.
+    """
+    u = [9 * a + 3 * (-b % 3) + (-c % 3) for a in range(3) for b in range(3) for c in range(3)]
+    gens = [list(g) for g in remark_generators()] + [u]
+    return {"name": "3^(1+2):GL(2,3)", "degree": 27, "generators": gens}
 
 
 @lru_cache(maxsize=None)
@@ -109,22 +123,6 @@ def test_gen_ids_and_derived_subgroup_are_computed_once(monkeypatch):
 # -- orbit_and_stabilizer -------------------------------------------------------------
 
 
-def _descent_levels(G: PermGroup, p: int):
-    """(G_i, K_i, L_i) for every level G_0 = G, G_(i+1) = H_i.view of the descent."""
-    inst = check_hypotheses(G, p)
-    if not inst.hypotheses_ok:
-        raise ValueError(f"{G.name} at p={p} is not a descent instance")
-    P_perms = inst.sylow.member_set()
-    memo: dict = {}
-    group = G
-    out = []
-    while group.order > len(P_perms):
-        K, L, _, H, *_ = _descent_step_context(group, p, P_perms, memo)
-        out.append((group, K, L))
-        group = H.view
-    return out
-
-
 def _check_orbits_and_stabilizers(group, K, L) -> int:
     checked = 0
     for theta in character_table(L.view).rows:
@@ -141,16 +139,16 @@ def _check_orbits_and_stabilizers(group, K, L) -> int:
 def test_schreier_stabilizer_on_corpus_descent_levels(positive_instances):
     checked = 0
     for _, inst in positive_instances:
-        for group, K, L in _descent_levels(inst.group, inst.p):
+        for group, K, L, *_ in descent_levels(inst):
             checked += _check_orbits_and_stabilizers(group, K, L)
     assert checked == 16  # 8 characters of L over five levels, two actor sets each
 
 
 def test_schreier_stabilizer_on_s4_wreath_c2():
     for seed in (5, 6):
-        levels = _descent_levels(s4_wreath_c2(seed), 2)
-        assert [(g.order, K.order, L.order) for g, K, L in levels] == [(1152, 144, 16)]
-        assert _check_orbits_and_stabilizers(*levels[0]) == 32
+        (level,) = descent_levels(check_hypotheses(s4_wreath_c2(seed), 2))
+        assert (level.group.order, level.K.order, level.L.order) == (1152, 144, 16)
+        assert _check_orbits_and_stabilizers(level.group, level.K, level.L) == 32
 
 
 def test_schreier_stabilizer_on_remark648():

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from charcorr import mckay
 from charcorr import perm as pm
 from charcorr.chartab import (
     character_table,
@@ -17,9 +18,11 @@ from charcorr.chartab import (
     p_prime_irreducibles,
     restrict,
 )
+from charcorr.cli import main
 from charcorr.groups import (
     PermGroup,
     conjugacy_classes,
+    group_from_dict,
     intersection,
     normal_subgroups,
     sylow,
@@ -33,6 +36,7 @@ from charcorr.mckay import (
     check_extension,
     check_glauberman_unique,
     check_hypotheses,
+    descent_levels,
     instance_with_sylow,
     is_p_solvable,
     isaacs_descent,
@@ -42,6 +46,7 @@ from charcorr.mckay import (
 )
 from charcorr.showcase import load_corpus_group
 from galois_check import check_galois_equivariance
+from test_closure import gl23_record, s4_wreath_c2_record
 
 
 def std_char(s4):
@@ -295,13 +300,7 @@ def test_glauberman_validates_coprimality(s4):
 def test_glauberman_descent_configurations(positive_instances):
     # re-run the coprime uniqueness check on every descent step's (P, K_theta, L)
     for entry, inst in positive_instances:
-        if inst.group.order == inst.sylow.order:
-            continue
-        tab = character_table(inst.group)
-        memo = {}
-        for ci in p_prime_irreducibles(tab, inst.p):
-            isaacs_descent(inst, ci, memo=memo)
-        for K, L, P_here, H, *_ in memo.values():
+        for _, K, L, P_here, *_ in descent_levels(inst):
             l_tab = character_table(L.view)
             for i in range(l_tab.count):
                 theta = l_tab.rows[i]
@@ -418,22 +417,57 @@ def test_report_serializes_by_its_field_names(s4):
     assert list(d["pairs"][0]) == list(rep.pairs[0]._fields)
 
 
-def test_descent_memo_is_keyed_by_the_sylow_subgroup(s4):
-    # one memo shared by two instances on S4 whose Sylow 2-subgroups differ
+def test_descent_chain_depends_on_the_sylow_subgroup(s4):
+    # two instances on S4 whose Sylow 2-subgroups differ descend through different H
     base = check_hypotheses(s4, 2)
     conjugates = (
         s4.subgroup(pm.conjugate(x, g) for x in base.sylow.members()) for g in s4.elements
     )
     other = instance_with_sylow(s4, 2, next(Q for Q in conjugates if Q != base.sylow))
-    memo: dict = {}
     rows = p_prime_irreducibles(character_table(s4), 2)
-    for inst in (base, other):
+    chains = [descent_levels(inst) for inst in (base, other)]
+    for inst, levels in zip((base, other), chains):
         for ci in rows:
-            xi, trace = isaacs_descent(inst, ci, memo=memo)
+            xi, trace = isaacs_descent(inst, ci, levels)
             assert xi == navarro_star(inst, ci)
-    assert len(memo) == 2
-    for K, L, P_here, H, *_ in memo.values():
-        assert P_here.parent is s4 and P_here.member_ids <= H.member_ids
+        (level,) = levels
+        assert level.group is s4 and level.P_here.parent is s4
+        assert level.P_here.member_ids <= level.H.member_ids
+    assert chains[0][0].H.member_ids != chains[1][0].H.member_ids
+
+
+def test_gl23_descends_through_three_levels():
+    inst = check_hypotheses(group_from_dict(gl23_record()), 2)
+    levels = descent_levels(inst)
+    assert [(lv.group.order, lv.H.order) for lv in levels] == [(1296, 432), (432, 48), (48, 16)]
+    rep = verify_main(inst)
+    assert rep.verdict is True and len(rep.pairs) == 4
+    for pair in rep.pairs:
+        assert [s.order for s in pair.trace] + [pair.trace[-1].h_order] == [1296, 432, 48, 16]
+
+
+def test_verify_on_a_solvable_group_skips_the_p_solvability_walk(monkeypatch):
+    calls = []
+    real = mckay.is_p_solvable
+    monkeypatch.setattr(mckay, "is_p_solvable", lambda G, p: calls.append(p) or real(G, p))
+    rep = verify_main(check_hypotheses(group_from_dict(s4_wreath_c2_record(1)), 2))
+    assert rep.verdict is True and len(rep.pairs) == 8
+    assert calls == []
+
+
+def test_a_descent_level_failure_is_recorded_for_every_character(monkeypatch, tmp_path):
+    # with L = K at level 0 the chain cannot be built; each chi still gets its star
+    monkeypatch.setattr(mckay, "derived_subgroup", lambda K: K)
+    record = s4_wreath_c2_record(1)
+    rep = verify_main(check_hypotheses(group_from_dict(record), 2))
+    assert len(rep.pairs) == 8 and rep.verdict is False
+    for pair in rep.pairs:
+        assert pair.error.startswith("descent cannot progress")
+        assert pair.star is not None and pair.descent is None and not pair.coincide
+    path = tmp_path / "s4wrc2.json"
+    path.write_text(json.dumps(record))
+    args = ["verify", "--group", str(path), "-p", "2", "--out", str(tmp_path / "out.txt")]
+    assert main(args) == 1
 
 
 def test_verify_main_names_the_failed_flags_in_order(sl23, f21):
