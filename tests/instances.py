@@ -1,0 +1,211 @@
+"""The suite's instance catalogue and its golden manifest (a helper module, not collected).
+
+The catalogue names every group the tests share: the packaged corpus, and
+stress groups built here from generators as ``{name, degree, generators}``
+records, the format ``--group`` reads from a file.  ``named_group`` loads
+any of them once per session.
+
+``MANIFEST`` has one entry per file under ``golden/``: the CLI arguments
+whose output that file pins byte for byte.  ``test_cli`` runs every entry
+in-process and in a fresh ``python -O`` process.  A new pinned output is one
+entry here plus a golden generated by the code it pins.
+"""
+
+import json
+import pathlib
+import random
+from functools import lru_cache
+from typing import NamedTuple
+
+from charcorr.groups import PermGroup, group_from_dict
+from charcorr.showcase import corpus, load_corpus_group, remark_generators
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# every packaged corpus group once, in corpus run order
+CORPUS = tuple(dict.fromkeys(entry.name for entry in corpus()))
+
+
+# -- groups built from generators ---------------------------------------------------
+
+
+def heisenberg_record(p: int) -> dict:
+    """Heisenberg group mod p (order p^3, p^2 + p - 1 classes) on the points of Z_p^2.
+
+    Point (x, y) is px + y.  The generators are the affine maps
+    (x, y) -> (x + 1, y) and (x, y) -> (x, y + x); their commutator is the
+    central translation (x, y) -> (x, y + 1).
+    """
+    shift = [p * ((x + 1) % p) + y for x in range(p) for y in range(p)]
+    shear = [p * x + (y + x) % p for x in range(p) for y in range(p)]
+    return {"name": f"heis{p}", "degree": p * p, "generators": [shift, shear]}
+
+
+def heis7c3_record() -> dict:
+    """7^{1+2}:C3 (order 1029) on the 343 points (a, b, c) of F_7^3, indexed 49a + 7b + c.
+
+    With the product (a, b, c)(a', b', c') = (a + a', b + b', c + c' + ab'),
+    the right translations by (1, 0, 0) and (0, 1, 0) generate 7^{1+2}
+    acting regularly.  The automorphism (a, b, c) -> (2a, 2b, 4c) of order 3
+    fixes only the identity, so P = C3 is self-normalizing, and the descent
+    at p = 3 takes two levels: 1029 -> 21 -> 3.
+    """
+    points = [(a, b, c) for a in range(7) for b in range(7) for c in range(7)]
+
+    def perm(f):
+        return [49 * x + 7 * y + z for x, y, z in (f(*pt) for pt in points)]
+
+    return {
+        "name": "7^(1+2):C3",
+        "degree": 343,
+        "generators": [
+            perm(lambda a, b, c: ((a + 1) % 7, b, c)),
+            perm(lambda a, b, c: (a, (b + 1) % 7, (c + a) % 7)),
+            perm(lambda a, b, c: (2 * a % 7, 2 * b % 7, 4 * c % 7)),
+        ],
+    }
+
+
+def c7_wreath_c3_record() -> dict:
+    """C7 wr C3 (order 1029) on 21 points: a 7-cycle on 0..6 and the rotation i -> i + 7.
+
+    Neither its Sylow 3-subgroup nor its Sylow 7-subgroup is self-normalizing.
+    """
+    seven_cycle = [(i + 1) % 7 for i in range(7)] + list(range(7, 21))
+    rotation = [(i + 7) % 21 for i in range(21)]
+    return {"name": "C7wrC3", "degree": 21, "generators": [seven_cycle, rotation]}
+
+
+def s4_wreath_c2_record(seed: int) -> dict:
+    """Group record of S4 wr C2 (order 1152) on 8 points, relabelled by a seeded shuffle."""
+    gens = [
+        [1, 0, 2, 3, 4, 5, 6, 7],  # a transposition in the first S4
+        [1, 2, 3, 0, 4, 5, 6, 7],  # a 4-cycle in the first S4
+        [4, 5, 6, 7, 0, 1, 2, 3],  # the block swap
+    ]
+    pi = list(range(8))
+    random.Random(seed).shuffle(pi)
+    relabelled = []
+    for g in gens:
+        h = [0] * 8
+        for i in range(8):
+            h[pi[i]] = pi[g[i]]
+        relabelled.append(h)
+    return {"name": f"S4wrC2#{seed}", "degree": 8, "generators": relabelled}
+
+
+def gl23_record() -> dict:
+    """Group record of 3^{1+2}:GL(2,3) (order 1296) on the 27 points of 3^{1+2}.
+
+    The order-648 showcase generators give 3^{1+2}:SL(2,3).  The extra one,
+    (a, b, c) -> (a, -b, -c), lifts diag(1, -1); for this det -1 matrix the
+    zero quadratic form is the only one that makes the lift an automorphism.
+    It makes the Sylow 2-subgroup self-normalizing, and the descent takes
+    three levels: 1296 -> 432 -> 48 -> 16.
+    """
+    u = [9 * a + 3 * (-b % 3) + (-c % 3) for a in range(3) for b in range(3) for c in range(3)]
+    gens = [list(g) for g in remark_generators()] + [u]
+    return {"name": "3^(1+2):GL(2,3)", "degree": 27, "generators": gens}
+
+
+RECORDS = {
+    "heis5": heisenberg_record(5),
+    "heis7": heisenberg_record(7),
+    "heis7c3": heis7c3_record(),
+    "c7wrc3": c7_wreath_c3_record(),
+    "gl23": gl23_record(),
+}
+
+
+@lru_cache(maxsize=None)
+def s4_wreath_c2(seed: int) -> PermGroup:
+    """S4 wr C2 (order 1152) on 8 points, its points relabelled by a seeded shuffle."""
+    return group_from_dict(s4_wreath_c2_record(seed))
+
+
+@lru_cache(maxsize=None)
+def named_group(name: str) -> PermGroup:
+    """A catalogue group: a corpus name, a key of RECORDS, or ``s4wrc2#<seed>``."""
+    if name.startswith("s4wrc2#"):
+        return s4_wreath_c2(int(name.split("#")[1]))
+    if name in RECORDS:
+        return group_from_dict(RECORDS[name])
+    return load_corpus_group(name)
+
+
+# (name, p) for every catalogue instance inside the theorem's hypotheses
+THEOREM_INSTANCES = tuple((e.name, e.prime) for e in corpus() if e.expect == "theorem") + (
+    ("s4wrc2#1", 2),
+    ("gl23", 2),
+    ("heis5", 5),
+    ("heis7", 7),
+    ("heis7c3", 3),
+)
+
+
+def write_record(record: dict, folder, stem: str) -> pathlib.Path:
+    """Write a group record as the JSON file that ``--group`` reads; return its path."""
+    path = pathlib.Path(folder) / f"{stem}.json"
+    path.write_text(json.dumps(record))
+    return path
+
+
+# -- the golden manifest --------------------------------------------------------------
+
+
+class GoldenRun(NamedTuple):
+    """CLI arguments whose output is pinned by ``golden/<golden>``.
+
+    With a record, ``--group`` names a file holding it.
+    """
+
+    id: str
+    argv: tuple[str, ...]
+    record: dict | None
+    golden: str
+
+    def command(self, folder) -> list[str]:
+        """The arguments to run, writing the record (if any) into folder."""
+        if self.record is None:
+            return list(self.argv)
+        return [*self.argv, "--group", str(write_record(self.record, folder, self.id))]
+
+
+_TEXT = ("--format", "text")
+_STRUCTURED = ("--format", "structured")
+
+MANIFEST = (
+    GoldenRun("s4_table", ("table", "--group", "corpus/s4", *_TEXT), None, "s4_table.txt"),
+    GoldenRun("d8_table", ("table", "--group", "d8", *_TEXT), None, "d8_table.txt"),
+    GoldenRun("f21_table", ("table", "--group", "f21", *_TEXT), None, "f21_table.txt"),
+    GoldenRun("sl23_table", ("table", "--group", "sl23", *_TEXT), None, "sl23_table.txt"),
+    GoldenRun("heis7_table", ("table", *_STRUCTURED), RECORDS["heis7"], "heis7_table.json"),
+    GoldenRun("verify_all", ("verify", "--all", *_STRUCTURED), None, "verify_all.json"),
+    GoldenRun("remark648", ("remark648", *_STRUCTURED), None, "remark648.json"),
+    # 25 linear characters of a p-group: 25 decompositions on its own table
+    GoldenRun(
+        "heis5_verify", ("verify", "-p", "5", *_STRUCTURED), RECORDS["heis5"], "heis5_verify.json"
+    ),
+    # a p-group at p = 7: its 49 p'-degree characters are its linear ones
+    GoldenRun(
+        "heis7_verify", ("verify", "-p", "7", *_STRUCTURED), RECORDS["heis7"], "heis7_verify.json"
+    ),
+    # 8 characters through one level, sharing 2 thetas below them
+    GoldenRun(
+        "s4wrc2_verify",
+        ("verify", "-p", "2", *_STRUCTURED),
+        s4_wreath_c2_record(1),
+        "s4wrc2_verify.json",
+    ),
+    # every p'-character descends through three levels: 1296 -> 432 -> 48 -> 16
+    GoldenRun(
+        "gl23_verify", ("verify", "-p", "2", *_STRUCTURED), RECORDS["gl23"], "gl23_verify.json"
+    ),
+    # the first odd-p instance with two levels: 1029 -> 21 -> 3
+    GoldenRun(
+        "heis7c3_verify",
+        ("verify", "-p", "3", *_STRUCTURED),
+        RECORDS["heis7c3"],
+        "heis7c3_verify.json",
+    ),
+)

@@ -5,7 +5,6 @@ the full cold computation, not a cache hit from earlier tests.
 """
 
 import json
-import pathlib
 import subprocess
 import sys
 import time
@@ -41,8 +40,7 @@ from charcorr.mckay import (
 from charcorr.showcase import load_corpus_group, remark_data
 from chartab_reference import inner_product
 from galois_check import check_galois_equivariance
-
-GOLDEN = pathlib.Path(__file__).parent / "golden"
+from instances import GOLDEN
 
 
 def report(criterion: int, label: str, ok: bool) -> None:

@@ -47,8 +47,9 @@ from charcorr.kernels import pure
 from charcorr.showcase import corpus, corpus_path, load_corpus_group, remark_data
 from chartab_reference import inner_product
 from cyclotomic_reference import reference_conductor
+from faults import with_foreign_identity_column
 from galois_check import galois_classfn
-from test_closure import CORPUS, named_group, s4_wreath_c2
+from instances import CORPUS, named_group, s4_wreath_c2
 
 
 def brute_induce(theta, H):
@@ -167,23 +168,6 @@ def test_fq_combination_is_exact_at_the_slot_bound():
             plain = [sum(c * row[k] for c, row in zip(coeffs, rows)) % q for k in range(7)]
             packed = [_pack(row, width) for row in rows]
             assert _fq_combination(coeffs, packed, width, 7, q) == plain
-
-
-def with_foreign_identity_column(real):
-    """A ``class_matrix`` whose second build (class 2) takes column 0 from the first.
-
-    Column 0 of class matrix i marks the class of inverses of C_i, so the
-    patched matrix lies outside the class algebra; on S4 the eigenspaces that
-    class 1 splits off are not invariant under it.
-    """
-    built = []
-
-    def patched(*args):
-        columns = real(*args)
-        built.append(columns)
-        return built[0][:1] + columns[1:] if len(built) == 2 else columns
-
-    return patched
 
 
 def test_eigensplit_rejects_a_matrix_outside_the_class_algebra(monkeypatch):
@@ -730,17 +714,7 @@ def test_index_of_refuses_a_row_of_another_group_object(s4):
         character_table(view).index_of(character_table(twin).rows[0])
 
 
-# -- exports (golden surface) ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", ["s4", "d8", "sl23", "f21"])
-def test_table_export_golden(name, tmp_path):
-    import pathlib
-
-    golden = pathlib.Path(__file__).parent / "golden" / f"{name}_table.txt"
-    G = load_corpus_group(name)
-    text = character_table(G).render_text()
-    assert text == golden.read_text()
+# -- exports (their goldens are pinned through the CLI, see instances.MANIFEST) ---------------
 
 
 def test_table_to_dict_roundtrips_as_json(s4):

@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import pathlib
 import subprocess
 import sys
 
@@ -13,10 +12,8 @@ from hypothesis import strategies as st
 
 from charcorr.cli import main
 from charcorr.groups import DEFAULT_CAP, MAX_FILE_BYTES
-from test_chartab import with_foreign_identity_column
-from test_closure import gl23_record, s4_wreath_c2_record
-
-GOLDEN = pathlib.Path(__file__).parent / "golden"
+from faults import with_foreign_identity_column
+from instances import GOLDEN, MANIFEST, RECORDS, write_record
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -26,12 +23,6 @@ def run_cli(args, tmp_path, name="out.txt"):
 
 
 # -- table ---------------------------------------------------------------------------
-
-
-def test_table_text(tmp_path):
-    code, text = run_cli(["table", "--group", "corpus/s4", "--format", "text"], tmp_path)
-    assert code == 0
-    assert text == (GOLDEN / "s4_table.txt").read_text()
 
 
 def test_table_c7_has_seventh_roots(tmp_path):
@@ -537,12 +528,6 @@ def test_verify_all_computes_each_instances_counts_once(monkeypatch):
     assert len(counted) == len(set(counted)) == len(corpus())
 
 
-def test_verify_all_structured_golden(tmp_path):
-    code, text = run_cli(["verify", "--all", "--format", "structured"], tmp_path)
-    assert code == 0
-    assert text == (GOLDEN / "verify_all.json").read_text()
-
-
 # -- remark648 ------------------------------------------------------------------------
 
 
@@ -552,12 +537,6 @@ def test_remark_text(tmp_path):
     assert "|G|=648" in text and "|N|=72" in text
     assert "1+2*z3" in text and "-1-2*z3" in text
     assert text.count("asserted 0") == 3
-
-
-def test_remark_structured_golden(tmp_path):
-    code, text = run_cli(["remark648", "--format", "structured"], tmp_path)
-    assert code == 0
-    assert text == (GOLDEN / "remark648.json").read_text()
 
 
 def test_remark_cap_exits_2(capsys):
@@ -572,55 +551,6 @@ def _run_subprocess(args, out_path, flags=()):
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return out_path.read_bytes()
-
-
-@pytest.mark.slow
-def test_verify_all_byte_identical_across_runs(tmp_path):
-    outs = [
-        _run_subprocess(["verify", "--all", "--format", "structured"], tmp_path / f"{i}.json")
-        for i in range(3)
-    ]
-    assert outs[0] == outs[1] == outs[2]
-    assert outs[0] == (GOLDEN / "verify_all.json").read_bytes()
-
-
-@pytest.mark.slow
-def test_verify_all_golden_with_asserts_stripped(tmp_path):
-    out = _run_subprocess(
-        ["verify", "--all", "--format", "structured"], tmp_path / "o.json", flags=("-O",)
-    )
-    assert out == (GOLDEN / "verify_all.json").read_bytes()
-
-
-@pytest.mark.slow
-def test_remark_golden_with_asserts_stripped(tmp_path):
-    out = _run_subprocess(["remark648", "--format", "structured"], tmp_path / "o.json", flags=("-O",))
-    assert out == (GOLDEN / "remark648.json").read_bytes()
-
-
-@pytest.mark.slow
-def test_s4_wreath_c2_verify_golden_with_asserts_stripped(tmp_path):
-    path = tmp_path / "s4wrc2.json"
-    path.write_text(json.dumps(s4_wreath_c2_record(1)))
-    args = ["verify", "--group", str(path), "-p", "2", "--format", "structured"]
-    out = _run_subprocess(args, tmp_path / "o.json", flags=("-O",))
-    assert out == (GOLDEN / "s4wrc2_verify.json").read_bytes()
-
-
-@pytest.mark.slow
-def test_heisenberg7_verify_golden_with_asserts_stripped(tmp_path):
-    args = ["verify", "--group", str(heisenberg_file(tmp_path, 7)), "-p", "7"]
-    out = _run_subprocess(args + ["--format", "structured"], tmp_path / "o.json", flags=("-O",))
-    assert out == (GOLDEN / "heis7_verify.json").read_bytes()
-
-
-@pytest.mark.slow
-def test_gl23_verify_golden_with_asserts_stripped(tmp_path):
-    path = tmp_path / "gl23.json"
-    path.write_text(json.dumps(gl23_record()))
-    args = ["verify", "--group", str(path), "-p", "2", "--format", "structured"]
-    out = _run_subprocess(args, tmp_path / "o.json", flags=("-O",))
-    assert out == (GOLDEN / "gl23_verify.json").read_bytes()
 
 
 def test_verify_jobs_option_is_gone():
@@ -638,68 +568,35 @@ def test_remark_byte_identical_across_runs(tmp_path):
     assert a == b == (GOLDEN / "remark648.json").read_bytes()
 
 
-# -- stress groups: Heisenberg groups mod p -------------------------------------------
+# -- goldens: every manifest entry, in-process and in a fresh python -O process ----------
 
 
-def heisenberg_file(tmp_path, p):
-    """Heisenberg group mod p (order p^3, p^2 + p - 1 classes) on the points of Z_p^2.
-
-    Point (x, y) is px + y.  The generators are the affine maps
-    (x, y) -> (x + 1, y) and (x, y) -> (x, y + x); their commutator is the
-    central translation (x, y) -> (x, y + 1).
-    """
-    shift = [p * ((x + 1) % p) + y for x in range(p) for y in range(p)]
-    shear = [p * x + (y + x) % p for x in range(p) for y in range(p)]
-    path = tmp_path / f"heis{p}.json"
-    record = {"name": f"heis{p}", "degree": p * p, "generators": [shift, shear]}
-    path.write_text(json.dumps(record))
-    return path
+@pytest.mark.parametrize("run", MANIFEST, ids=lambda run: run.id)
+def test_golden_in_process(tmp_path, run):
+    out = tmp_path / "out"
+    assert main([*run.command(tmp_path), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / run.golden).read_bytes()
 
 
-def test_table_heisenberg7_structured_golden(tmp_path):
-    code, text = run_cli(
-        ["table", "--group", str(heisenberg_file(tmp_path, 7)), "--format", "structured"],
-        tmp_path,
-    )
-    assert code == 0
-    assert text == (GOLDEN / "heis7_table.json").read_text()
+@pytest.mark.slow
+@pytest.mark.parametrize("run", MANIFEST, ids=lambda run: run.id)
+def test_golden_with_asserts_stripped(tmp_path, run):
+    out = _run_subprocess(run.command(tmp_path), tmp_path / "out", flags=("-O",))
+    assert out == (GOLDEN / run.golden).read_bytes()
 
 
-def test_verify_heisenberg5_structured_golden(tmp_path):
-    # 25 linear characters of a p-group: 25 decompositions on its own table
-    group = str(heisenberg_file(tmp_path, 5))
-    args = ["verify", "--group", group, "-p", "5", "--format", "structured"]
-    code, text = run_cli(args, tmp_path)
-    assert code == 0
-    assert text == (GOLDEN / "heis5_verify.json").read_text()
+def test_every_golden_file_has_exactly_one_manifest_entry():
+    goldens = [run.golden for run in MANIFEST]
+    assert sorted(goldens) == sorted(path.name for path in GOLDEN.iterdir())
+    assert len({run.id for run in MANIFEST}) == len(MANIFEST)
 
 
-def test_verify_heisenberg7_structured_golden(tmp_path):
-    # a p-group at p = 7: its 49 p'-degree characters are its linear ones
-    group = str(heisenberg_file(tmp_path, 7))
-    args = ["verify", "--group", group, "-p", "7", "--format", "structured"]
-    code, _ = run_cli(args, tmp_path)
-    assert code == 0
-    assert (tmp_path / "out.txt").read_bytes() == (GOLDEN / "heis7_verify.json").read_bytes()
-
-
-def test_verify_s4_wreath_c2_structured_golden(tmp_path):
-    path = tmp_path / "s4wrc2.json"
-    path.write_text(json.dumps(s4_wreath_c2_record(1)))
-    args = ["verify", "--group", str(path), "-p", "2", "--format", "structured"]
-    code, _ = run_cli(args, tmp_path)
-    assert code == 0
-    assert (tmp_path / "out.txt").read_bytes() == (GOLDEN / "s4wrc2_verify.json").read_bytes()
-
-
-def test_verify_gl23_structured_golden(tmp_path):
-    # every p'-character descends through three levels: 1296 -> 432 -> 48 -> 16
-    path = tmp_path / "gl23.json"
-    path.write_text(json.dumps(gl23_record()))
-    args = ["verify", "--group", str(path), "-p", "2", "--format", "structured"]
-    code, _ = run_cli(args, tmp_path)
-    assert code == 0
-    assert (tmp_path / "out.txt").read_bytes() == (GOLDEN / "gl23_verify.json").read_bytes()
+@pytest.mark.parametrize("p", ["3", "7"])
+def test_c7_wreath_c3_is_outside_the_hypotheses_at_both_primes(tmp_path, capsys, p):
+    path = write_record(RECORDS["c7wrc3"], tmp_path, "c7wrc3")
+    assert main(["verify", "--group", str(path), "-p", p]) == 2
+    message = f"error: (C7wrC3, p={p}) does not satisfy: self_normalizing\n"
+    assert capsys.readouterr() == ("", message)
 
 
 def test_s4_wreath_c2_descent_does_its_theta_level_work_once_per_theta(tmp_path, monkeypatch):
@@ -715,12 +612,10 @@ def test_s4_wreath_c2_descent_does_its_theta_level_work_once_per_theta(tmp_path,
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(mckay, name, counting)
-    path = tmp_path / "s4wrc2.json"
-    path.write_text(json.dumps(s4_wreath_c2_record(1)))
-    args = ["verify", "--group", str(path), "-p", "2", "--format", "structured"]
-    code, _ = run_cli(args, tmp_path)
+    run = next(run for run in MANIFEST if run.id == "s4wrc2_verify")
+    code, _ = run_cli(run.command(tmp_path), tmp_path)
     assert code == 0
-    assert (tmp_path / "out.txt").read_bytes() == (GOLDEN / "s4wrc2_verify.json").read_bytes()
+    assert (tmp_path / "out.txt").read_bytes() == (GOLDEN / run.golden).read_bytes()
     assert calls["orbit_and_stabilizer"] == calls["fixed_points_on_cosets"] == 2
     assert calls["lying_over"] == 2
     assert calls["is_invariant_under"] <= 10

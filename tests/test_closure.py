@@ -3,65 +3,17 @@ Schreier stabilizers, each against the straightforward reference version in
 ``closure_reference``.
 """
 
-import random
-from functools import lru_cache
-
 from closure_reference import bfs_closure, bfs_orbit, brute_stabilizer
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from instances import CORPUS, named_group, s4_wreath_c2
 
 from charcorr import groups
 from charcorr.chartab import character_table, orbit_and_stabilizer
-from charcorr.groups import PermGroup, derived_subgroup, load_group, sylow
+from charcorr.groups import derived_subgroup, load_group, sylow
 from charcorr.kernels import pure
 from charcorr.mckay import check_hypotheses, descent_levels
-from charcorr.showcase import corpus_path, load_corpus_group, remark_data, remark_generators
-
-CORPUS = ("s3", "c3xc2", "s4", "d8", "c7", "f21", "c5c5_c3", "sl23", "remark648")
-
-
-def s4_wreath_c2_record(seed: int) -> dict:
-    """Group record of S4 wr C2 (order 1152) on 8 points, relabelled by a seeded shuffle."""
-    gens = [
-        [1, 0, 2, 3, 4, 5, 6, 7],  # a transposition in the first S4
-        [1, 2, 3, 0, 4, 5, 6, 7],  # a 4-cycle in the first S4
-        [4, 5, 6, 7, 0, 1, 2, 3],  # the block swap
-    ]
-    pi = list(range(8))
-    random.Random(seed).shuffle(pi)
-    relabelled = []
-    for g in gens:
-        h = [0] * 8
-        for i in range(8):
-            h[pi[i]] = pi[g[i]]
-        relabelled.append(h)
-    return {"name": f"S4wrC2#{seed}", "degree": 8, "generators": relabelled}
-
-
-def gl23_record() -> dict:
-    """Group record of 3^{1+2}:GL(2,3) (order 1296) on the 27 points of 3^{1+2}.
-
-    The order-648 showcase generators give 3^{1+2}:SL(2,3).  The extra one,
-    (a, b, c) -> (a, -b, -c), lifts diag(1, -1); for this det -1 matrix the
-    zero quadratic form is the only one that makes the lift an automorphism.
-    It makes the Sylow 2-subgroup self-normalizing, and the descent takes
-    three levels: 1296 -> 432 -> 48 -> 16.
-    """
-    u = [9 * a + 3 * (-b % 3) + (-c % 3) for a in range(3) for b in range(3) for c in range(3)]
-    gens = [list(g) for g in remark_generators()] + [u]
-    return {"name": "3^(1+2):GL(2,3)", "degree": 27, "generators": gens}
-
-
-@lru_cache(maxsize=None)
-def s4_wreath_c2(seed: int) -> PermGroup:
-    """S4 wr C2 (order 1152) on 8 points, its points relabelled by a seeded shuffle."""
-    return groups.group_from_dict(s4_wreath_c2_record(seed))
-
-
-def named_group(name: str) -> PermGroup:
-    if name.startswith("s4wrc2#"):
-        return s4_wreath_c2(int(name.split("#")[1]))
-    return load_corpus_group(name)
+from charcorr.showcase import corpus_path, remark_data
 
 
 # -- extend_closure ---------------------------------------------------------------

@@ -37,7 +37,7 @@ from charcorr.groups import (
     sylow,
 )
 from charcorr.showcase import corpus, load_corpus_group
-from test_closure import s4_wreath_c2
+from instances import s4_wreath_c2
 
 
 # -- oracles -------------------------------------------------------------------

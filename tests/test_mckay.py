@@ -9,6 +9,7 @@ import pytest
 from charcorr import mckay
 from charcorr import perm as pm
 from charcorr.chartab import (
+    ClassFunction,
     character_table,
     constituents,
     inner_product_int,
@@ -46,7 +47,7 @@ from charcorr.mckay import (
 )
 from charcorr.showcase import load_corpus_group
 from galois_check import check_galois_equivariance
-from test_closure import gl23_record, s4_wreath_c2_record
+from instances import THEOREM_INSTANCES, gl23_record, named_group, s4_wreath_c2_record
 
 
 def std_char(s4):
@@ -479,16 +480,46 @@ def test_verify_main_names_the_failed_flags_in_order(sl23, f21):
     assert str(info.value) == "(F21, p=7) does not satisfy: self_normalizing"
 
 
-def test_sylow_choice_independence(s4, f21):
-    for G, p, gi in ((s4, 2, 5), (f21, 3, 3)):
+def _conjugation_on_rows(P, Q, g):
+    """Row i of Irr(P) -> the row of Irr(Q) that is its g-conjugate, Q = P^g.
+
+    lambda^g(x^g) = lambda(x), read through the class representatives of P.
+    """
+    p_cls, q_cls = conjugacy_classes(P.view), conjugacy_classes(Q.view)
+    q_table = character_table(Q.view)
+    image = [q_cls.class_of_perm(pm.conjugate(p_cls.rep(k), g)) for k in range(p_cls.count)]
+    rows = []
+    for lam in character_table(P.view).rows:
+        values = [None] * q_cls.count
+        for k, v in zip(image, lam.values):
+            values[k] = v
+        rows.append(q_table.index_of(ClassFunction(Q.view, values)))
+    return rows
+
+
+def test_sylow_choice_independence():
+    # naturality: for g outside N_G(P), star and descent for P^g are the g-conjugates
+    # of those for P (every chi is a class function of G, so chi^g = chi)
+    instances = 0
+    for name, p in THEOREM_INSTANCES:
+        G = named_group(name)
         base = check_hypotheses(G, p)
-        g = G.elements[gi]
-        conj_members = [pm.conjugate(x, g) for x in base.sylow.members()]
-        other = instance_with_sylow(G, p, G.subgroup(conj_members))
+        g_id = next((i for i in range(G.order) if i not in base.normalizer.member_ids), None)
+        if g_id is None:  # P = G
+            continue
+        g = G.elements[g_id]
+        conjugates = G.subgroup(pm.conjugate(x, g) for x in base.sylow.members())
+        other = instance_with_sylow(G, p, conjugates)
+        assert other.sylow != base.sylow
         rep_a, rep_b = verify_main(base), verify_main(other)
-        assert rep_a.verdict == rep_b.verdict
-        assert rep_a.counts == rep_b.counts
-        assert rep_a.linear_count == rep_b.linear_count
+        assert rep_a.verdict is rep_b.verdict is True, name
+        assert rep_a.counts == rep_b.counts and rep_a.linear_count == rep_b.linear_count
+        conjugate_of = _conjugation_on_rows(base.sylow, other.sylow, g)
+        assert [a.chi for a in rep_a.pairs] == [b.chi for b in rep_b.pairs]
+        for a, b in zip(rep_a.pairs, rep_b.pairs):
+            assert (b.star, b.descent) == (conjugate_of[a.star], conjugate_of[a.descent]), name
+        instances += 1
+    assert instances >= 8
 
 
 def test_galois_equivariance_positive_corpus(positive_instances):
