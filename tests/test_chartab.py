@@ -49,7 +49,7 @@ from chartab_reference import inner_product
 from cyclotomic_reference import reference_conductor
 from faults import with_foreign_identity_column
 from galois_check import galois_classfn
-from instances import CORPUS, named_group, s4_wreath_c2
+from instances import CORPUS, GOLDEN, named_group, s4_wreath_c2
 
 
 def brute_induce(theta, H):
@@ -714,7 +714,13 @@ def test_index_of_refuses_a_row_of_another_group_object(s4):
         character_table(view).index_of(character_table(twin).rows[0])
 
 
-# -- exports (their goldens are pinned through the CLI, see instances.MANIFEST) ---------------
+# -- exports (golden surface) ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["s4", "d8", "sl23", "f21"])
+def test_table_export_golden(name):
+    golden = GOLDEN / f"{name}_table.txt"
+    assert character_table(load_corpus_group(name)).render_text() == golden.read_text()
 
 
 def test_table_to_dict_roundtrips_as_json(s4):

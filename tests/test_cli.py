@@ -25,6 +25,12 @@ def run_cli(args, tmp_path, name="out.txt"):
 # -- table ---------------------------------------------------------------------------
 
 
+def test_table_text(tmp_path):
+    code, text = run_cli(["table", "--group", "corpus/s4", "--format", "text"], tmp_path)
+    assert code == 0
+    assert text == (GOLDEN / "s4_table.txt").read_text()
+
+
 def test_table_c7_has_seventh_roots(tmp_path):
     code, text = run_cli(["table", "--group", "c7"], tmp_path)
     assert code == 0
@@ -551,6 +557,16 @@ def _run_subprocess(args, out_path, flags=()):
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return out_path.read_bytes()
+
+
+@pytest.mark.slow
+def test_verify_all_byte_identical_across_runs(tmp_path):
+    outs = [
+        _run_subprocess(["verify", "--all", "--format", "structured"], tmp_path / f"{i}.json")
+        for i in range(3)
+    ]
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == (GOLDEN / "verify_all.json").read_bytes()
 
 
 def test_verify_jobs_option_is_gone():
