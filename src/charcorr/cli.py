@@ -2,20 +2,27 @@
 and the order-648 showcase.
 
 Exit codes: 0 = everything verified, 1 = a falsification (a checked theorem
-statement failed), 2 = input or hypothesis error, including an ``--out``
-that cannot be written (a directory or a missing directory is refused before
-any work), 3 = engine error (an internal invariant failed, e.g. a table that
-fails orthogonality or a showcase ``ConstructionError``, or any other
-unexpected exception; this is a bug in the engine, not a statement about the
-group).
+statement failed), 2 = input or hypothesis error, including an output that
+cannot be written (an ``--out`` naming a directory or a missing directory is
+refused before any work; a failed write to ``--out`` or to stdout is caught
+when it happens), 3 = engine error (an internal invariant failed, e.g. a
+table that fails orthogonality or a showcase ``ConstructionError``, or any
+other unexpected exception; this is a bug in the engine, not a statement
+about the group).
+
+``main(argv)`` is the in-process API and leaves the interpreter as it found
+it.  ``run()`` is the entry point of a fresh process: ``python -m
+charcorr.cli`` and the ``charcorr`` script.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
+from typing import NoReturn
 
 from .chartab import character_table
 from .cyclotomic import is_prime
@@ -50,14 +57,21 @@ def _resolve_group(spec: str, cap: int):
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write the output to --out, or to stdout and flush it, so that none is left buffered."""
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise OutputError(f"cannot write --out {out}: {exc}") from exc
-    else:
+        return
+    if sys.stdout is None:  # the interpreter started with descriptor 1 closed
+        raise OutputError("cannot write output: stdout is closed")
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise OutputError(f"cannot write output: {exc}") from exc
 
 
 def _dump_json(payload) -> str:
@@ -291,5 +305,29 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> NoReturn:
+    """Run ``main`` as a whole process: no cyclic GC, and no interpreter teardown at exit.
+
+    Nothing the engine builds becomes cyclic garbage while a command runs (a
+    test in ``tests/test_cli.py`` guards this), so collections during the run
+    would reclaim only the discarded argument parser.  The final full
+    collection and module teardown would free memory that the ending process
+    hands back anyway.  ``_emit`` has flushed the output and closed
+    ``--out``, and the package registers no ``atexit`` handler.  argparse's
+    ``SystemExit`` (``--help``, usage errors) still leaves through the
+    normal exit.
+    """
+    gc.disable()
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # the descriptor was closed when the interpreter started
+            continue
+        try:
+            stream.flush()
+        except OSError:  # output still buffered here is output whose failed write main reported
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -33,11 +33,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .chartab import (
-    ClassFunction,
     character_table,
     constituents,
-    induce,
-    inner_product_int,
     is_invariant_under,
     lying_over,
     orbit_and_stabilizer,
@@ -53,7 +50,6 @@ from .groups import (
     derived_subgroup,
     fixed_points_on_cosets,
     intersection,
-    is_normal,
     is_solvable,
     normalizer,
     o_p_residual,
@@ -385,87 +381,6 @@ def isaacs_descent(
             degree=p_table.degrees[xi_index],
         )
     return xi_index, tuple(steps)
-
-
-# -- supporting theorem checks --------------------------------------------------------
-
-
-def check_extension(
-    inst: McKayInstance, N: Subgroup, chi_index: int, theta: ClassFunction
-) -> tuple[Subgroup, int]:
-    """Find an extension witness of theta to its stabilizer.
-
-    theta must be a P-invariant constituent of chi restricted to the normal
-    subgroup N; the witness is a row of Irr(G_theta) restricting exactly to
-    theta.  Absence of a witness is a falsification.
-    """
-    _require(inst.self_normalizing, "extension check needs a self-normalizing Sylow subgroup")
-    _require(is_p_solvable(inst.group, inst.p), "extension check needs a p-solvable group")
-    G = inst.group
-    table = character_table(G)
-    _require(table.degrees[chi_index] % inst.p != 0, "chi must have p'-degree")
-    if not is_normal(G, N):
-        raise ValueError("check_extension: N is not normal")
-    if not inner_product_int(restrict(table.rows[chi_index], N), theta):
-        raise ValueError("check_extension: theta does not lie under chi")
-    if not is_invariant_under(theta, N, inst.sylow):
-        raise ValueError("check_extension: theta is not P-invariant")
-    _, g_theta = orbit_and_stabilizer(theta, N)
-    view = g_theta.view
-    n_in_view = view.subgroup(N.members())
-    t_table = character_table(view)
-    for i, row in enumerate(t_table.rows):
-        if restrict(row, n_in_view).values == theta.values:
-            return g_theta, i
-    raise FalsificationError(
-        "no extension of theta to its stabilizer",
-        group=G.name,
-        chi=chi_index,
-        stabilizer_order=g_theta.order,
-    )
-
-
-def check_glauberman_unique(
-    P: Subgroup, K: Subgroup, N: Subgroup, theta: ClassFunction
-) -> int:
-    """Count P-invariant constituents of theta induced to K.
-
-    Requires coprime action data: K/N a p'-group, P normalizing K and N,
-    theta P-invariant.  The count is always >= 1, and must be exactly 1
-    whenever P fixes only one coset of N in K; both are asserted.
-    """
-    G = P.parent
-    check_same_group("check_glauberman_unique", K.parent, G)
-    check_same_group("check_glauberman_unique", N.parent, G)
-    if P.order > 1:
-        p = min(f for f in range(2, P.order + 1) if P.order % f == 0)
-        if p_part(P.order, p) != P.order:
-            raise ValueError("check_glauberman_unique: P is not a p-group")
-        if (K.order // N.order) % p == 0:
-            raise ValueError("check_glauberman_unique: K/N is not a p'-group")
-    if not N.member_ids <= K.member_ids:
-        raise ValueError("check_glauberman_unique: N not contained in K")
-    if not is_invariant_under(theta, N, P):
-        raise ValueError("check_glauberman_unique: theta is not P-invariant")
-    fixed = fixed_points_on_cosets(P, K, N)  # also validates normality/normalizing
-    n_in_k = K.view.subgroup(N.members())
-    induced = induce(theta, n_in_k)
-    k_table = character_table(K.view)
-    invariant = [
-        i
-        for i, _ in constituents(induced)
-        if is_invariant_under(k_table.rows[i], K, P)
-    ]
-    if not invariant:
-        raise FalsificationError(
-            "induced character has no P-invariant constituent", k_order=K.order
-        )
-    if fixed == 1 and len(invariant) != 1:
-        raise FalsificationError(
-            "P-invariant constituent not unique despite trivial fixed points",
-            count=len(invariant),
-        )
-    return len(invariant)
 
 
 class Counts(NamedTuple):

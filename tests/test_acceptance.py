@@ -29,8 +29,6 @@ from charcorr.groups import (
     sylow,
 )
 from charcorr.mckay import (
-    check_extension,
-    check_glauberman_unique,
     check_hypotheses,
     descent_levels,
     isaacs_descent,
@@ -41,6 +39,7 @@ from charcorr.showcase import load_corpus_group, remark_data
 from chartab_reference import inner_product
 from galois_check import check_galois_equivariance
 from instances import GOLDEN
+from lemma_checks import check_extension, check_glauberman_unique
 
 
 def report(criterion: int, label: str, ok: bool) -> None:

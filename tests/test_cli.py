@@ -1,19 +1,24 @@
 """CLI exit codes, output formats, golden files, and byte determinism."""
 
 import contextlib
+import gc
 import io
 import json
+import os
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charcorr import cli, groups, showcase
 from charcorr.cli import main
-from charcorr.groups import DEFAULT_CAP, MAX_FILE_BYTES
+from charcorr.groups import DEFAULT_CAP, MAX_FILE_BYTES, group_from_dict
+from charcorr.mckay import check_hypotheses, verify_main
 from faults import with_foreign_identity_column
-from instances import GOLDEN, MANIFEST, RECORDS, write_record
+from instances import GOLDEN, MANIFEST, RECORDS, s4_wreath_c2_record, write_record
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -322,6 +327,46 @@ def test_out_write_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def _buffered_env() -> dict:
+    """This environment without PYTHONUNBUFFERED: a child's stdout is then block-buffered,
+    as from a shell, so output that a process leaves unflushed at exit goes missing."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _fresh_process(args, **kwargs):
+    """One ``python -m charcorr.cli`` process writing to pipes, as the benchmark runs it."""
+    cmd = [sys.executable, "-m", "charcorr.cli", *args]
+    return subprocess.run(cmd, env=_buffered_env(), capture_output=True, timeout=600, **kwargs)
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_stdout_write_failure_exits_2():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FullStdout()), contextlib.redirect_stderr(err):
+        code = main(["verify", "--group", "s4", "-p", "2"])
+    assert code == 2
+    assert err.getvalue() == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "redirect, reason",
+    [(">/dev/full", "[Errno 28] No space left on device"), (">&-", "stdout is closed")],
+    ids=["full", "closed"],
+)
+def test_stdout_that_cannot_be_written_exits_2_in_a_fresh_process(redirect, reason):
+    if redirect == ">/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("this system has no /dev/full")
+    script = f'"$0" -m charcorr.cli verify --group s4 -p 2 {redirect}'
+    cmd = ["sh", "-c", script, sys.executable]
+    proc = subprocess.run(cmd, env=_buffered_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write output: {reason}\n"
+
+
 def test_construction_error_is_an_engine_error(monkeypatch, capsys):
     from charcorr import showcase
 
@@ -613,6 +658,54 @@ def test_c7_wreath_c3_is_outside_the_hypotheses_at_both_primes(tmp_path, capsys,
     assert main(["verify", "--group", str(path), "-p", p]) == 2
     message = f"error: (C7wrC3, p={p}) does not satisfy: self_normalizing\n"
     assert capsys.readouterr() == ("", message)
+
+
+# cli.run ends a fresh process with os._exit: no byte of stdout and no exit code may be lost
+@pytest.mark.parametrize(
+    "run", [run for run in MANIFEST if run.record is None], ids=lambda run: run.id
+)
+def test_fresh_process_stdout_equals_the_golden(run):
+    proc = _fresh_process(run.argv)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN / run.golden).read_bytes()
+
+
+def test_fresh_process_keeps_the_exit_code_and_stderr(tmp_path):
+    path = write_record(RECORDS["c7wrc3"], tmp_path, "c7wrc3")
+    proc = _fresh_process(["verify", "--group", str(path), "-p", "3"], text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: (C7wrC3, p=3) does not satisfy: self_normalizing\n"
+
+
+def test_the_engine_leaves_no_cyclic_garbage(monkeypatch):
+    # cli.run turns the cyclic collector off for the whole process.  That is sound
+    # only while nothing the engine builds becomes cyclic garbage while a command
+    # runs, so fresh work runs here with the collector off, holding every group and
+    # result as a command does until it returns, and a full collection must then
+    # find nothing.
+    monkeypatch.setattr(groups, "_VIEW_CACHE", {})  # fresh subgroup views, no tables yet
+    fresh_corpus = lru_cache(maxsize=None)(cli.load_corpus_group.__wrapped__)
+    monkeypatch.setattr(cli, "load_corpus_group", fresh_corpus)
+    fresh_remark = lru_cache(maxsize=None)(showcase.remark_data.__wrapped__)
+    monkeypatch.setattr(showcase, "remark_data", fresh_remark)
+    gc.collect()
+    gc.disable()
+    try:
+        instances = [
+            check_hypotheses(group_from_dict(record), p)
+            for record, p in ((s4_wreath_c2_record(1), 2), (RECORDS["heis7c3"], 3))
+        ]
+        held = [verify_main(inst) for inst in instances]
+        held += [cli._run_corpus_entry(entry, DEFAULT_CAP) for entry in showcase.corpus()]
+        held.append(showcase.remark_report())
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert all(held)
+    assert found == 0, (
+        f"the engine left {found} objects in reference cycles: break those cycles,"
+        " or stop cli.run from turning the cyclic collector off"
+    )
 
 
 def test_s4_wreath_c2_descent_does_its_theta_level_work_once_per_theta(tmp_path, monkeypatch):

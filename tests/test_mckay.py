@@ -3,6 +3,7 @@ coprime uniqueness, counts, coincidence, and the supporting lemma checks
 run exhaustively over corpus-derivable configurations."""
 
 import json
+from math import gcd
 
 import pytest
 
@@ -34,8 +35,6 @@ from charcorr.mckay import (
     FalsificationError,
     HypothesisError,
     as_json,
-    check_extension,
-    check_glauberman_unique,
     check_hypotheses,
     descent_levels,
     instance_with_sylow,
@@ -48,6 +47,7 @@ from charcorr.mckay import (
 from charcorr.showcase import load_corpus_group
 from galois_check import check_galois_equivariance
 from instances import THEOREM_INSTANCES, gl23_record, named_group, s4_wreath_c2_record
+from lemma_checks import check_extension, check_glauberman_unique
 
 
 def std_char(s4):
@@ -522,9 +522,14 @@ def test_sylow_choice_independence():
     assert instances >= 8
 
 
-def test_galois_equivariance_positive_corpus(positive_instances):
-    for entry, inst in positive_instances:
-        assert check_galois_equivariance(inst) > 0
+@pytest.mark.parametrize("name, p", THEOREM_INSTANCES)
+def test_galois_equivariance(name, p):
+    # one check per pair (sigma, chi): sigma in Gal(Q(zeta_e)/Q), e = exp(G), chi in Irr_p'(G)
+    inst = check_hypotheses(named_group(name), p)
+    e = inst.group.exponent
+    galois_maps = sum(1 for k in range(1, e + 1) if gcd(k, e) == 1)
+    p_prime = p_prime_irreducibles(character_table(inst.group), p)
+    assert check_galois_equivariance(inst) == galois_maps * len(p_prime)
 
 
 # -- restriction bijection and conjugacy of invariant constituents (lemma checks) -------------

@@ -21,7 +21,7 @@ from charcorr.groups import (
     normalizer,
     sylow,
 )
-from charcorr.mckay import check_glauberman_unique, check_hypotheses, mckay_count, verify_main
+from charcorr.mckay import check_hypotheses, mckay_count, verify_main
 from charcorr.showcase import (
     corpus_path,
     load_corpus_group,
@@ -29,6 +29,7 @@ from charcorr.showcase import (
     remark_generators,
     remark_report,
 )
+from lemma_checks import check_glauberman_unique
 
 
 @pytest.fixture(scope="module")
