@@ -8,7 +8,8 @@ refused before any work; a failed write to ``--out`` or to stdout is caught
 when it happens), 3 = engine error (an internal invariant failed, e.g. a
 table that fails orthogonality or a showcase ``ConstructionError``, or any
 other unexpected exception; this is a bug in the engine, not a statement
-about the group).
+about the group).  A stderr that cannot be written loses its message but
+never changes the exit code.
 
 ``main(argv)`` is the in-process API and leaves the interpreter as it found
 it.  ``run()`` is the entry point of a fresh process: ``python -m
@@ -120,9 +121,19 @@ def _verify_report_text(rep) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report(code: int, message: str) -> int:
+    """Print a line to stderr, if it can be written, and return code."""
+    if sys.stderr is not None:  # None: the descriptor was closed when the interpreter started
+        try:
+            print(message, file=sys.stderr)
+        except OSError:
+            pass
+    return code
+
+
 def _log(cfg: argparse.Namespace, message: str) -> None:
     if cfg.verbose:
-        print(message, file=sys.stderr)
+        _report(0, message)
 
 
 def _run_corpus_entry(entry, cap: int) -> dict:
@@ -286,8 +297,7 @@ def main(argv=None) -> int:
             return cmd_verify(cfg)
         return cmd_remark(cfg)
     except FalsificationError as exc:
-        print(f"FALSIFIED: {exc}", file=sys.stderr)
-        return 1
+        return _report(1, f"FALSIFIED: {exc}")
     except (
         MalformedGroupError,
         GroupTooLargeError,
@@ -295,14 +305,11 @@ def main(argv=None) -> int:
         OutputError,
         FileNotFoundError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _report(2, f"error: {exc}")
     except (RuntimeError, ValueError) as exc:
-        print(f"engine error: {exc}", file=sys.stderr)
-        return 3
+        return _report(3, f"engine error: {exc}")
     except Exception as exc:  # any other engine bug is an engine error, not a falsification
-        print(f"engine error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _report(3, f"engine error: {type(exc).__name__}: {exc}")
 
 
 def run() -> NoReturn:

@@ -28,18 +28,7 @@ from math import gcd, isqrt, lcm
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -224,15 +213,7 @@ class Cyc:
     def zero() -> "Cyc":
         return _ZERO
 
-    @staticmethod
-    def one() -> "Cyc":
-        return _ONE
-
-    # predicates / conversions
-
-    @property
-    def is_rational(self) -> bool:
-        return self.n == 1
+    # conversions
 
     def as_fraction(self) -> Fraction:
         if self.n != 1:
@@ -369,7 +350,6 @@ def _coerce(x):
 
 
 _ZERO = Cyc(1, (Fraction(0),))
-_ONE = Cyc(1, (Fraction(1),))
 
 
 def _express_in_subfield(n: int, coeffs, d: int):

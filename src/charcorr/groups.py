@@ -188,7 +188,10 @@ _VIEW_CACHE: dict[tuple[int, frozenset[Perm]], PermGroup] = {}
 
 
 class Subgroup:
-    """Subset of a parent group's elements, closed under the group operations."""
+    """Subset of a parent group's elements, closed under the group operations.
+
+    Interned by ``PermGroup.subgroup_from_ids``, its only constructor, so equality is identity.
+    """
 
     def __init__(self, parent: PermGroup, member_ids: frozenset[int]):
         self.parent = parent
@@ -235,23 +238,10 @@ class Subgroup:
             return self.parent
         if self._view is None:
             key = (self.parent.degree, self.member_set())
-            view = _VIEW_CACHE.get(key)
-            if view is None:
-                view = _build_view(self)
-                _VIEW_CACHE.setdefault(key, view)
-                view = _VIEW_CACHE[key]
-            self._view = view
+            if key not in _VIEW_CACHE:
+                _VIEW_CACHE[key] = _build_view(self)
+            self._view = _VIEW_CACHE[key]
         return self._view
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subgroup)
-            and other.parent is self.parent
-            and other.member_ids == self.member_ids
-        )
-
-    def __hash__(self):
-        return hash((id(self.parent), self.member_ids))
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.name})"
@@ -414,7 +404,7 @@ def sylow(G: PermGroup, p: int) -> Subgroup:
     if target == 1:
         return G.trivial_subgroup()
     cls = conjugacy_classes(G)
-    p_classes = {c for c, o in enumerate(cls.orders) if o > 1 and _is_p_power(o, p)}
+    p_classes = {c for c, o in enumerate(cls.orders) if o > 1 and p_part(o, p) == o}
     p_elements = [i for i, c in enumerate(cls.class_of_id) if c in p_classes]
     members = {0}
     gens: list[int] = []
@@ -423,19 +413,13 @@ def sylow(G: PermGroup, p: int) -> Subgroup:
             if x in members:
                 continue
             trial = pure.extend_closure(G, members, gens + [x], limit=target)
-            if trial is not None and _is_p_power(len(trial), p):
+            if trial is not None and p_part(len(trial), p) == len(trial):
                 gens.append(x)
                 members = trial
                 break
         else:
             raise RuntimeError(f"sylow({G.name}, {p}): greedy growth stalled")  # unreachable
     return G.subgroup_from_ids(members)
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
@@ -500,7 +484,7 @@ def o_p_residual(G: PermGroup, p: int) -> Subgroup:
     cls = conjugacy_classes(G)
     seeds = [i for i in range(G.order) if gcd(cls.orders[cls.class_of_id[i]], p) == 1]
     members, _ = G.pruned_closure_ids(seeds)
-    if not _is_p_power(G.order // len(members), p):
+    if p_part(G.order // len(members), p) != G.order // len(members):
         raise RuntimeError("o_p_residual: quotient is not a p-group")  # unreachable
     return G.subgroup_from_ids(members)
 

@@ -462,10 +462,9 @@ def verify_main(inst: McKayInstance) -> CorrespondenceReport:
                 error=error,
             )
         )
-    star_values = [p.star for p in pairs]
-    desc_values = [p.descent for p in pairs]
-    star_bij = sorted(star_values, key=_none_last) == list(lin) and len(set(star_values)) == len(pairs)
-    desc_bij = sorted(desc_values, key=_none_last) == list(lin) and len(set(desc_values)) == len(pairs)
+    # lin is strictly increasing, so sorting onto it also proves the values distinct
+    star_bij = sorted((p.star for p in pairs), key=_none_last) == list(lin)
+    desc_bij = sorted((p.descent for p in pairs), key=_none_last) == list(lin)
     counts = mckay_count(inst)
     verdict = all_ok and star_bij and desc_bij and counts.equal
     return CorrespondenceReport(

@@ -224,25 +224,31 @@ def verify_fully_ramified(
     return 1, theta, phi_index, phi, e
 
 
-def inflate_from_direct_factor(data: RemarkGroup, f: ClassFunction) -> ClassFunction:
-    """Lift a class function of H to N = L x H through the projection N -> H."""
-    n_view = data.N.view
-    h_view = data.H.view
-    n_classes = conjugacy_classes(n_view)
-    h_classes = conjugacy_classes(h_view)
+def _projection_classes(data: RemarkGroup) -> tuple[int, ...]:
+    """The class of H that each class of N = L x H maps to under the projection N -> H."""
+    n_classes = conjugacy_classes(data.N.view)
+    h_classes = conjugacy_classes(data.H.view)
     l_members = data.L.members()
     h_set = set(data.H.members())
-    values = []
+    image = []
     for c in range(n_classes.count):
         t = n_classes.rep(c)
         for z in l_members:
             h = pm.compose(pm.inverse(z), t)
             if h in h_set:
-                values.append(f.values[h_classes.class_of_perm(h)])
+                image.append(h_classes.class_of_perm(h))
                 break
         else:
             raise ConstructionError("N element does not factor as z*h")
-    return ClassFunction(n_view, values)
+    return tuple(image)
+
+
+def _values_by_class_order(f: ClassFunction) -> dict[int, list]:
+    """The values of f grouped by the element order of their class, in class order."""
+    out = {}
+    for order, v in zip(conjugacy_classes(f.group).orders, f.values):
+        out.setdefault(order, []).append(v)
+    return out
 
 
 def recover_psi(data: RemarkGroup, theta: ClassFunction, phi: ClassFunction) -> tuple:
@@ -257,13 +263,10 @@ def recover_psi(data: RemarkGroup, theta: ClassFunction, phi: ClassFunction) -> 
     survivor as (alpha, beta, psi on H, psi on N, its pairs) followed by the
     records of all viable candidates.
     """
-    G = data.G
-    g_table = character_table(G)
+    g_table = character_table(data.G)
     n_view = data.N.view
     n_table = character_table(n_view)
     h_table = character_table(data.H.view)
-    h_classes = conjugacy_classes(data.H.view)
-    n_in_g = data.N
 
     odd_chis = [
         i
@@ -278,19 +281,21 @@ def recover_psi(data: RemarkGroup, theta: ClassFunction, phi: ClassFunction) -> 
     ]
     _require(len(odd_chis) == 4 and len(odd_xis) == 4, "expected 4 odd characters on each side")
 
-    chi_restrictions = {i: restrict(g_table.rows[i], n_in_g) for i in odd_chis}
+    chi_restrictions = {i: restrict(g_table.rows[i], data.N) for i in odd_chis}
     linears = [i for i, d in enumerate(h_table.degrees) if d == 1]
     deg2 = [i for i, d in enumerate(h_table.degrees) if d == 2]
     _require(len(linears) == 3 and len(deg2) == 3, "H should have 3 linear and 3 degree-2 rows")
+    to_h = _projection_classes(data)
+
+    def psi(a: int, b: int) -> tuple[ClassFunction, ClassFunction]:  # on H, and inflated to N
+        psi_h = h_table.rows[a] + h_table.rows[b]
+        return psi_h, ClassFunction(n_view, (psi_h.values[c] for c in to_h))
 
     root = sqrt_minus3()
     candidates = []
-    psis = {}
     for a in linears:
         for b in deg2:
-            psi_h = h_table.rows[a] + h_table.rows[b]
-            psi_n = inflate_from_direct_factor(data, psi_h)
-            psis[a, b] = psi_h, psi_n
+            psi_h, psi_n = psi(a, b)
             products = {xi: mul_classfn(psi_n, n_table.rows[xi]).values for xi in odd_xis}
             matches = {
                 ci: [xi for xi in odd_xis if chi_restrictions[ci].values == products[xi]]
@@ -300,24 +305,11 @@ def recover_psi(data: RemarkGroup, theta: ClassFunction, phi: ClassFunction) -> 
                 all(len(h) == 1 for h in matches.values())
                 and len({h[0] for h in matches.values()}) == len(odd_xis)
             )
-            order2_ok = all(
-                psi_h.values[c] == -1
-                for c in range(h_classes.count)
-                if h_classes.rep_order(c) == 2
-            )
-            order4_ok = all(
-                psi_h.values[c] == 1
-                for c in range(h_classes.count)
-                if h_classes.rep_order(c) == 4
-            )
-            order3_ok = all(
-                psi_h.values[c] == root or psi_h.values[c] == -root
-                for c in range(h_classes.count)
-                if h_classes.rep_order(c) == 3
-            )
-            faithful = all(
-                psi_h.values[c] != 3 for c in range(1, h_classes.count)
-            )
+            by_order = _values_by_class_order(psi_h)
+            order2_ok = all(v == -1 for v in by_order.get(2, ()))
+            order4_ok = all(v == 1 for v in by_order.get(4, ()))
+            order3_ok = all(v == root or v == -root for v in by_order.get(3, ()))
+            faithful = all(v != 3 for v in psi_h.values[1:])
             candidates.append(
                 {
                     "alpha": a,
@@ -342,7 +334,7 @@ def recover_psi(data: RemarkGroup, theta: ClassFunction, phi: ClassFunction) -> 
         )
     chosen = good[0]
     a, b = chosen["alpha"], chosen["beta"]
-    psi_h, psi_n = psis[a, b]
+    psi_h, psi_n = psi(a, b)
     return a, b, psi_h, psi_n, tuple(chosen["pairs"]), tuple(viable)
 
 
@@ -396,12 +388,7 @@ def remark_data(cap: int = DEFAULT_CAP) -> RemarkData:
 def remark_report(cap: int = DEFAULT_CAP) -> dict:
     """The showcase's structured output, as plain JSON data."""
     data = remark_data(cap=cap)
-    h_classes = conjugacy_classes(data.H.view)
-    by_order: dict[str, list[str]] = {}
-    for c in range(h_classes.count):
-        by_order.setdefault(str(h_classes.rep_order(c)), []).append(
-            render_cyc(data.psi_h.values[c])
-        )
+    by_order = _values_by_class_order(data.psi_h)
     return as_json({
         "group": data.G.name,
         "orders": {
@@ -422,7 +409,9 @@ def remark_report(cap: int = DEFAULT_CAP) -> dict:
             "alpha": data.psi_alpha,
             "beta": data.psi_beta,
             "degree": data.psi_h.degree_int(),
-            "values_by_class_order": {k: sorted(set(v)) for k, v in by_order.items()},
+            "values_by_class_order": {
+                str(k): sorted({render_cyc(v) for v in vs}) for k, vs in by_order.items()
+            },
             "values": [render_cyc(v) for v in data.psi_h.values],
         },
         "viable_candidates": data.viable,
@@ -456,12 +445,8 @@ def corpus() -> tuple[CorpusEntry, ...]:
     )
 
 
-def corpus_dir():
-    return resources.files("charcorr") / "corpus"
-
-
 def corpus_path(name: str) -> str:
-    return str(corpus_dir() / f"{name}.json")
+    return str(resources.files("charcorr") / "corpus" / f"{name}.json")
 
 
 @lru_cache(maxsize=None)

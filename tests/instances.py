@@ -76,6 +76,31 @@ def c7_wreath_c3_record() -> dict:
     return {"name": "C7wrC3", "degree": 21, "generators": [seven_cycle, rotation]}
 
 
+def agl1_record(q: int) -> dict:
+    """AGL(1, q) = {x -> ax + b} (order q(q - 1)) on the q points of GF(q), q prime, 8 or 9.
+
+    The generators are x -> x + 1 and x -> gx with g primitive: conjugating
+    the first by powers of the second gives every translation x -> x + g^k.
+    GF(8) is F_2[t]/(t^3 + t + 1) with c0 + c1 t + c2 t^2 at point c0 + 2c1 + 4c2
+    and g = t.  GF(9) is F_3[i]/(i^2 + 1) with a + bi at point a + 3b and
+    g = 1 + i, of order 8.  For odd q the Sylow 2-subgroup is
+    self-normalizing exactly when q - 1 is a power of 2.
+    """
+    points = range(q)
+    if q == 8:
+        plus_one = [x ^ 1 for x in points]
+        times_g = [(x << 1) ^ (0b1011 if x & 4 else 0) for x in points]  # t^3 = t + 1
+    elif q == 9:
+        plus_one = [(x + 1) % 3 + 3 * (x // 3) for x in points]
+        # (a + bi)(1 + i) = (a - b) + (a + b)i
+        times_g = [(x % 3 - x // 3) % 3 + 3 * ((x % 3 + x // 3) % 3) for x in points]
+    else:
+        g = next(g for g in range(1, q) if len({pow(g, k, q) for k in range(1, q)}) == q - 1)
+        plus_one = [(x + 1) % q for x in points]
+        times_g = [g * x % q for x in points]
+    return {"name": f"AGL(1,{q})", "degree": q, "generators": [plus_one, times_g]}
+
+
 def s4_wreath_c2_record(seed: int) -> dict:
     """Group record of S4 wr C2 (order 1152) on 8 points, relabelled by a seeded shuffle."""
     gens = [
@@ -114,6 +139,7 @@ RECORDS = {
     "heis7c3": heis7c3_record(),
     "c7wrc3": c7_wreath_c3_record(),
     "gl23": gl23_record(),
+    **{f"agl{q}": agl1_record(q) for q in (5, 7, 8, 9, 17)},
 }
 
 
@@ -140,6 +166,9 @@ THEOREM_INSTANCES = tuple((e.name, e.prime) for e in corpus() if e.expect == "th
     ("heis5", 5),
     ("heis7", 7),
     ("heis7c3", 3),
+    ("agl5", 2),
+    ("agl9", 2),
+    ("agl17", 2),
 )
 
 

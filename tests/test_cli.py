@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from charcorr import cli, groups, showcase
 from charcorr.cli import main
 from charcorr.groups import DEFAULT_CAP, MAX_FILE_BYTES, group_from_dict
-from charcorr.mckay import check_hypotheses, verify_main
+from charcorr.mckay import FalsificationError, HypothesisError, check_hypotheses, verify_main
 from faults import with_foreign_identity_column
 from instances import GOLDEN, MANIFEST, RECORDS, s4_wreath_c2_record, write_record
 
@@ -339,14 +339,14 @@ def _fresh_process(args, **kwargs):
     return subprocess.run(cmd, env=_buffered_env(), capture_output=True, timeout=600, **kwargs)
 
 
-class _FullStdout(io.StringIO):
+class _FullStream(io.StringIO):
     def write(self, text):
         raise OSError(28, "No space left on device")
 
 
 def test_stdout_write_failure_exits_2():
     err = io.StringIO()
-    with contextlib.redirect_stdout(_FullStdout()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(_FullStream()), contextlib.redirect_stderr(err):
         code = main(["verify", "--group", "s4", "-p", "2"])
     assert code == 2
     assert err.getvalue() == "error: cannot write output: [Errno 28] No space left on device\n"
@@ -365,6 +365,35 @@ def test_stdout_that_cannot_be_written_exits_2_in_a_fresh_process(redirect, reas
     proc = subprocess.run(cmd, env=_buffered_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr == f"error: cannot write output: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (FalsificationError("chi has no star"), 1),
+        (HypothesisError("p is not prime"), 2),
+        (RuntimeError("orthogonality fails"), 3),
+        (KeyError("boom"), 3),
+    ],
+    ids=["falsified", "error", "engine error", "other engine error"],
+)
+def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(monkeypatch, error, code):
+    def failing(G):
+        raise error
+
+    monkeypatch.setattr(cli, "character_table", failing)
+    with contextlib.redirect_stderr(_FullStream()):
+        assert main(["table", "--group", "s3"]) == code
+
+
+@pytest.mark.parametrize("redirect", ["2>/dev/full", "2>&-"], ids=["full", "closed"])
+def test_a_stderr_that_cannot_be_written_keeps_exit_2_in_a_fresh_process(redirect):
+    if redirect == "2>/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("this system has no /dev/full")
+    script = f'"$0" -m charcorr.cli verify --group sl23 -p 3 {redirect}'
+    cmd = ["sh", "-c", script, sys.executable]
+    proc = subprocess.run(cmd, env=_buffered_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
 
 
 def test_construction_error_is_an_engine_error(monkeypatch, capsys):
@@ -658,6 +687,19 @@ def test_c7_wreath_c3_is_outside_the_hypotheses_at_both_primes(tmp_path, capsys,
     assert main(["verify", "--group", str(path), "-p", p]) == 2
     message = f"error: (C7wrC3, p={p}) does not satisfy: self_normalizing\n"
     assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize(
+    "key, p, failed",
+    [("agl7", "2", "self_normalizing"), ("agl8", "7", "parity")],
+    ids=["agl7-p2", "agl8-p7"],
+)
+def test_affine_groups_outside_the_hypotheses_exit_2(tmp_path, capsys, key, p, failed):
+    # for odd q, AGL(1,q) is inside them at p = 2 exactly when q - 1 is a power of 2
+    path = write_record(RECORDS[key], tmp_path, key)
+    assert main(["verify", "--group", str(path), "-p", p]) == 2
+    name = RECORDS[key]["name"]
+    assert capsys.readouterr() == ("", f"error: ({name}, p={p}) does not satisfy: {failed}\n")
 
 
 # cli.run ends a fresh process with os._exit: no byte of stdout and no exit code may be lost

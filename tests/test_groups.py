@@ -381,6 +381,16 @@ def test_full_subgroup_view_is_the_group(s4, d8):
     assert P.view.full_subgroup().view is P.view
 
 
+def test_a_member_set_is_one_subgroup_per_parent_and_one_view_across_parents(s4):
+    # Subgroup equality is identity, which holds only because subgroups are interned
+    P = sylow(s4, 2)
+    assert s4.subgroup(P.members()) is s4.subgroup_from_ids(reversed(P.sorted_ids)) is P
+    twin = PermGroup.from_generators(s4.degree, s4.generators, name="twin")
+    Q = twin.subgroup(P.members())
+    assert Q is not P and Q != P and Q.parent is twin
+    assert Q.view is P.view
+
+
 # -- cosets and fixed points ------------------------------------------------------------------
 
 

@@ -6,6 +6,8 @@ import json
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charcorr import mckay
 from charcorr import perm as pm
@@ -21,6 +23,7 @@ from charcorr.chartab import (
     restrict,
 )
 from charcorr.cli import main
+from charcorr.cyclotomic import prime_factors
 from charcorr.groups import (
     PermGroup,
     conjugacy_classes,
@@ -45,6 +48,7 @@ from charcorr.mckay import (
     verify_main,
 )
 from charcorr.showcase import load_corpus_group
+from chartab_reference import inner_product
 from galois_check import check_galois_equivariance
 from instances import THEOREM_INSTANCES, gl23_record, named_group, s4_wreath_c2_record
 from lemma_checks import check_extension, check_glauberman_unique
@@ -519,7 +523,31 @@ def test_sylow_choice_independence():
         for a, b in zip(rep_a.pairs, rep_b.pairs):
             assert (b.star, b.descent) == (conjugate_of[a.star], conjugate_of[a.descent]), name
         instances += 1
-    assert instances >= 8
+    assert instances >= 11
+
+
+@st.composite
+def small_generator_sets(draw):
+    """(degree, generators): at most 3 permutations of degree at most 6."""
+    degree = draw(st.integers(1, 6))
+    return degree, draw(st.lists(st.permutations(range(degree)), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_generator_sets())
+def test_random_small_groups_have_exact_tables_and_true_verdicts(drawn):
+    degree, generators = drawn
+    G = PermGroup.from_generators(degree, generators, name="random", cap=720)
+    table = character_table(G)
+    assert sum(d * d for d in table.degrees) == G.order
+    assert sum(conjugacy_classes(G).sizes) == G.order  # the class equation
+    for i, a in enumerate(table.rows):
+        for j, b in enumerate(table.rows):
+            assert inner_product(a, b) == (1 if i == j else 0)
+    for p in prime_factors(G.order):
+        inst = check_hypotheses(G, p)
+        if inst.hypotheses_ok:
+            assert verify_main(inst).verdict is True, (generators, p)
 
 
 @pytest.mark.parametrize("name, p", THEOREM_INSTANCES)

@@ -92,3 +92,94 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     loaded = set(proc.stdout.split())
     assert "charcorr.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
+
+
+
+CALLER_ROOTS = [SRC.parent.parent / folder for folder in ("src", "tests", "perfbench")]
+# Callerless, but deleting it waits for the benchmark change that stops every
+# sample recompiling src/: with that recompilation, deleting these four lines
+# moved peak_rss_mb on all three workloads past its bound.
+KNOWN_CALLERLESS = {"chartab.py ClassFunction.degree"}
+
+
+def _definitions():
+    """(label, name, is_member, path, first line, last line) of each non-dunder def and class.
+
+    The label is the file and the name, qualified by its class for a method.
+    """
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {
+            id(node): cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            owner = owners.get(id(node))
+            label = f"{path.relative_to(SRC)} {owner + '.' if owner else ''}{node.name}"
+            yield label, node.name, owner is not None, path, node.lineno, node.end_lineno
+
+
+def _mentions(node, roots) -> list[tuple[str, str]]:
+    """(kind, name) for each name a node mentions: "bare", "attr", or "path".
+
+    A "path" is a part of a string holding a dotted path that starts at one
+    of the roots, such as ``"charcorr.chartab._pairings"`` or
+    ``"PermGroup.from_generators"``: the form that ``monkeypatch.setattr``
+    and the benchmark's tracer take.
+    """
+    if isinstance(node, ast.Name):
+        return [("bare", node.id)]
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return [("attr", node.attr)]
+    if isinstance(node, ast.alias):
+        return [("bare", part) for part in node.name.split(".")]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        parts = node.value.split(".")
+        if len(parts) > 1 and parts[0] in roots and all(part.isidentifier() for part in parts):
+            return [("path", part) for part in parts]
+    return []
+
+
+def _names_used() -> dict[str, set]:
+    """Per name, every place that mentions it: {name: {(kind, path, line)}}."""
+    roots = {"charcorr"} | {path.stem for path in SRC.rglob("*.py")}
+    roots |= {node.name for _, node in _package_nodes() if isinstance(node, ast.ClassDef)}
+    used: dict[str, set] = {}
+    for root in CALLER_ROOTS:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                for kind, name in _mentions(node, roots):
+                    used.setdefault(name, set()).add((kind, path, getattr(node, "lineno", 0)))
+    return used
+
+
+def test_every_package_definition_is_named_outside_itself():
+    # Code that nothing names is code that nothing runs or tests: delete it.
+    # A method or property is named by an attribute read or a dotted path.  A
+    # read of a name that the package also stores as a plain attribute
+    # (``self.degree = ...``) cannot be told apart from a read of that
+    # attribute, so it does not count.  Dunder methods are exempt.
+    used = _names_used()
+    stored = {
+        node.attr
+        for _, node in _package_nodes()
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    }
+    callerless = []
+    for label, name, is_member, path, first, last in _definitions():
+        kinds = {"attr", "path"} if is_member else {"bare", "attr", "path"}
+        if is_member and name in stored:
+            kinds.discard("attr")
+        if not any(
+            kind in kinds and not (where == path and first <= line <= last)
+            for kind, where, line in used.get(name, ())
+        ):
+            callerless.append(label)
+    assert set(callerless) == KNOWN_CALLERLESS, sorted(callerless)
