@@ -258,7 +258,11 @@ def _common_eigenvectors(class_matrix, r, q):
     the invariance check and the lifting of eigen-coordinates back to F_q^r
     take one big-int combination per vector (``_fq_combination``).  Spaces are
     row bases in reduced row echelon form and eigen-subspaces are ordered by
-    ascending eigenvalue, so the output is deterministic.  Returns one
+    ascending eigenvalue, so the output is deterministic.  A space on which
+    the matrix acts as a scalar (T = lambda I, checked after the invariance
+    check) cannot split: it is kept as it is, with no characteristic
+    polynomial, nullspace or rref, since the nullspace of T^t - lambda is then
+    the whole space and its rref is the basis already held.  Returns one
     spanning vector per line.
     """
     identity = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
@@ -290,6 +294,10 @@ def _common_eigenvectors(class_matrix, r, q):
             for t, image in zip(T, images):  # invariance check: image must lie in the space
                 if _fq_combination(t, packed, width, r, q) != image:
                     raise RuntimeError("class-matrix eigenspace is not invariant")
+            lam = T[0][0]
+            if all(t[a] == (lam if a == j else 0) for j, t in enumerate(T) for a in range(dim)):
+                nxt.append((basis, pivots))  # T = lam*I: the general path returns this space
+                continue
             Tt = [[T[b][a] for b in range(dim)] for a in range(dim)]
             covered = 0
             for lam in eigenvalues(Tt, q):
@@ -347,7 +355,9 @@ def _verify_table(table: CharacterTable) -> None:
 
     With X the table and D = diag(|C_i|), the pairing matrix X D conj(X)^t of
     the rows must be |G| I.  Then X^-1 = D conj(X)^t / |G|, so conj(X)^t X =
-    |G| D^-1: column orthogonality follows and is not rechecked.
+    |G| D^-1: column orthogonality follows and is not rechecked.  The
+    pairing matrix is Hermitian, so ``_pairings`` computes the pairs a <= b
+    of the rows with themselves and mirrors the rest.
     """
     G = table.group
     n = G.order
@@ -434,7 +444,9 @@ def _pairings(left, right) -> tuple[list[list[int]], tuple[_Embedding, _Embeddin
     Each side is a list of class functions, or a CharacterTable standing for
     its rows, whose embedding is built once and kept on the table.  Both are
     embedded (``_Embedding``) into Z[zeta_m], m the lcm of their conductors;
-    a list paired with itself is embedded once.
+    a list paired with itself is embedded once, and only its pairs a <= b are
+    computed: pairing(b, a) = conj(pairing(a, b)), which is pairing(a, b)
+    since each computed entry must be rational.
     Each vector is packed into one int (Kronecker substitution, slots wide
     enough for any coefficient of the sum), one big-int product per class
     gives the polynomial product, and the sum over classes is decoded and
@@ -455,10 +467,18 @@ def _pairings(left, right) -> tuple[list[list[int]], tuple[_Embedding, _Embeddin
     wtd = [list(map(mul, sizes, row)) for row in a.packed_rows(width, False)]
     conj = b.packed_rows(width, True)
     slots = 2 * basis.phi - 1
-    sums = [[basis.reduce(_unpack(sum(map(mul, x, y)), width, slots)) for y in conj] for x in wtd]
+    mirror = right is left  # then row i is computed from column i on only
+    starts = range(len(wtd)) if mirror else [0] * len(wtd)
+    sums = [
+        [basis.reduce(_unpack(sum(map(mul, x, y)), width, slots)) for y in conj[start:]]
+        for start, x in zip(starts, wtd)
+    ]
     if any(any(c[1:]) for row in sums for c in row):
         raise NotACharacterError("a pairing is not rational")
-    return [[c[0] for c in row] for row in sums], (a, b)
+    pairings = [[c[0] for c in row] for row in sums]
+    if mirror:  # pairing (i, j) with j < i is computed row j, entry i - j
+        pairings = [[pairings[j][i - j] for j in range(i)] + pairings[i] for i in range(len(wtd))]
+    return pairings, (a, b)
 
 
 def _pack(coeffs, width: int) -> int:

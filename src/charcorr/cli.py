@@ -1,14 +1,16 @@
 """Command-line frontend: character tables, correspondence verification,
 and the order-648 showcase.
 
-Exit codes: 0 = everything verified, 1 = a falsification (a checked theorem
-statement failed), 2 = input or hypothesis error, including an output that
-cannot be written (an ``--out`` naming a directory or a missing directory is
-refused before any work; a failed write to ``--out`` or to stdout is caught
-when it happens), 3 = engine error (an internal invariant failed, e.g. a
-table that fails orthogonality or a showcase ``ConstructionError``, or any
-other unexpected exception; this is a bug in the engine, not a statement
-about the group).  A stderr that cannot be written loses its message but
+Exit codes: 0 = everything verified (or ``-h``/``--help`` printed), 1 = a
+falsification (a checked theorem statement failed), 2 = input or hypothesis
+error, including a command line that does not parse (its error follows the
+usage on stderr; ``main`` returns 2 and raises no ``SystemExit``) and an
+output that cannot be written (an ``--out`` naming a directory or a missing
+directory is refused before any work; a failed write to ``--out`` or to
+stdout is caught when it happens), 3 = engine error (an internal invariant
+failed, e.g. a table that fails orthogonality or a showcase
+``ConstructionError``, or any other unexpected exception; this is a bug in
+the engine, not a statement about the group).  A stderr that cannot be written loses its message but
 never changes the exit code.
 
 ``main(argv)`` is the in-process API and leaves the interpreter as it found
@@ -18,11 +20,11 @@ charcorr.cli`` and the ``charcorr`` script.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import NoReturn
 
 from .chartab import character_table
@@ -82,7 +84,7 @@ def _dump_json(payload) -> str:
 # -- table ---------------------------------------------------------------------------
 
 
-def cmd_table(cfg: argparse.Namespace) -> int:
+def cmd_table(cfg: SimpleNamespace) -> int:
     G = _resolve_group(cfg.group, cfg.cap)
     _log(cfg, f"computing the character table of {G.name} (order {G.order})")
     table = character_table(G)
@@ -131,7 +133,7 @@ def _report(code: int, message: str) -> int:
     return code
 
 
-def _log(cfg: argparse.Namespace, message: str) -> None:
+def _log(cfg: SimpleNamespace, message: str) -> None:
     if cfg.verbose:
         _report(0, message)
 
@@ -160,7 +162,7 @@ def _run_corpus_entry(entry, cap: int) -> dict:
     }
 
 
-def cmd_verify(cfg: argparse.Namespace) -> int:
+def cmd_verify(cfg: SimpleNamespace) -> int:
     if not cfg.run_all:
         G = _resolve_group(cfg.group, cfg.cap)
         rep = verify_main(check_hypotheses(G, cfg.prime))
@@ -219,7 +221,7 @@ def _remark_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_remark(cfg: argparse.Namespace) -> int:
+def cmd_remark(cfg: SimpleNamespace) -> int:
     _log(cfg, "building the order-648 group and running all showcase checks")
     report = remark_report(cap=cfg.cap)
     if cfg.fmt == "structured":
@@ -231,38 +233,113 @@ def cmd_remark(cfg: argparse.Namespace) -> int:
 
 # -- wiring --------------------------------------------------------------------------
 
+_COMMON = {
+    "--format": ("fmt", ("text", "structured")),
+    "--out": ("out", str),
+    "--cap": ("cap", int),
+    "-v": ("verbose", bool),
+    "--verbose": ("verbose", bool),
+}
+# command -> (its usage after the name, option -> (config field, kind)); a kind
+# is bool (a flag, which takes no value), str, int, or a tuple of the values allowed
+COMMANDS = {
+    "table": ("--group GROUP [OPTIONS]", {"--group": ("group", str), **_COMMON}),
+    "verify": (
+        "(--group GROUP -p PRIME | --all) [OPTIONS]",
+        {
+            "--group": ("group", str),
+            "-p": ("prime", int),
+            "--prime": ("prime", int),
+            "--all": ("run_all", bool),
+            **_COMMON,
+        },
+    ),
+    "remark648": ("[OPTIONS]", _COMMON),
+}
+DEFAULTS = {
+    "group": None,
+    "prime": None,
+    "run_all": False,
+    "fmt": "text",
+    "out": None,
+    "cap": DEFAULT_CAP,
+    "verbose": False,
+}
+USAGE = "usage: " + "\n       ".join(f"charcorr {c} {u}" for c, (u, _) in COMMANDS.items())
+HELP = f"""{USAGE}
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="charcorr",
-        description="Exact character tables and McKay correspondence verification",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+Exact character tables and McKay correspondence verification.
 
-    def common(p):
-        p.add_argument("--format", dest="fmt", choices=("text", "structured"), default="text")
-        p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="element enumeration cap")
-        p.add_argument("-v", "--verbose", action="store_true")
+commands:
+  table                       print or export a character table
+  verify                      verify the correspondence coincidence
+  remark648                   run the order-648 showcase verification
 
-    p_table = sub.add_parser("table", help="print or export a character table")
-    p_table.add_argument("--group", required=True, help="group file path or builtin name")
-    common(p_table)
-
-    p_verify = sub.add_parser("verify", help="verify the correspondence coincidence")
-    p_verify.add_argument("--group", help="group file path or builtin name")
-    p_verify.add_argument("-p", "--prime", type=int, help="the prime p")
-    p_verify.add_argument("--all", dest="run_all", action="store_true", help="run the whole corpus")
-    common(p_verify)
-
-    p_remark = sub.add_parser("remark648", help="run the order-648 showcase verification")
-    common(p_remark)
-    return parser
+options, spelled in full as --opt VALUE or --opt=VALUE (-p as -p PRIME):
+  --group GROUP               group file path or builtin name
+  -p PRIME, --prime PRIME     the prime p
+  --all                       run the whole corpus
+  --format {{text,structured}}  output format (default: text)
+  --out OUT                   write output to this path (default: stdout)
+  --cap CAP                   element enumeration cap (default: {DEFAULT_CAP})
+  -v, --verbose               report progress on stderr
+  -h, --help                  print this help and exit
+"""
 
 
-def _check_config(cfg: argparse.Namespace) -> None:
+class UsageError(Exception):
+    """The command line does not parse; ``usage`` is the usage of its command, or all of it."""
+
+    def __init__(self, command: str | None, message: str):
+        super().__init__(message)
+        self.usage = f"usage: charcorr {command} {COMMANDS[command][0]}" if command else USAGE
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The command line as a config with every field of ``DEFAULTS``, or None for help.
+
+    The command comes first.  Each option is spelled out in full and given as
+    ``--opt VALUE`` or ``--opt=VALUE`` (``-p VALUE`` for the short one); the
+    last of a repeated option wins.  Anything else raises UsageError.
+    """
+    if "-h" in argv or "--help" in argv:  # no value may start with "-" but a negative number
+        return None
+    if not argv or argv[0] not in COMMANDS:
+        raise UsageError(None, f"unknown command {argv[0]!r}" if argv else "missing command")
+    command = argv[0]
+    options = COMMANDS[command][1]
+    cfg = SimpleNamespace(command=command, **DEFAULTS)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
+        if name not in options:
+            raise UsageError(command, f"unrecognized argument {token}")
+        field, kind = options[name]
+        if kind is bool:
+            if eq:
+                raise UsageError(command, f"option {name} takes no value")
+            setattr(cfg, field, True)
+            continue
+        if not eq:
+            value = next(tokens, None)
+            # a negative number is a value; anything else starting with "-" is an option
+            if value is None or (value[:1] == "-" and not value[1:].isdigit()):
+                raise UsageError(command, f"option {name} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(command, f"option {name}: {value!r} is not an integer") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            choices = ", ".join(kind)
+            raise UsageError(command, f"option {name}: {value!r} is not one of {choices}")
+        setattr(cfg, field, value)
+    return cfg
+
+
+def _check_config(cfg: SimpleNamespace) -> None:
     """Refuse conflicting or out-of-range options before any work starts."""
-    group, prime = getattr(cfg, "group", None), getattr(cfg, "prime", None)
+    group, prime = cfg.group, cfg.prime
     if cfg.cap < 1:
         raise MalformedGroupError(f"cap must be >= 1, got {cfg.cap}")
     if cfg.command == "verify":
@@ -288,8 +365,11 @@ def _check_config(cfg: argparse.Namespace) -> None:
 
 
 def main(argv=None) -> int:
-    cfg = build_parser().parse_args(argv)
     try:
+        cfg = parse_args(sys.argv[1:] if argv is None else argv)
+        if cfg is None:
+            _emit(HELP, None)
+            return 0
         _check_config(cfg)
         if cfg.command == "table":
             return cmd_table(cfg)
@@ -298,6 +378,8 @@ def main(argv=None) -> int:
         return cmd_remark(cfg)
     except FalsificationError as exc:
         return _report(1, f"FALSIFIED: {exc}")
+    except UsageError as exc:
+        return _report(2, f"{exc.usage}\nerror: {exc}")
     except (
         MalformedGroupError,
         GroupTooLargeError,
@@ -315,14 +397,14 @@ def main(argv=None) -> int:
 def run() -> NoReturn:
     """Run ``main`` as a whole process: no cyclic GC, and no interpreter teardown at exit.
 
-    Nothing the engine builds becomes cyclic garbage while a command runs (a
-    test in ``tests/test_cli.py`` guards this), so collections during the run
-    would reclaim only the discarded argument parser.  The final full
+    Nothing the engine or the argument parser builds becomes cyclic garbage
+    while a command runs (a test in ``tests/test_cli.py`` guards the engine),
+    so collections during the run would reclaim nothing.  The final full
     collection and module teardown would free memory that the ending process
     hands back anyway.  ``_emit`` has flushed the output and closed
-    ``--out``, and the package registers no ``atexit`` handler.  argparse's
-    ``SystemExit`` (``--help``, usage errors) still leaves through the
-    normal exit.
+    ``--out``, and the package registers no ``atexit`` handler.  Every exit,
+    ``--help`` and usage errors included, goes through ``main``'s return
+    value.
     """
     gc.disable()
     code = main()

@@ -42,14 +42,21 @@ from charcorr.cyclotomic import (
     render_cyc,
     root_of_unity,
 )
-from charcorr.groups import PermGroup, conjugacy_classes, load_group, normal_subgroups, sylow
+from charcorr.groups import (
+    PermGroup,
+    conjugacy_classes,
+    group_from_dict,
+    load_group,
+    normal_subgroups,
+    sylow,
+)
 from charcorr.kernels import pure
 from charcorr.showcase import corpus, corpus_path, load_corpus_group, remark_data
 from chartab_reference import inner_product
 from cyclotomic_reference import reference_conductor
-from faults import with_foreign_identity_column
+from faults import with_foreign_identity_column, with_one_entry_matrix
 from galois_check import galois_classfn
-from instances import CORPUS, GOLDEN, named_group, s4_wreath_c2
+from instances import CORPUS, GOLDEN, RECORDS, named_group, s4_wreath_c2, s4_wreath_c2_record
 
 
 def brute_induce(theta, H):
@@ -174,6 +181,43 @@ def test_eigensplit_rejects_a_matrix_outside_the_class_algebra(monkeypatch):
     monkeypatch.setattr(pure, "class_matrix", with_foreign_identity_column(pure.class_matrix))
     with pytest.raises(RuntimeError, match="class-matrix eigenspace is not invariant"):
         character_table(load_group(corpus_path("s4")))  # fresh group: no cached table
+
+
+@pytest.mark.parametrize("row", [1, 4])
+@pytest.mark.parametrize("column", range(5))
+def test_eigensplit_checks_invariance_before_it_keeps_a_space_unsplit(monkeypatch, row, column):
+    # on S4 each of these matrices acts as 0 on the coordinates of some
+    # eigenspace that it does not leave invariant
+    fault = with_one_entry_matrix(pure.class_matrix, row, column)
+    monkeypatch.setattr(pure, "class_matrix", fault)
+    with pytest.raises(RuntimeError, match="class-matrix eigenspace is not invariant"):
+        character_table(load_group(corpus_path("s4")))
+
+
+def test_eigensplit_never_splits_a_space_its_matrix_acts_on_as_a_scalar(monkeypatch):
+    # a class matrix acting on a space as lambda*I cannot split it, so no
+    # characteristic polynomial may be asked of a scalar matrix
+    from charcorr import chartab, groups
+
+    real = chartab.eigenvalues
+    calls = []
+
+    def no_scalar(M, q):
+        lam = M[0][0]
+        if all(x == (lam if a == b else 0) for a, row in enumerate(M) for b, x in enumerate(row)):
+            raise AssertionError(f"eigenvalues of the scalar matrix {lam} * I_{len(M)}")
+        calls.append(len(M))
+        return real(M, q)
+
+    monkeypatch.setattr(chartab, "eigenvalues", no_scalar)
+    monkeypatch.setattr(groups, "_VIEW_CACHE", {})  # fresh subgroup views, no tables yet
+    fresh = [load_group(corpus_path(name)) for name in CORPUS]
+    wreath = group_from_dict(s4_wreath_c2_record(1))
+    fresh += [wreath, sylow(wreath, 2).view, group_from_dict(RECORDS["heis7"])]
+    for G in fresh:
+        assert G._char_table is None
+        assert character_table(G).count == conjugacy_classes(G).count
+    assert calls  # the general path still ran where a matrix could split a space
 
 
 def test_lift_rejects_multiplicities_that_miss_the_degree():
@@ -391,6 +435,19 @@ def test_pairings_match_the_reference(name):
         assert pairings == [[order * v for v in row] for row in reference]
         for f, row in zip(left, reference):
             assert constituents(f) == [(i, v) for i, v in enumerate(row) if v]
+
+
+@pytest.mark.parametrize("name", CORPUS + ("s4wrc2#1", "heis7"))
+def test_gram_matrix_mirrors_the_full_product(name):
+    # rows paired with themselves compute the pairs a <= b only; a copy of the
+    # rows is another side, and gets every pair computed
+    rows = character_table(named_group(name)).rows
+    order = named_group(name).order
+    identity = [[order * (a == b) for b in range(len(rows))] for a in range(len(rows))]
+    assert _pairings(rows, rows)[0] == _pairings(rows, list(rows))[0] == identity
+    # sums of neighbouring rows: a pairing matrix with entries off the diagonal
+    mixed = [a + b for a, b in zip(rows, rows[1:])] + [rows[-1] - rows[0]]
+    assert _pairings(mixed, mixed)[0] == _pairings(mixed, list(mixed))[0]
 
 
 def test_pack_unpack_round_trip_at_the_bound():

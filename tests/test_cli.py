@@ -651,6 +651,90 @@ def test_verify_jobs_option_is_gone():
     assert "Traceback" not in proc.stderr
 
 
+# -- the command line ---------------------------------------------------------------
+
+
+USAGE_ERRORS = {
+    "unknown option": ["verify", "--all", "--bogus"],
+    "abbreviated option": ["table", "--gr", "s4"],
+    "missing value at the end": ["table", "--group"],
+    "option where a value belongs": ["verify", "--group", "-p", "2"],
+    "missing -p value": ["verify", "--group", "s4", "-p"],
+    "non-integer cap": ["table", "--group", "s4", "--cap", "many"],
+    "non-integer cap after =": ["table", "--group", "s4", "--cap=1.5"],
+    "non-integer -p": ["verify", "--group", "s4", "-p", "two"],
+    "bad format": ["table", "--group", "s4", "--format", "xml"],
+    "bad format after =": ["verify", "--all", "--format=json"],
+    "flag given a value": ["verify", "--all=yes"],
+    "positional argument": ["verify", "--all", "s4"],
+    "missing command": [],
+    "unknown command": ["tabel", "--group", "s4"],
+    "verify's option on remark648": ["remark648", "--group", "s4"],
+    "verify's option on table": ["table", "--group", "s4", "-p", "2"],
+}
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_returns_2_with_the_usage(monkeypatch, capsys, args):
+    def must_not_run(*args):
+        raise AssertionError("the command ran although its command line does not parse")
+
+    for command in ("cmd_table", "cmd_verify", "cmd_remark"):
+        monkeypatch.setattr(cli, command, must_not_run)
+    assert main(args) == 2  # a return value: no SystemExit leaves main
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: charcorr ")
+    assert lines[-1].startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_exits_2_in_a_fresh_process(args):
+    proc = _fresh_process(args, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: charcorr ")
+    assert "\nerror: " in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_a_usage_error_keeps_exit_2_with_stderr_closed():
+    script = '"$0" -m charcorr.cli verify --all --bogus 2>&-'
+    cmd = ["sh", "-c", script, sys.executable]
+    proc = subprocess.run(cmd, env=_buffered_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
+def test_option_value_after_an_equals_sign(tmp_path):
+    spaced = run_cli(["table", "--group", "s4", "--format", "structured"], tmp_path, "a")
+    joined = run_cli(["table", "--group=s4", "--format=structured", "--cap=100"], tmp_path, "b")
+    assert spaced == joined and spaced[0] == 0
+    assert main(["verify", "--group=s4", "--prime=2", f"--out={tmp_path / 'c'}"]) == 0
+    spaced = run_cli(["verify", "--group", "s4", "-p", "2"], tmp_path)
+    assert spaced == (0, (tmp_path / "c").read_text())
+
+
+def test_omitted_options_take_their_defaults():
+    for command in cli.COMMANDS:
+        assert vars(cli.parse_args([command])) == {"command": command, **cli.DEFAULTS}
+    cfg = cli.parse_args(["verify", "-p", "-7", "--all", "-v", "--cap", "9", "--cap", "10"])
+    assert (cfg.prime, cfg.run_all, cfg.verbose, cfg.cap) == (-7, True, True, 10)
+
+
+@pytest.mark.parametrize("args", [["-h"], ["--help"], ["verify", "--all", "-h"]])
+def test_help_exits_0_with_the_usage_on_stdout(capsys, args):
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: charcorr table ") and err == ""
+    for _, options in cli.COMMANDS.values():
+        assert all(name in out for name in options)
+
+
+def test_help_exits_0_in_a_fresh_process():
+    proc = _fresh_process(["--help"], text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == cli.HELP
+
+
 @pytest.mark.slow
 def test_remark_byte_identical_across_runs(tmp_path):
     a = _run_subprocess(["remark648", "--format", "structured"], tmp_path / "a.json")

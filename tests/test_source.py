@@ -76,22 +76,28 @@ def test_no_imports_inside_functions():
     assert not found, sorted(found)
 
 
-def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):
     # Every check is a fresh CLI process, so what importing the package pulls
     # in is paid on every run; dataclasses alone brings inspect, ast, dis and
     # tokenize, and each dataclass costs about ten times a NamedTuple to create.
+    # Parsing the command line must not load argparse either, nor the gettext
+    # and locale modules that argparse's messages load.
+    out = tmp_path / "out.txt"
     code = (
         "import sys; before = set(sys.modules); import charcorr.cli; "
-        "print(' '.join(sorted(set(sys.modules) - before)))"
+        f"code = charcorr.cli.main(['verify', '--group', 's4', '-p', '2', '--out', {str(out)!r}]); "
+        "print(code, ' '.join(sorted(set(sys.modules) - before)))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    code, *loaded = proc.stdout.split()
+    assert code == "0" and out.read_text().endswith("verdict: TRUE\n")
     assert "charcorr.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
+    unwanted = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+    assert not unwanted & set(loaded), sorted(loaded)
 
 
 
