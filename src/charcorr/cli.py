@@ -5,13 +5,13 @@ Exit codes: 0 = everything verified (or ``-h``/``--help`` printed), 1 = a
 falsification (a checked theorem statement failed), 2 = input or hypothesis
 error, including a command line that does not parse (its error follows the
 usage on stderr; ``main`` returns 2 and raises no ``SystemExit``) and an
-output that cannot be written (an ``--out`` naming a directory or a missing
-directory is refused before any work; a failed write to ``--out`` or to
-stdout is caught when it happens), 3 = engine error (an internal invariant
-failed, e.g. a table that fails orthogonality or a showcase
-``ConstructionError``, or any other unexpected exception; this is a bug in
-the engine, not a statement about the group).  A stderr that cannot be written loses its message but
-never changes the exit code.
+output that cannot be written (an empty ``--out``, or one naming a directory
+or a missing directory, is refused before any work; a failed write to
+``--out`` or to stdout is caught when it happens), 3 = engine error (an
+internal invariant failed, e.g. a table that fails orthogonality or a
+showcase ``ConstructionError``, or any other unexpected exception; this is
+a bug in the engine, not a statement about the group).  A stderr that
+cannot be written loses its message but never changes the exit code.
 
 ``main(argv)`` is the in-process API and leaves the interpreter as it found
 it.  ``run()`` is the entry point of a fresh process: ``python -m
@@ -29,7 +29,7 @@ from typing import NoReturn
 
 from .chartab import character_table
 from .cyclotomic import is_prime
-from .groups import DEFAULT_CAP, GroupTooLargeError, MalformedGroupError, load_group
+from .groups import DEFAULT_CAP, MAX_CAP, GroupTooLargeError, MalformedGroupError, load_group
 from .mckay import (
     FalsificationError,
     HypothesisError,
@@ -281,7 +281,7 @@ options, spelled in full as --opt VALUE or --opt=VALUE (-p as -p PRIME):
   --all                       run the whole corpus
   --format {{text,structured}}  output format (default: text)
   --out OUT                   write output to this path (default: stdout)
-  --cap CAP                   element enumeration cap (default: {DEFAULT_CAP})
+  --cap CAP                   element enumeration cap (default: {DEFAULT_CAP}, at most {MAX_CAP})
   -v, --verbose               report progress on stderr
   -h, --help                  print this help and exit
 """
@@ -342,6 +342,8 @@ def _check_config(cfg: SimpleNamespace) -> None:
     group, prime = cfg.group, cfg.prime
     if cfg.cap < 1:
         raise MalformedGroupError(f"cap must be >= 1, got {cfg.cap}")
+    if cfg.cap > MAX_CAP:
+        raise MalformedGroupError(f"cap must be <= {MAX_CAP}, got {cfg.cap}")
     if cfg.command == "verify":
         given = group is not None or prime is not None
         complete = bool(group) and prime is not None
@@ -354,7 +356,9 @@ def _check_config(cfg: SimpleNamespace) -> None:
             raise HypothesisError(f"p = {prime} exceeds the cap {cfg.cap} on |G|")
         if not is_prime(prime):
             raise HypothesisError(f"{prime} is not prime")
-    if cfg.out:
+    if cfg.out is not None:
+        if not cfg.out:
+            raise OutputError("--out needs a file name")
         if os.path.isdir(cfg.out):
             raise OutputError(f"--out {cfg.out} is a directory")
         folder = os.path.dirname(os.path.abspath(cfg.out))

@@ -240,8 +240,6 @@ class Cyc:
             return NotImplemented
         if self.n == 1 and other.n == 1:
             return Cyc(1, (self.coeffs[0] + other.coeffs[0],))
-        if self.n == other.n:
-            return Cyc(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
         if self.n == 1:
             return Cyc(other.n, (other.coeffs[0] + self.coeffs[0],) + other.coeffs[1:])
         if other.n == 1:

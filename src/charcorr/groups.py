@@ -28,6 +28,9 @@ from .kernels import pure
 from .perm import Perm
 
 DEFAULT_CAP = 20000
+# The largest --cap the CLI takes; a prime p <= cap is then tested by at most
+# sqrt(MAX_CAP) trial divisions.
+MAX_CAP = 1_000_000
 # Bounds on a group description, checked before anything is allocated for it.
 MAX_DEGREE = 1024
 MAX_GENERATORS = 64
@@ -423,9 +426,27 @@ def sylow(G: PermGroup, p: int) -> Subgroup:
 
 
 def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
+    """N_G(H), tested once per right coset Hg.
+
+    If g normalizes H, so does every hg with h in H, so the normalizer is a
+    union of right cosets.  Elements are scanned in canonical order; each one
+    not yet covered marks its whole coset, which joins the result when that
+    element passes ``_normalizes``.
+    """
     check_same_group("normalizer", H.parent, G)
-    ids = pure.normalizer_ids(G, H.member_ids, list(H.gen_ids) or [0])
-    return G.subgroup_from_ids(ids)
+    elements, index = G.elements, G.index
+    members = H.members()
+    covered = [False] * G.order
+    out = []
+    for gid, g in enumerate(elements):
+        if covered[gid]:
+            continue
+        coset = [index[pm.compose(h, g)] for h in members]
+        for c in coset:
+            covered[c] = True
+        if _normalizes(G, [gid], H):
+            out.extend(coset)
+    return G.subgroup_from_ids(out)
 
 
 def normal_closure_ids(G: PermGroup, seed_ids, under_gen_ids) -> tuple[list[int], list[int]]:

@@ -1,4 +1,4 @@
-"""Pure-Python group kernels: the hot loops behind enumeration and classes.
+"""Pure-Python group kernels: enumeration, coset closure, classes, class matrices.
 
 All functions work on element ids (positions in the canonical element list)
 except ``closure_bfs``, which produces that list in the first place.  The
@@ -107,32 +107,6 @@ def conj_orbit_ids(G: PermGroup, gen_ids: list[int]) -> list[int]:
             frontier = nxt
         next_id += 1
     return orbit
-
-
-def normalizer_ids(G: PermGroup, member_ids: frozenset[int], gen_ids: list[int]) -> list[int]:
-    """Ids of all g with h^g inside the member set for every generator h.
-
-    The member set is a subgroup H and ``gen_ids`` generate it.  If g
-    normalizes H, so does every hg with h in H, so the normalizer is a union
-    of right cosets Hg and one element per coset is tested: elements are
-    scanned in canonical order, and each one not yet covered marks its whole
-    coset, which joins the result when that element passes.
-    """
-    elements, index = G.elements, G.index
-    members = [elements[i] for i in member_ids]
-    gens = [elements[i] for i in gen_ids]
-    covered = [False] * len(elements)
-    out = []
-    for gid, g in enumerate(elements):
-        if covered[gid]:
-            continue
-        coset = [index[compose(h, g)] for h in members]
-        for c in coset:
-            covered[c] = True
-        ginv = inverse(g)
-        if all(index[compose(compose(ginv, h), g)] in member_ids for h in gens):
-            out.extend(coset)
-    return sorted(out)
 
 
 def class_matrix(

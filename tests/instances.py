@@ -66,14 +66,25 @@ def heis7c3_record() -> dict:
     }
 
 
-def c7_wreath_c3_record() -> dict:
-    """C7 wr C3 (order 1029) on 21 points: a 7-cycle on 0..6 and the rotation i -> i + 7.
+def wreath_record(name: str, degree: int, generators, k: int) -> dict:
+    """B wr C_k on k blocks of ``degree`` points, B given by its generators.
 
-    Neither its Sylow 3-subgroup nor its Sylow 7-subgroup is self-normalizing.
+    The generators are B's own, acting on the first block (points
+    0..degree-1) and fixing the rest, and the block rotation i -> i + degree.
     """
-    seven_cycle = [(i + 1) % 7 for i in range(7)] + list(range(7, 21))
-    rotation = [(i + 7) % 21 for i in range(21)]
-    return {"name": "C7wrC3", "degree": 21, "generators": [seven_cycle, rotation]}
+    n = degree * k
+    gens = [list(g) + list(range(degree, n)) for g in generators]
+    rotation = [(i + degree) % n for i in range(n)]
+    return {"name": name, "degree": n, "generators": [*gens, rotation]}
+
+
+# C7 wr C3 (order 1029): neither its Sylow 3- nor its Sylow 7-subgroup is self-normalizing
+C7_WR_C3 = wreath_record("C7wrC3", 7, [[(i + 1) % 7 for i in range(7)]], 3)
+# C5 wr C4 (order 2500): its Sylow 2-subgroup is not self-normalizing
+C5_WR_C4 = wreath_record("C5wrC4", 5, [[(i + 1) % 5 for i in range(5)]], 4)
+# (S3 wr C2) wr C2 (order 10368) on 12 points; at p = 2 one descent level
+S3_WR_C2 = wreath_record("S3wrC2", 3, [[1, 0, 2], [1, 2, 0]], 2)
+S3_WR_C2_WR_C2 = wreath_record("(S3wrC2)wrC2", 6, S3_WR_C2["generators"], 2)
 
 
 def agl1_record(q: int) -> dict:
@@ -137,7 +148,9 @@ RECORDS = {
     "heis5": heisenberg_record(5),
     "heis7": heisenberg_record(7),
     "heis7c3": heis7c3_record(),
-    "c7wrc3": c7_wreath_c3_record(),
+    "c7wrc3": C7_WR_C3,
+    "c5wrc4": C5_WR_C4,
+    "s3wrc2wrc2": S3_WR_C2_WR_C2,
     "gl23": gl23_record(),
     **{f"agl{q}": agl1_record(q) for q in (5, 7, 8, 9, 17)},
 }
@@ -236,5 +249,12 @@ MANIFEST = (
         ("verify", "-p", "3", *_STRUCTURED),
         RECORDS["heis7c3"],
         "heis7c3_verify.json",
+    ),
+    # order 10368: 8 characters through one level, 10368 -> K81/L1 -> H128
+    GoldenRun(
+        "s3wrc2wrc2_verify",
+        ("verify", "-p", "2", *_STRUCTURED),
+        RECORDS["s3wrc2wrc2"],
+        "s3wrc2wrc2_verify.json",
     ),
 )

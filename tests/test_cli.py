@@ -333,10 +333,10 @@ def _buffered_env() -> dict:
     return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
-def _fresh_process(args, **kwargs):
+def _fresh_process(args, timeout=600, **kwargs):
     """One ``python -m charcorr.cli`` process writing to pipes, as the benchmark runs it."""
     cmd = [sys.executable, "-m", "charcorr.cli", *args]
-    return subprocess.run(cmd, env=_buffered_env(), capture_output=True, timeout=600, **kwargs)
+    return subprocess.run(cmd, env=_buffered_env(), capture_output=True, timeout=timeout, **kwargs)
 
 
 class _FullStream(io.StringIO):
@@ -466,6 +466,14 @@ def test_verify_prime_above_the_cap_exits_2_before_any_primality_test(monkeypatc
         assert err == f"error: p = {p} exceeds the cap {cap} on |G|\n"
 
 
+def test_a_huge_cap_exits_2_in_a_fresh_process_before_any_work():
+    # with no bound on --cap, a huge p below a huge cap reached trial division
+    p, cap = "1000000000000000000117", "100000000000000000000000"
+    proc = _fresh_process(["verify", "--group", "s4", "-p", p, "--cap", cap], text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: cap must be <= {groups.MAX_CAP}, got {cap}\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -504,6 +512,9 @@ def test_verify_needs_group_and_prime_or_all_alone(monkeypatch, capsys, args):
         (["table", "--group", "s3", "--out", "."], "--out . is a directory"),
         (["table", "--group", "", "--out", "."], "--out . is a directory"),
         (["table", "--group", ""], "table needs --group"),
+        (["table", "--group", "s3", "--out", ""], "--out needs a file name"),
+        (["verify", "--group", "s3", "-p", "2", "--out="], "--out needs a file name"),
+        (["table", "--group", "s3", "--cap", "1000001"], "cap must be <= 1000000, got 1000001"),
     ],
 )
 def test_option_checks_exit_2_with_their_message(monkeypatch, capsys, args, message):
@@ -770,6 +781,13 @@ def test_c7_wreath_c3_is_outside_the_hypotheses_at_both_primes(tmp_path, capsys,
     path = write_record(RECORDS["c7wrc3"], tmp_path, "c7wrc3")
     assert main(["verify", "--group", str(path), "-p", p]) == 2
     message = f"error: (C7wrC3, p={p}) does not satisfy: self_normalizing\n"
+    assert capsys.readouterr() == ("", message)
+
+
+def test_c5_wreath_c4_is_outside_the_hypotheses_at_2(tmp_path, capsys):
+    path = write_record(RECORDS["c5wrc4"], tmp_path, "c5wrc4")
+    assert main(["verify", "--group", str(path), "-p", "2"]) == 2
+    message = "error: (C5wrC4, p=2) does not satisfy: self_normalizing\n"
     assert capsys.readouterr() == ("", message)
 
 
