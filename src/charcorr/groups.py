@@ -1,14 +1,16 @@
 """Finite permutation groups by full enumeration, with the subgroup toolbox.
 
 Groups are given by permutation generators and enumerated completely (desk
-scale, capped).  Element order is canonical: breadth-first closure from the
-generators in listed order, each level sorted lexicographically by image
-tuple.  Subgroups are member sets of a parent group, interned per parent;
-every subgroup also exposes a canonical ``view`` of itself as a stand-alone
-PermGroup.  A full subgroup's view is its parent, so a group has one table
-however it is reached; proper subgroups share one view per member set, so
-equal subgroups always yield the identical view object (and hence identical
-class data downstream).
+scale, capped).  Elements are ``charcorr.perm`` permutations: ``bytes`` up to
+degree 256 and tuples above, the representation fixed once by the degree.
+Element order is canonical: breadth-first closure from the generators in
+listed order, each level sorted lexicographically by images (the same order
+in both representations).  Subgroups are member sets of a parent group,
+interned per parent; every subgroup also exposes a canonical ``view`` of
+itself as a stand-alone PermGroup.  A full subgroup's view is its parent, so
+a group has one table however it is reached; proper subgroups share one view
+per member set, so equal subgroups always yield the identical view object
+(and hence identical class data downstream).
 
 Subgroups are generated by coset extension (Dimino's algorithm, in
 ``kernels.pure.extend_closure``): adjoining a generator to a closed subgroup
@@ -84,10 +86,11 @@ class PermGroup:
 
     @classmethod
     def from_generators(cls, degree, generators, name="G", cap=DEFAULT_CAP) -> "PermGroup":
-        """Enumerate the group generated by image lists on 0..degree-1.
+        """Enumerate the group generated by image sequences on 0..degree-1.
 
         The degree and every image must be an int (a bool is refused), and
-        the generators a list or tuple of lists or tuples; nothing is coerced.
+        the generators a list or tuple of lists, tuples or stored
+        permutations.  Each generator is converted by ``perm.make``.
         """
         if not _is_int(degree):
             raise MalformedGroupError(f"{name}: degree {degree!r} is not an integer")
@@ -101,14 +104,13 @@ class PermGroup:
             )
         gens = []
         for images in generators:
-            if not isinstance(images, (list, tuple)) or not all(map(_is_int, images)):
+            if not isinstance(images, (list, tuple, bytes)) or not all(map(_is_int, images)):
                 raise MalformedGroupError(f"{name}: generators are not lists of integers")
-            images = tuple(images)
             if len(images) != degree or not pm.is_perm(images):
                 raise MalformedGroupError(
                     f"{name}: generator {list(images)} is not a permutation of degree {degree}"
                 )
-            gens.append(images)
+            gens.append(pm.make(images))
         try:
             elements = pure.closure_bfs(degree, gens, cap)
         except ValueError as exc:
@@ -117,11 +119,12 @@ class PermGroup:
 
     # -- id-level arithmetic -------------------------------------------------
 
-    def id_of(self, p: Perm) -> int:
+    def id_of(self, p) -> int:
+        """Id of the element with images p, any int sequence."""
         try:
-            return self.index[p]
-        except KeyError:
-            raise ValueError(f"{self.name}: permutation {p} is not a group element") from None
+            return self.index[pm.make(p)]
+        except (KeyError, ValueError):
+            raise ValueError(f"{self.name}: permutation {list(p)} is not a group element") from None
 
     def mul(self, i: int, j: int) -> int:
         return self.index[pm.compose(self.elements[i], self.elements[j])]
@@ -435,13 +438,15 @@ def normalizer(G: PermGroup, H: Subgroup) -> Subgroup:
     """
     check_same_group("normalizer", H.parent, G)
     elements, index = G.elements, G.index
+    mul = pm.product(G.degree)
     members = H.members()
     covered = [False] * G.order
     out = []
     for gid, g in enumerate(elements):
         if covered[gid]:
             continue
-        coset = [index[pm.compose(h, g)] for h in members]
+        tg = pm.table(g)
+        coset = [index[mul(h, tg)] for h in members]
         for c in coset:
             covered[c] = True
         if _normalizes(G, [gid], H):

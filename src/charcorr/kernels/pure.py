@@ -3,14 +3,16 @@
 All functions work on element ids (positions in the canonical element list)
 except ``closure_bfs``, which produces that list in the first place.  The
 others take the ``PermGroup`` and read its ``elements`` and ``index``
-(permutation -> id).
+(permutation -> id).  Permutations are ``bytes`` up to degree 256 and tuples
+above (``charcorr.perm``); each loop takes the product for its degree once
+and pads its fixed right factor once, by ``table``, not once per product.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..perm import Perm, compose, identity, inverse
+from ..perm import Perm, identity, inverse, product, table
 
 if TYPE_CHECKING:
     from ..groups import PermGroup
@@ -19,10 +21,12 @@ if TYPE_CHECKING:
 def closure_bfs(degree: int, gens: list[Perm], cap: int) -> list[Perm]:
     """Breadth-first closure from the identity, right-multiplying by gens.
 
-    Every BFS level is sorted lexicographically by image tuple, which pins
-    the canonical element order.  Raises ValueError when the closure grows
+    Every BFS level is sorted lexicographically by images, which pins the
+    canonical element order.  Raises ValueError when the closure grows
     past ``cap``.
     """
+    mul = product(degree)
+    tables = [table(g) for g in gens]
     e = identity(degree)
     seen = {e}
     out = [e]
@@ -30,8 +34,8 @@ def closure_bfs(degree: int, gens: list[Perm], cap: int) -> list[Perm]:
     while level:
         nxt = set()
         for x in level:
-            for g in gens:
-                y = compose(x, g)
+            for t in tables:
+                y = mul(x, t)
                 if y not in seen and y not in nxt:
                     nxt.add(y)
         if not nxt:
@@ -64,17 +68,19 @@ def extend_closure(G: PermGroup, base, gen_ids, limit: int | None = None) -> set
     members = set(base)
     if limit is not None and len(members) > limit:
         return None
+    mul = product(G.degree)
     base_perms = [elements[h] for h in members]
-    gens = [elements[i] for i in gen_ids]
+    tables = [table(elements[i]) for i in gen_ids]
     reps = [elements[0]]
     for r in reps:  # the loop also visits representatives appended on the way
-        for g in gens:
-            y = compose(r, g)
+        for t in tables:
+            y = mul(r, t)
             if index[y] in members:
                 continue
             if limit is not None and len(members) + len(base_perms) > limit:
                 return None
-            members.update(index[compose(h, y)] for h in base_perms)
+            ty = table(y)
+            members.update(index[mul(h, ty)] for h in base_perms)
             reps.append(y)
     return members
 
@@ -87,7 +93,8 @@ def conj_orbit_ids(G: PermGroup, gen_ids: list[int]) -> list[int]:
     """
     elements, index = G.elements, G.index
     n = len(elements)
-    gens = [(elements[i], inverse(elements[i])) for i in gen_ids]
+    mul = product(G.degree)
+    gens = [(inverse(elements[i]), table(elements[i])) for i in gen_ids]
     orbit = [-1] * n
     next_id = 0
     for start in range(n):
@@ -98,8 +105,9 @@ def conj_orbit_ids(G: PermGroup, gen_ids: list[int]) -> list[int]:
         while frontier:
             nxt = []
             for x in frontier:
-                for g, ginv in gens:
-                    y = compose(compose(ginv, x), g)
+                tx = table(x)
+                for ginv, tg in gens:
+                    y = mul(mul(ginv, tx), tg)
                     j = index[y]
                     if orbit[j] < 0:
                         orbit[j] = next_id
@@ -121,13 +129,14 @@ def class_matrix(
     c_ijk != 0, ascending j: it has at most |C_i| entries.
     """
     elements, index = G.elements, G.index
+    mul = product(G.degree)
     inv_members = [inverse(elements[x]) for x in members_i]
     columns = []
     for zk in rep_ids:
-        z = elements[zk]
+        tz = table(elements[zk])
         counts: dict[int, int] = {}
         for xinv in inv_members:
-            j = class_of[index[compose(xinv, z)]]
+            j = class_of[index[mul(xinv, tz)]]
             counts[j] = counts.get(j, 0) + 1
         columns.append(sorted(counts.items()))
     return columns

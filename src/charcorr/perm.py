@@ -1,8 +1,12 @@
-"""Permutations of {0, ..., degree-1} as immutable image tuples.
+"""Permutations of {0, ..., degree-1}: ``bytes`` up to degree 256, tuples above.
 
-A permutation is a tuple ``p`` with ``p[x]`` the image of point ``x``.
-Products compose left to right: ``(a * b)`` acts as "apply a, then b",
-so conjugation is ``h ** g = g^-1 h g``.
+``p[x]`` is the int image of point ``x``.  Products compose left to right:
+``(a * b)`` acts as "apply a, then b", so conjugation is ``h ** g = g^-1 h g``.
+The degree picks the representation, as GAP picks 2- or 4-byte images.  A
+bytes product is one ``a.translate(table(b))``, with ``b`` padded to 256
+bytes; a tuple product is ``itemgetter(*a)(b)``.  Loops that multiply by a
+fixed right factor take its ``table`` once and call ``product(degree)``.
+Equal-length bytes sort like tuples of their ints.
 """
 
 from __future__ import annotations
@@ -10,11 +14,19 @@ from __future__ import annotations
 from math import lcm
 from operator import itemgetter
 
-Perm = tuple[int, ...]
+Perm = bytes | tuple[int, ...]
+
+BYTES_DEGREE = 256
+_POINTS = bytes(range(BYTES_DEGREE))
+
+
+def make(images) -> Perm:
+    """The permutation with these images (an int sequence), in its degree's representation."""
+    return bytes(images) if len(images) <= BYTES_DEGREE else tuple(images)
 
 
 def identity(degree: int) -> Perm:
-    return tuple(range(degree))
+    return make(range(degree))
 
 
 def is_perm(images) -> bool:
@@ -28,15 +40,28 @@ def is_perm(images) -> bool:
     return True
 
 
+def table(b: Perm) -> Perm:
+    """Right-factor table of b: ``product(len(b))(a, table(b))`` is a*b."""
+    return b + _POINTS[len(b) :] if type(b) is bytes else b
+
+
 def compose(a: Perm, b: Perm) -> Perm:
     """Product a*b: apply a first, then b."""
-    if len(a) > 1:
-        return itemgetter(*a)(b)
-    return tuple(b[x] for x in a)  # itemgetter of one index returns the bare item
+    if type(a) is bytes:
+        return a.translate(b + _POINTS[len(b) :])
+    return itemgetter(*a)(b)  # a has more than 256 points, so this is a tuple
+
+
+def product(degree: int):
+    """The product on right-factor tables for permutations of this degree."""
+    return bytes.translate if degree <= BYTES_DEGREE else compose
 
 
 def inverse(a: Perm) -> Perm:
-    inv = [0] * len(a)
+    n = len(a)
+    if type(a) is bytes:
+        return bytes.maketrans(a, _POINTS[:n])[:n]  # maps a[i] to i
+    inv = [0] * n
     for i, x in enumerate(a):
         inv[x] = i
     return tuple(inv)

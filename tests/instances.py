@@ -87,6 +87,27 @@ S3_WR_C2 = wreath_record("S3wrC2", 3, [[1, 0, 2], [1, 2, 0]], 2)
 S3_WR_C2_WR_C2 = wreath_record("(S3wrC2)wrC2", 6, S3_WR_C2["generators"], 2)
 
 
+def direct_product_record(name: str, *records: dict) -> dict:
+    """The direct product of the given groups, each factor on its own block of points.
+
+    Factor i acts on the points offset_i..offset_i + degree_i - 1 through its
+    own generators, shifted by offset_i, and fixes every other point.
+    """
+    n = sum(r["degree"] for r in records)
+    gens, offset = [], 0
+    for r in records:
+        d = r["degree"]
+        for g in r["generators"]:
+            gens.append([*range(offset), *(offset + x for x in g), *range(offset + d, n)])
+        offset += d
+    return {"name": name, "degree": n, "generators": gens}
+
+
+S4_RECORD = {"name": "S4", "degree": 4, "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]}
+# S4 x S4 x S4 (order 13824) on 12 points; at p = 2 one descent level, 13824 -> H512
+S4_CUBED = direct_product_record("S4xS4xS4", S4_RECORD, S4_RECORD, S4_RECORD)
+
+
 def agl1_record(q: int) -> dict:
     """AGL(1, q) = {x -> ax + b} (order q(q - 1)) on the q points of GF(q), q prime, 8 or 9.
 
@@ -257,4 +278,6 @@ MANIFEST = (
         RECORDS["s3wrc2wrc2"],
         "s3wrc2wrc2_verify.json",
     ),
+    # a direct product: 64 characters through one level, 13824 -> K1728/L64 -> H512
+    GoldenRun("s4cubed_verify", ("verify", "-p", "2", *_STRUCTURED), S4_CUBED, "s4cubed_verify.json"),
 )

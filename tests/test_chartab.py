@@ -149,7 +149,7 @@ def brute_class_columns(G, i):
     counts = [{} for _ in range(cls.count)]
     for x in (G.elements[e] for e in cls.members_ids[i]):
         for yid, y in enumerate(G.elements):
-            k = rep_of.get(tuple(y[t] for t in x))  # x*y: apply x, then y
+            k = rep_of.get(pm.make([y[t] for t in x]))  # x*y: apply x, then y
             if k is not None:
                 j = cls.class_of_id[yid]
                 counts[k][j] = counts[k].get(j, 0) + 1

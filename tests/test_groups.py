@@ -116,7 +116,7 @@ def test_load_group_dihedral(tmp_path):
     path.write_text(json.dumps({"name": "D8", "degree": 4, "generators": [[1, 2, 3, 0], [2, 1, 0, 3]]}))
     G = load_group(path)
     assert G.order == 8
-    assert G.elements[0] == (0, 1, 2, 3)
+    assert G.elements[0] == pm.make((0, 1, 2, 3))
 
 
 def test_load_group_s4_from_listed_generators():
@@ -172,9 +172,41 @@ def test_enumeration_cap_is_explicit_error():
 
 def test_element_order_is_bfs_with_sorted_levels(s4):
     # level 1 = sorted generators; identity first
-    assert s4.elements[0] == (0, 1, 2, 3)
-    assert list(s4.elements[1:3]) == sorted([(1, 0, 2, 3), (1, 2, 3, 0)])
+    assert s4.elements[0] == pm.make((0, 1, 2, 3))
+    assert list(s4.elements[1:3]) == sorted([pm.make((1, 0, 2, 3)), pm.make((1, 2, 3, 0))])
     assert len(set(s4.elements)) == s4.order
+
+
+def test_s3_on_points_253_to_255_enumerates_alike_as_bytes_and_as_tuples():
+    """Degree 256 stores bytes and degree 257 tuples; point 256 is fixed throughout."""
+    groups = []
+    for degree in (256, 257):
+        fixed = list(range(253))
+        rest = list(range(256, degree))
+        gens = [fixed + [254, 255, 253] + rest, fixed + [254, 253, 255] + rest]
+        groups.append(PermGroup.from_generators(degree, gens, name=f"S3@{degree}"))
+    small, large = groups
+    assert type(small.elements[0]) is bytes and type(large.elements[0]) is tuple
+    assert [list(p) + [256] for p in small.elements] == [list(p) for p in large.elements]
+    a, b = conjugacy_classes(small), conjugacy_classes(large)
+    assert (a.sizes, a.orders, a.rep_ids) == (b.sizes, b.orders, b.rep_ids) == (
+        (1, 3, 2),
+        (1, 2, 3),
+        (0, 1, 2),  # identity, then the transposition before the 3-cycle
+    )
+
+
+def test_a_non_element_is_named_by_its_images_as_ints():
+    G = PermGroup.from_generators(8, [[1, 2, 3, 4, 5, 6, 7, 0]], name="C8")
+    swap = [1, 0, 2, 3, 4, 5, 6, 7]
+    message = "C8: permutation [1, 0, 2, 3, 4, 5, 6, 7] is not a group element"
+    for images in (swap, tuple(swap), pm.make(swap)):
+        with pytest.raises(ValueError) as info:
+            G.id_of(images)
+        assert str(info.value) == message
+    with pytest.raises(MalformedGroupError) as info:
+        PermGroup.from_generators(8, [pm.make([0] * 8)], name="bad")
+    assert str(info.value) == "bad: generator [0, 0, 0, 0, 0, 0, 0, 0] is not a permutation of degree 8"
 
 
 # -- conjugacy classes ------------------------------------------------------------
