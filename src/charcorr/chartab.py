@@ -8,12 +8,12 @@ multiplicities through a discrete Fourier sum over powers of the class
 representative.  The class matrices come as sparse columns, so an image
 costs one pass over the nonzero entries; basis rows of an eigenspace are
 packed into one integer each, so the invariance check and the lifting of
-eigen-coordinates are one big-int combination per vector.  What the Fourier
-sum needs beyond the F_q row depends only on the class, so it is built once
-per class and table; ``_lift_value`` is the per-entry step that reads it,
-and it runs once per distinct row of F_q values on a class's powers, since
-its result depends on nothing else.  One exact engine, ``_pairings``,
-computes sum_i |C_i| a(g_i) conj(b(g_i)) on Kronecker-packed integers: it
+eigen-coordinates are one big-int combination per vector.  The Fourier sum
+reads the classes' power map (``ConjClasses.powers``) and one list of roots
+of unity mod q per element order, built once per table; ``_lift_value`` is
+the per-entry step, and it runs once per distinct row of F_q values on a
+class's powers, since its result depends on nothing else.  One exact
+engine, ``_pairings``, computes sum_i |C_i| a(g_i) conj(b(g_i)) on Kronecker-packed integers: it
 verifies row orthogonality of every table at construction time (for a square
 table the column relation follows) and decomposes class functions into
 irreducibles.
@@ -176,26 +176,28 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
     so omega is a right eigenvector of every class matrix.  The common
     eigenspaces are lines, so each eigenvector is a multiple of some omega,
     and omega_0 = 1 on the identity class fixes the scale: omega is read off
-    the eigenvector with no further class matrix built.  The lifting data of
-    every class is built once, before the row loop, and ``_lift_value`` turns
-    the F_q values of a row on the powers of a class into an exact value with
-    it.  Those values are the key of a per-table dict, so each distinct key
-    is lifted, and checked, once.
+    the eigenvector with no further class matrix built.  The classes' power
+    map gives the inverse class of C_i (the class of g^(m-1) = g^-1), whose
+    members class matrix i is built from, and the classes of the powers of
+    each representative: ``_lift_value`` turns the F_q values of a row on
+    them into an exact value.  Those values are the key of a per-table dict,
+    so each distinct key is lifted, and checked, once.
     """
     classes = conjugacy_classes(G)
     r = classes.count
     n = G.order
     q = dixon_prime(G.exponent, n)
+    inverse_class = [powers[-1] for powers in classes.powers]
 
     def class_matrix(i):
-        return pure.class_matrix(G, classes.class_of_id, classes.members_ids[i], classes.rep_ids)
+        inverse_members = classes.members_ids[inverse_class[i]]
+        return pure.class_matrix(G, classes.class_of_id, inverse_members, classes.rep_ids)
 
     vectors = _common_eigenvectors(class_matrix, r, q)
     if len(vectors) != r:
         raise RuntimeError(f"{G.name}: {len(vectors)} common eigenvectors for {r} classes")
     inv_sizes = [pow(s, q - 2, q) for s in classes.sizes]
-    lifting = _lifting_data(G, q)
-    inverse_class = [powers[-1] for powers, _ in lifting]  # g^(m-1) = g^-1
+    roots = _inverse_roots(q, classes.orders)
     lifted = {}  # one exact value per distinct row of F_q values on a class's powers
     rows = []
     for vec in vectors:
@@ -210,11 +212,11 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
             raise RuntimeError(f"{G.name}: no degree d <= sqrt(|G|) has d^2 = {d2} mod {q}")
         fq_values = [(d * omega[i] * inv_sizes[i]) % q for i in range(r)]
         values = []
-        for powers, roots in lifting:
+        for powers in classes.powers:
             key = tuple(fq_values[c] for c in powers)
             value = lifted.get(key)
             if value is None:
-                value = lifted[key] = _lift_value(key, roots, q)
+                value = lifted[key] = _lift_value(key, roots[len(key)], q)
             values.append(value)
         rows.append(ClassFunction(G, values))
     rows.sort(key=lambda f: (f.degree_int(), tuple(v.sort_key() for v in f.values)))
@@ -223,26 +225,13 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
     return table
 
 
-def _lifting_data(G: PermGroup, q: int) -> list[tuple[list[int], list[int]]]:
-    """Per class, with g its representative and m = ord(g): (powers, roots).
+def _inverse_roots(q: int, orders) -> dict[int, list[int]]:
+    """Per element order m: the list of w^-j mod q for j < m.
 
-    powers[j] is the class of g^j and roots[j] = w^-j mod q for j < m, with w
-    the m-th root of unity w0^((q-1)/m), w0 the least primitive root mod q.
+    w is the m-th root of unity w0^((q-1)/m), w0 the least primitive root mod q.
     """
-    classes = conjugacy_classes(G)
     w0 = primitive_root(q)
-    out = []
-    for i, g in enumerate(classes.rep_ids):
-        m = classes.rep_order(i)
-        w_inv = pow(w0, (q - 1) // m * (m - 1), q)
-        powers, roots = [], []
-        x, y = 0, 1  # id 0 is the identity
-        for _ in range(m):
-            powers.append(classes.class_of_id[x])
-            roots.append(y)
-            x, y = G.mul(x, g), (y * w_inv) % q
-        out.append((powers, roots))
-    return out
+    return {m: [pow(w0, (q - 1) // m * (m - j), q) for j in range(m)] for m in set(orders)}
 
 
 def _common_eigenvectors(class_matrix, r, q):
@@ -334,8 +323,8 @@ def _lift_value(row, roots, q):
     """Exact value at a class g of order m from the F_q values of chi on its powers.
 
     ``row[j]`` is chi(g^j) mod q for j < m, so row[0] is the degree, and
-    ``roots`` is the class's lifting data.  The multiplicity of w^k among
-    the eigenvalues of the representation at g is
+    ``roots[j]`` is w^-j mod q (``_inverse_roots``).  The multiplicity of
+    w^k among the eigenvalues of the representation at g is
     (1/m) sum_j chi(g^j) w^(-jk) mod q; the multiplicities must add up to
     the degree.  The result depends on nothing but ``row``, since q is fixed
     per table and ``roots`` by m = len(row).

@@ -323,15 +323,19 @@ class ConjClasses:
 
     Classes are sorted by (element order of the representative, class size,
     canonical position of the least member); the representative is that least
-    member.  Class 0 is always the identity class.  ``orders`` holds the
-    element order of each class, which is a class invariant.
+    member.  Class 0 is always the identity class.  ``powers[i][j]`` is the
+    class of g^j for g the representative of class i and j < ord(g), so
+    ``orders[i]`` (a class invariant) is its length and ``powers[i][-1]`` is
+    the class of g^-1.  For k prime to |G| the power map g -> g^k permutes
+    the classes as pi_k : i -> powers[i][k % orders[i]].
     """
 
-    def __init__(self, group, rep_ids, sizes, orders, class_of_id, members_ids):
+    def __init__(self, group, rep_ids, sizes, powers, class_of_id, members_ids):
         self.group = group
         self.rep_ids = rep_ids
         self.sizes = sizes
-        self.orders = orders
+        self.powers = powers
+        self.orders = tuple(map(len, powers))
         self.class_of_id = class_of_id
         self.members_ids = members_ids
         self._actions: dict[Perm, tuple[int, ...]] = {}  # filled by action_of
@@ -374,10 +378,14 @@ def conjugacy_classes(G: PermGroup) -> ConjClasses:
     orbit = pure.conj_orbit_ids(G, gen_ids)
     buckets: dict[int, list[int]] = {}
     for eid, oid in enumerate(orbit):
-        buckets.setdefault(oid, []).append(eid)
-    # one element order per orbit: conjugate elements have the same order
-    orbits = [(pm.order(G.elements[ms[0]]), sorted(ms)) for ms in buckets.values()]
-    orbits.sort(key=lambda om: (om[0], len(om[1]), om[1][0]))
+        buckets.setdefault(oid, []).append(eid)  # ascending: ms[0] is the least member
+    orbits = []
+    for ms in buckets.values():
+        walk = [0]  # the ids of g^0, g^1, ... for g the least member, until g^m = 1
+        while x := G.mul(walk[-1], ms[0]):
+            walk.append(x)
+        orbits.append((walk, ms))
+    orbits.sort(key=lambda wm: (len(wm[0]), len(wm[1]), wm[1][0]))
     class_of = [0] * G.order
     for ci, (_, ms) in enumerate(orbits):
         for eid in ms:
@@ -386,7 +394,7 @@ def conjugacy_classes(G: PermGroup) -> ConjClasses:
         G,
         tuple(ms[0] for _, ms in orbits),
         tuple(len(ms) for _, ms in orbits),
-        tuple(o for o, _ in orbits),
+        tuple(tuple(class_of[x] for x in walk) for walk, _ in orbits),
         tuple(class_of),
         tuple(tuple(ms) for _, ms in orbits),
     )

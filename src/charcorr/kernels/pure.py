@@ -118,25 +118,27 @@ def conj_orbit_ids(G: PermGroup, gen_ids: list[int]) -> list[int]:
 
 
 def class_matrix(
-    G: PermGroup, class_of: list[int], members_i: list[int], rep_ids: list[int]
+    G: PermGroup, class_of: list[int], inverse_members: list[int], rep_ids: list[int]
 ) -> list[list[tuple[int, int]]]:
     """Class-algebra structure constants for one class, as sparse columns.
 
     With c_ijk = #{x in C_i : x^-1 * z_k in C_j}, the r x r matrix holding
     c_ijk at row j, column k is multiplication by the class sum of C_i acting
     on class sums; its common eigenvectors drive the character table
-    computation.  Column k is returned as the list of (j, c_ijk) with
-    c_ijk != 0, ascending j: it has at most |C_i| entries.
+    computation.  ``inverse_members`` holds the member ids of the inverse
+    class {x^-1 : x in C_i}, so c_ijk counts its members y with y * z_k in
+    C_j.  Column k is returned as the list of (j, c_ijk) with c_ijk != 0,
+    ascending j: it has at most |C_i| entries.
     """
     elements, index = G.elements, G.index
     mul = product(G.degree)
-    inv_members = [inverse(elements[x]) for x in members_i]
+    members = [elements[y] for y in inverse_members]
     columns = []
     for zk in rep_ids:
         tz = table(elements[zk])
         counts: dict[int, int] = {}
-        for xinv in inv_members:
-            j = class_of[index[mul(xinv, tz)]]
+        for y in members:
+            j = class_of[index[mul(y, tz)]]
             counts[j] = counts.get(j, 0) + 1
         columns.append(sorted(counts.items()))
     return columns

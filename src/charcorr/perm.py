@@ -11,7 +11,6 @@ Equal-length bytes sort like tuples of their ints.
 
 from __future__ import annotations
 
-from math import lcm
 from operator import itemgetter
 
 Perm = bytes | tuple[int, ...]
@@ -72,8 +71,8 @@ def conjugate(h: Perm, g: Perm) -> Perm:
     return compose(compose(inverse(g), h), g)
 
 
-def cycles(a: Perm, include_fixed: bool = False) -> list[list[int]]:
-    """Disjoint cycle decomposition, each cycle starting at its least point."""
+def cycles(a: Perm) -> list[list[int]]:
+    """Disjoint cycles of length > 1, each starting at its least point."""
     seen = [False] * len(a)
     out = []
     for start in range(len(a)):
@@ -86,14 +85,9 @@ def cycles(a: Perm, include_fixed: bool = False) -> list[list[int]]:
             cyc.append(x)
             seen[x] = True
             x = a[x]
-        if len(cyc) > 1 or include_fixed:
+        if len(cyc) > 1:
             out.append(cyc)
     return out
-
-
-def order(a: Perm) -> int:
-    """Multiplicative order (lcm of cycle lengths)."""
-    return lcm(*(len(c) for c in cycles(a, include_fixed=True)))
 
 
 def cycle_string(a: Perm) -> str:

@@ -5,18 +5,44 @@ use it rather than in the package: every CLI process would otherwise
 compile it without calling it.  ``galois_classfn`` applies zeta -> zeta^k to
 every value of a class function; ``check_galois_equivariance`` requires
 (chi^sigma)* = (chi*)^sigma for every sigma in Gal(Q(zeta_e)/Q), e the
-exponent of G.
+exponent of G.  ``check_galois_is_power_map`` checks that substitution
+against the classes' power map: chi^sigma_k(g) = chi(g^k).
 """
 
 from math import gcd
 
-from charcorr.chartab import ClassFunction, character_table, p_prime_irreducibles
+from charcorr.chartab import CharacterTable, ClassFunction, character_table, p_prime_irreducibles
 from charcorr.mckay import FalsificationError, _require, is_p_solvable, navarro_star
 
 
 def galois_classfn(f: ClassFunction, k: int) -> ClassFunction:
     """Apply the Galois map zeta -> zeta^k to every value."""
     return ClassFunction(f.group, (v.galois(k) for v in f.values))
+
+
+def check_galois_is_power_map(table: CharacterTable) -> int:
+    """galois_classfn(chi, k) is chi read through pi_k, for every row and k prime to exp(G).
+
+    pi_k sends class i to powers[i][k % orders[i]], the class of g^k for g
+    its representative.  The substitution zeta -> zeta^k that
+    ``galois_classfn`` applies value by value is computed once per distinct
+    value of the table.  Returns the number of (k, chi) pairs checked; any
+    mismatch raises.
+    """
+    classes = table.classes
+    e = table.group.exponent
+    values = {v for row in table.rows for v in row.values}
+    checked = 0
+    for k in range(1, e + 1):
+        if gcd(k, e) != 1:
+            continue
+        sigma_k = {v: v.galois(k) for v in values}
+        pi_k = [powers[k % len(powers)] for powers in classes.powers]
+        for ci, row in enumerate(table.rows):
+            if tuple(map(sigma_k.get, row.values)) != tuple(row.values[c] for c in pi_k):
+                raise AssertionError(f"{table.group.name}: row {ci} at k={k} is not chi o pi_k")
+            checked += 1
+    return checked
 
 
 def check_galois_equivariance(inst) -> int:

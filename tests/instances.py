@@ -109,23 +109,25 @@ S4_CUBED = direct_product_record("S4xS4xS4", S4_RECORD, S4_RECORD, S4_RECORD)
 
 
 def agl1_record(q: int) -> dict:
-    """AGL(1, q) = {x -> ax + b} (order q(q - 1)) on the q points of GF(q), q prime, 8 or 9.
+    """AGL(1, q) = {x -> ax + b} (order q(q - 1)) on the q points of GF(q), q prime, 8, 9 or 49.
 
     The generators are x -> x + 1 and x -> gx with g primitive: conjugating
     the first by powers of the second gives every translation x -> x + g^k.
     GF(8) is F_2[t]/(t^3 + t + 1) with c0 + c1 t + c2 t^2 at point c0 + 2c1 + 4c2
-    and g = t.  GF(9) is F_3[i]/(i^2 + 1) with a + bi at point a + 3b and
-    g = 1 + i, of order 8.  For odd q the Sylow 2-subgroup is
-    self-normalizing exactly when q - 1 is a power of 2.
+    and g = t.  GF(9) and GF(49) are F_p[i]/(i^2 + 1), p = 3 and 7, with
+    a + bi at point a + pb and g = c + i: 1 + i of order 8 and 2 + i of
+    order 48.  For odd q the Sylow 2-subgroup is self-normalizing exactly
+    when q - 1 is a power of 2.
     """
     points = range(q)
     if q == 8:
         plus_one = [x ^ 1 for x in points]
         times_g = [(x << 1) ^ (0b1011 if x & 4 else 0) for x in points]  # t^3 = t + 1
-    elif q == 9:
-        plus_one = [(x + 1) % 3 + 3 * (x // 3) for x in points]
-        # (a + bi)(1 + i) = (a - b) + (a + b)i
-        times_g = [(x % 3 - x // 3) % 3 + 3 * ((x % 3 + x // 3) % 3) for x in points]
+    elif q in (9, 49):
+        p, c = (3, 1) if q == 9 else (7, 2)
+        plus_one = [(x + 1) % p + p * (x // p) for x in points]
+        # (a + bi)(c + i) = (ca - b) + (a + cb)i
+        times_g = [(c * (x % p) - x // p) % p + p * ((x % p + c * (x // p)) % p) for x in points]
     else:
         g = next(g for g in range(1, q) if len({pow(g, k, q) for k in range(1, q)}) == q - 1)
         plus_one = [(x + 1) % q for x in points]
@@ -173,8 +175,12 @@ RECORDS = {
     "c5wrc4": C5_WR_C4,
     "s3wrc2wrc2": S3_WR_C2_WR_C2,
     "gl23": gl23_record(),
-    **{f"agl{q}": agl1_record(q) for q in (5, 7, 8, 9, 17)},
+    **{f"agl{q}": agl1_record(q) for q in (5, 7, 8, 9, 17, 49)},
 }
+
+
+# every catalogue group once: the corpus, the records, and S4 wr C2 at seed 1
+CATALOGUE = CORPUS + tuple(RECORDS) + ("s4wrc2#1",)
 
 
 @lru_cache(maxsize=None)

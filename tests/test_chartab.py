@@ -6,6 +6,7 @@ induction formula implemented here for cross-checking.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -27,8 +28,8 @@ from charcorr.chartab import (
     p_prime_irreducibles,
     restrict,
     _fq_combination,
+    _inverse_roots,
     _lift_value,
-    _lifting_data,
     _pack,
     _pairings,
     _unpack,
@@ -55,8 +56,17 @@ from charcorr.showcase import corpus, corpus_path, load_corpus_group, remark_dat
 from chartab_reference import inner_product
 from cyclotomic_reference import reference_conductor
 from faults import with_foreign_identity_column, with_one_entry_matrix
-from galois_check import galois_classfn
-from instances import CORPUS, GOLDEN, RECORDS, named_group, s4_wreath_c2, s4_wreath_c2_record
+from galois_check import check_galois_is_power_map, galois_classfn
+from instances import (
+    CATALOGUE,
+    CORPUS,
+    GOLDEN,
+    RECORDS,
+    named_group,
+    s4_wreath_c2,
+    s4_wreath_c2_record,
+)
+from perm_reference import reference_order
 
 
 def brute_induce(theta, H):
@@ -122,21 +132,40 @@ def test_lifting_data_matches_repeated_products(name):
     G = load_corpus_group(name)
     classes = conjugacy_classes(G)
     q = dixon_prime(G.exponent, G.order)
-    data = _lifting_data(G, q)
-    assert len(data) == classes.count
-    for i, (powers, roots) in enumerate(data):
+    roots_of = _inverse_roots(q, classes.orders)
+    assert len(classes.powers) == classes.count
+    assert set(roots_of) == set(classes.orders)
+    for i, powers in enumerate(classes.powers):
         g = classes.rep(i)
-        m = pm.order(g)
+        m = reference_order(g)
         expected, x = [], pm.identity(G.degree)
         for _ in range(m):
             expected.append(classes.class_of_perm(x))
             x = pm.compose(x, g)
-        assert powers == expected  # entry j is the class of g^j
+        assert list(powers) == expected  # entry j is the class of g^j
         assert powers[-1] == classes.class_of_perm(pm.inverse(g))
+        roots = roots_of[m]
         assert len(roots) == len(set(roots)) == m
         assert all(pow(y, m, q) == 1 for y in roots)
         w = pow(primitive_root(q), (q - 1) // m, q)
         assert roots == [pow(w, -j, q) for j in range(m)]  # w^-j, not w^j
+
+
+def test_table_of_a_group_with_its_classes_built_multiplies_no_elements(monkeypatch):
+    # the power map on the classes is the table's only power data: building the
+    # table walks no powers of its own
+    G = load_group(corpus_path("remark648"))  # fresh group: no cached table
+    conjugacy_classes(G)
+    products = []
+    real = PermGroup.mul
+
+    def counting(self, i, j):
+        products.append((i, j))
+        return real(self, i, j)
+
+    monkeypatch.setattr(PermGroup, "mul", counting)
+    assert character_table(G).count == 24
+    assert products == []
 
 
 # -- class matrices, the eigenspace split and the lift --------------------------------
@@ -161,7 +190,9 @@ def test_class_matrix_columns_are_the_structure_constants(name):
     G = named_group(name)
     cls = conjugacy_classes(G)
     for i in range(cls.count):
-        got = pure.class_matrix(G, cls.class_of_id, cls.members_ids[i], cls.rep_ids)
+        # the members of the inverse class C_i^-1 = {x^-1 : x in C_i}
+        inverse_members = cls.members_ids[cls.powers[i][-1]]
+        got = pure.class_matrix(G, cls.class_of_id, inverse_members, cls.rep_ids)
         assert got == brute_class_columns(G, i)
 
 
@@ -240,12 +271,13 @@ def _lift_inputs(table):
     """(F_q values of the row on the class's powers, roots, q, value) for every entry."""
     G = table.group
     q = dixon_prime(G.exponent, G.order)
-    lifting = _lifting_data(G, q)
+    classes = table.classes
+    roots = _inverse_roots(q, classes.orders)
     out = []
     for row in table.rows:
         image = [_fq_image(v, q) for v in row.values]
-        for (powers, roots), value in zip(lifting, row.values):
-            out.append((tuple(image[c] for c in powers), roots, q, value))
+        for powers, value in zip(classes.powers, row.values):
+            out.append((tuple(image[c] for c in powers), roots[len(powers)], q, value))
     return out
 
 
@@ -546,14 +578,14 @@ def test_induce_trivial_from_subgroups_of_s3(s3):
     tab = character_table(s3)
     assert tab.degrees == (1, 1, 2)
     # from the normal C3: the two characters of S3/C3 (oracle-checked)
-    rotations = [p for p in s3.elements if pm.order(p) != 2]
+    rotations = [p for p in s3.elements if reference_order(p) != 2]
     C3 = s3.subgroup(rotations)
     theta = character_table(C3.view).rows[0]
     ind = induce(theta, C3)
     assert ind.values == brute_induce(theta, C3).values
     assert constituents(ind) == [(0, 1), (1, 1)]
     # from a C2: trivial + the degree-2 irreducible (oracle-checked)
-    flip = next(p for p in s3.elements if pm.order(p) == 2)
+    flip = next(p for p in s3.elements if reference_order(p) == 2)
     C2 = s3.subgroup([pm.identity(3), flip])
     theta2 = character_table(C2.view).rows[0]
     ind2 = induce(theta2, C2)
@@ -738,13 +770,20 @@ def test_p_prime_irreducibles(s4):
 def test_galois_classfn_permutes_rows(f21):
     tab = character_table(f21)
     e = f21.exponent
-    from math import gcd
-
     for k in range(1, e):
         if gcd(k, e) != 1:
             continue
         for row in tab.rows:
             tab.index_of(galois_classfn(row, k))  # raises if not a row
+
+
+@pytest.mark.parametrize("name", CATALOGUE)
+def test_galois_action_is_the_power_map(name):
+    # the zeta -> zeta^k substitution on values against pi_k on the classes
+    table = character_table(named_group(name))
+    e = table.group.exponent
+    units = sum(1 for k in range(1, e + 1) if gcd(k, e) == 1)
+    assert check_galois_is_power_map(table) == units * table.count
 
 
 def test_conjugate_classfn_reads_theta_at_g_x_g_inverse(f21):
@@ -753,7 +792,7 @@ def test_conjugate_classfn_reads_theta_at_g_x_g_inverse(f21):
     N = next(M for M in normal_subgroups(f21) if M.order == 7)
     cls = conjugacy_classes(N.view)
     theta = character_table(N.view).rows[1]
-    g = next(x for x in f21.elements if pm.order(x) == 3)
+    g = next(x for x in f21.elements if reference_order(x) == 3)
     image = conjugate_classfn(theta, N, g)
     for x in N.view.elements:
         gxg = pm.conjugate(x, pm.inverse(g))  # g * x * g^-1

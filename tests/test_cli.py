@@ -793,8 +793,12 @@ def test_c5_wreath_c4_is_outside_the_hypotheses_at_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, p, failed",
-    [("agl7", "2", "self_normalizing"), ("agl8", "7", "parity")],
-    ids=["agl7-p2", "agl8-p7"],
+    [
+        ("agl7", "2", "self_normalizing"),
+        ("agl8", "7", "parity"),
+        ("agl49", "2", "self_normalizing"),
+    ],
+    ids=["agl7-p2", "agl8-p7", "agl49-p2"],
 )
 def test_affine_groups_outside_the_hypotheses_exit_2(tmp_path, capsys, key, p, failed):
     # for odd q, AGL(1,q) is inside them at p = 2 exactly when q - 1 is a power of 2

@@ -8,7 +8,7 @@ closure over all pairs, exhaustive subgroup scans on the smallest groups).
 import json
 import time
 import tracemalloc
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -37,7 +37,8 @@ from charcorr.groups import (
     sylow,
 )
 from charcorr.showcase import corpus, load_corpus_group
-from instances import s4_wreath_c2
+from instances import CATALOGUE, named_group, s4_wreath_c2
+from perm_reference import reference_order
 
 
 # -- oracles -------------------------------------------------------------------
@@ -239,9 +240,45 @@ def test_element_orders_are_read_off_the_classes():
     for entry in corpus():
         G = load_corpus_group(entry.name)
         cls = conjugacy_classes(G)
-        assert cls.orders == tuple(pm.order(cls.rep(i)) for i in range(cls.count))
-        assert [G.element_order(i) for i in range(G.order)] == [pm.order(p) for p in G.elements]
-        assert G.exponent == lcm(*(pm.order(p) for p in G.elements))
+        assert cls.orders == tuple(reference_order(cls.rep(i)) for i in range(cls.count))
+        orders = [reference_order(p) for p in G.elements]
+        assert [G.element_order(i) for i in range(G.order)] == orders
+        assert G.exponent == lcm(*orders)
+
+
+def test_order_kills_element():
+    # rep^d for d = 1..orders[i] by repeated products: only the last is the identity
+    for name in CATALOGUE:
+        G = named_group(name)
+        cls = conjugacy_classes(G)
+        e = pm.identity(G.degree)
+        for i in range(cls.count):
+            g, m = cls.rep(i), cls.orders[i]
+            power = e
+            for d in range(1, m + 1):
+                power = pm.compose(power, g)
+                assert (power == e) == (d == m)
+
+
+def test_power_map_permutes_the_classes():
+    # pi_k : i -> powers[i][k % orders[i]] is the class map of g -> g^k.  For k
+    # prime to |G| (that is, to the exponent e; k matters mod e) it is a
+    # bijection that keeps class sizes and element orders, and pi_k pi_l = pi_kl.
+    for name in CATALOGUE:
+        G = named_group(name)
+        cls = conjugacy_classes(G)
+        r, e = cls.count, G.exponent
+        assert cls.powers[0] == (0,)
+        assert all(cls.powers[i][0] == 0 and cls.powers[i][1] == i for i in range(1, r))
+        assert cls.orders == tuple(map(len, cls.powers))
+        units = [k for k in range(e) if gcd(k, e) == 1]
+        pi = {k: [cls.powers[i][k % cls.orders[i]] for i in range(r)] for k in units}
+        for k, image in pi.items():
+            assert sorted(image) == list(range(r)), (name, k)
+            assert [cls.sizes[c] for c in image] == list(cls.sizes)
+            assert [cls.orders[c] for c in image] == list(cls.orders)
+            for l, other in pi.items():
+                assert [image[c] for c in other] == pi[k * l % e], (name, k, l)
 
 
 def test_cyclic_group_classes(c7):
@@ -342,7 +379,7 @@ def test_a5_not_solvable():
 def test_o2_s4_is_closure_of_odd_elements(s4):
     K = o_p_residual(s4, 2)
     assert K.order == 12
-    odd = [p for p in s4.elements if pm.order(p) % 2 == 1]
+    odd = [p for p in s4.elements if reference_order(p) % 2 == 1]
     assert set(K.members()) >= set(odd)
     assert derived_subgroup(s4.full_subgroup()).member_ids == K.member_ids  # O^2(S4) = A4
 
@@ -354,7 +391,7 @@ def test_o2_d8_trivial(d8):
 def test_o3_f21_is_c7(f21):
     K = o_p_residual(f21, 3)
     assert K.order == 7
-    assert all(pm.order(p) in (1, 7) for p in K.members())
+    assert all(reference_order(p) in (1, 7) for p in K.members())
 
 
 # -- products, intersections, normality ----------------------------------------------------
@@ -369,7 +406,7 @@ def test_product_subgroup_pl_in_s4(s4):
 
 
 def test_product_subgroup_rejects_non_closed(s3):
-    flips = [p for p in s3.elements if pm.order(p) == 2]
+    flips = [p for p in s3.elements if reference_order(p) == 2]
     A = s3.subgroup([pm.identity(3), flips[0]])
     B = s3.subgroup([pm.identity(3), flips[1]])
     with pytest.raises(ValueError):
@@ -434,9 +471,9 @@ def test_fixed_points_trivial_p(s4):
 
 
 def test_fixed_points_inverting_involution(s3):
-    c3 = next(p for p in s3.elements if pm.order(p) == 3)
+    c3 = next(p for p in s3.elements if reference_order(p) == 3)
     K = s3.subgroup([pm.identity(3), c3, pm.compose(c3, c3)])
-    flip = next(p for p in s3.elements if pm.order(p) == 2)
+    flip = next(p for p in s3.elements if reference_order(p) == 2)
     P = s3.subgroup([pm.identity(3), flip])
     assert fixed_points_on_cosets(P, K, s3.trivial_subgroup()) == 1
 

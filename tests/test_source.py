@@ -101,20 +101,26 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):
 
 
 
-CALLER_ROOTS = [SRC.parent.parent / folder for folder in ("src", "tests", "perfbench")]
+CALLER_ROOTS = [SRC.parent.parent / folder for folder in ("tests", "perfbench")]
 # Callerless, but deleting it waits for the benchmark change that stops every
 # sample recompiling src/: with that recompilation, deleting these four lines
 # moved peak_rss_mb on all three workloads past its bound.
 KNOWN_CALLERLESS = {"chartab.py ClassFunction.degree"}
 
 
-def _definitions():
-    """(label, name, is_member, path, first line, last line) of each non-dunder def and class.
+def _join(*parts) -> str:
+    """Dotted name of the non-empty parts: "" is the package itself."""
+    return ".".join(part for part in parts if part)
 
-    The label is the file and the name, qualified by its class for a method.
+
+def _definitions(trees):
+    """(label, name, is_member, file, first line, last line) of each non-dunder def and class.
+
+    ``trees`` maps each package file, by its path below the package, to its
+    syntax tree.  The label is the file and the name, qualified by its class
+    for a method.
     """
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for rel, tree in trees.items():
         owners = {
             id(node): cls.name
             for cls in ast.walk(tree)
@@ -128,64 +134,206 @@ def _definitions():
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
             owner = owners.get(id(node))
-            label = f"{path.relative_to(SRC)} {owner + '.' if owner else ''}{node.name}"
-            yield label, node.name, owner is not None, path, node.lineno, node.end_lineno
+            label = f"{rel} {owner + '.' if owner else ''}{node.name}"
+            yield label, node.name, owner is not None, rel, node.lineno, node.end_lineno
 
 
-def _mentions(node, roots) -> list[tuple[str, str]]:
-    """(kind, name) for each name a node mentions: "bare", "attr", or "path".
+def _member_mentions(node, roots) -> list[str]:
+    """Names a node can mention as a method: an attribute read, or a part of a dotted path.
 
-    A "path" is a part of a string holding a dotted path that starts at one
-    of the roots, such as ``"charcorr.chartab._pairings"`` or
-    ``"PermGroup.from_generators"``: the form that ``monkeypatch.setattr``
-    and the benchmark's tracer take.
+    A path is a string holding a dotted path that starts at one of the
+    roots, such as ``"PermGroup.from_generators"``: the form that
+    ``monkeypatch.setattr`` and the benchmark's tracer take.
     """
-    if isinstance(node, ast.Name):
-        return [("bare", node.id)]
     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-        return [("attr", node.attr)]
-    if isinstance(node, ast.alias):
-        return [("bare", part) for part in node.name.split(".")]
+        return [node.attr]
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         parts = node.value.split(".")
         if len(parts) > 1 and parts[0] in roots and all(part.isidentifier() for part in parts):
-            return [("path", part) for part in parts]
+            return parts
     return []
 
 
-def _names_used() -> dict[str, set]:
-    """Per name, every place that mentions it: {name: {(kind, path, line)}}."""
-    roots = {"charcorr"} | {path.stem for path in SRC.rglob("*.py")}
-    roots |= {node.name for _, node in _package_nodes() if isinstance(node, ast.ClassDef)}
-    used: dict[str, set] = {}
-    for root in CALLER_ROOTS:
-        for path in sorted(root.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                for kind, name in _mentions(node, roots):
-                    used.setdefault(name, set()).add((kind, path, getattr(node, "lineno", 0)))
-    return used
+def _bindings(tree, package, modules):
+    """What a file's imports of the package bind: {local: module}, {local: (module, name)}.
+
+    Modules are dotted names below the package ("kernels.pure"; "" is the
+    package).  ``package`` is the importing file's own package as such a list
+    of parts, or None for a file outside the package.
+    """
+    module_names, imported = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "charcorr" and alias.asname:
+                    module_names[alias.asname] = _join(*parts[1:])
+                elif parts[0] == "charcorr":
+                    module_names["charcorr"] = ""
+            continue
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        parts = (node.module or "").split(".")
+        if node.level == 0 and parts[0] == "charcorr":
+            source = _join(*parts[1:])
+        elif node.level and package is not None:
+            source = _join(*package[: len(package) - node.level + 1], node.module)
+        else:
+            continue
+        for alias in node.names:
+            local, full = alias.asname or alias.name, _join(source, alias.name)
+            if full in modules:
+                module_names[local] = full
+            else:
+                imported[local] = (source, alias.name)
+    return module_names, imported
+
+
+def _reaching_mentions(tree, module, package, modules):
+    """(module, name, line) for each mention in a file that can reach that name of that module.
+
+    That is an attribute read off a module, such as ``pm.compose`` or
+    ``charcorr.perm.compose``; an import of the name, or a bare use of it
+    where it is imported; a bare name in its own module (``module``, which
+    is None for a file outside the package); or a dotted path string such as
+    ``"charcorr.chartab._pairings"``.
+    """
+    module_names, imported = _bindings(tree, package, modules)
+
+    def module_of(node):
+        if isinstance(node, ast.Name):
+            return module_names.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = module_of(node.value)
+            if base is not None and _join(base, node.attr) in modules:
+                return _join(base, node.attr)
+        return None
+
+    out = []
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", 0)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            base = module_of(node.value)
+            if base is not None:
+                out.append((base, node.attr, line))
+        elif isinstance(node, ast.Name):
+            if node.id in imported:
+                out.append((*imported[node.id], line))
+            elif module is not None:
+                out.append((module, node.id, line))
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                target = imported.get(alias.asname or alias.name)
+                if target is not None and target[1] == alias.name:
+                    out.append((*target, line))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if parts[0] == "charcorr" and len(parts) > 2 and _join(*parts[1:-1]) in modules:
+                out.append((_join(*parts[1:-1]), parts[-1], line))
+    return out
+
+
+def _callerless(package: dict[str, str], others) -> list[str]:
+    """Sorted labels of the package definitions that nothing names outside themselves.
+
+    ``package`` maps each package file, by its path below the package
+    (``"kernels/pure.py"``), to its source; ``others`` are the sources of
+    files outside it.  A method or property is named by an attribute read or
+    a dotted path.  A read of a name that the package also stores as a plain
+    attribute (``self.degree = ...``) cannot be told apart from a read of that
+    attribute, so it does not count.  A module-level definition is named only
+    by a mention that can reach it (``_reaching_mentions``): a same-named
+    attribute of some other object, or a same-named local of a module that
+    neither defines nor imports it, does not count.  A name read off a
+    package module that imports it resolves to where it is defined.  Dunder
+    methods are exempt.
+    """
+    files = []  # (file, tree, module, package parts); module None outside the package
+    for rel, source in package.items():
+        path = pathlib.PurePosixPath(rel)
+        module = _join(*path.parent.parts, "" if path.stem == "__init__" else path.stem)
+        files.append((rel, ast.parse(source), module, list(path.parent.parts)))
+    trees = {rel: tree for rel, tree, _, _ in files}
+    module_of_file = {rel: module for rel, _, module, _ in files}
+    modules = set(module_of_file.values())
+    reexports = {}  # (module, local) -> (module, name) for each name a package module imports
+    for _, tree, module, parts in files:
+        for local, target in _bindings(tree, parts, modules)[1].items():
+            reexports[module, local] = target
+    files += [(f"<file {i}>", ast.parse(source), None, None) for i, source in enumerate(others)]
+
+    def resolve(target):
+        seen = set()
+        while target in reexports and target not in seen:
+            seen.add(target)
+            target = reexports[target]
+        return target
+
+    roots = {"charcorr"} | {pathlib.PurePosixPath(rel).stem for rel in trees}
+    roots |= {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    stored = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    }
+    member_uses: dict[str, set] = {}
+    reaching: dict[tuple[str, str], set] = {}
+    for where, tree, module, parts in files:
+        for node in ast.walk(tree):
+            for name in _member_mentions(node, roots):
+                member_uses.setdefault(name, set()).add((where, getattr(node, "lineno", 0)))
+        for base, name, line in _reaching_mentions(tree, module, parts, modules):
+            reaching.setdefault(resolve((base, name)), set()).add((where, line))
+    callerless = []
+    for label, name, is_member, rel, first, last in _definitions(trees):
+        if is_member:
+            uses = set() if name in stored else member_uses.get(name, set())
+        else:
+            uses = reaching.get((module_of_file[rel], name), set())
+        if not any(not (where == rel and first <= line <= last) for where, line in uses):
+            callerless.append(label)
+    return sorted(callerless)
 
 
 def test_every_package_definition_is_named_outside_itself():
     # Code that nothing names is code that nothing runs or tests: delete it.
-    # A method or property is named by an attribute read or a dotted path.  A
-    # read of a name that the package also stores as a plain attribute
-    # (``self.degree = ...``) cannot be told apart from a read of that
-    # attribute, so it does not count.  Dunder methods are exempt.
-    used = _names_used()
-    stored = {
-        node.attr
-        for _, node in _package_nodes()
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    package = {
+        path.relative_to(SRC).as_posix(): path.read_text(encoding="utf-8")
+        for path in sorted(SRC.rglob("*.py"))
     }
-    callerless = []
-    for label, name, is_member, path, first, last in _definitions():
-        kinds = {"attr", "path"} if is_member else {"bare", "attr", "path"}
-        if is_member and name in stored:
-            kinds.discard("attr")
-        if not any(
-            kind in kinds and not (where == path and first <= line <= last)
-            for kind, where, line in used.get(name, ())
-        ):
-            callerless.append(label)
-    assert set(callerless) == KNOWN_CALLERLESS, sorted(callerless)
+    others = [
+        path.read_text(encoding="utf-8")
+        for root in CALLER_ROOTS
+        for path in sorted(root.rglob("*.py"))
+    ]
+    callerless = _callerless(package, others)
+    assert set(callerless) == KNOWN_CALLERLESS, callerless
+
+
+def test_a_same_named_attribute_or_local_does_not_name_a_module_function():
+    # G.order and the parameter ``conjugate`` spell the names of perm.order and
+    # perm.conjugate, which a match on names alone counted as mentions; neither
+    # can reach them.  pm.cycles, an attribute read off the module, does.
+    package = {
+        "perm.py": "def order(a):\n    return 1\n\n\ndef conjugate(h, g):\n    return h\n\n\n"
+        "def cycles(a):\n    return []\n",
+        "chartab.py": "from . import perm as pm\n\n\n"
+        "def width(G, conjugate):\n    return G.order, conjugate, pm.cycles(G)\n",
+    }
+    assert _callerless(package, []) == ["chartab.py width", "perm.py conjugate", "perm.py order"]
+    # an import, a bare use where imported, and an attribute path off the package
+    callers = [
+        "from charcorr.chartab import width\n",
+        "from charcorr.perm import order as o\n\no(1)\n",
+        "import charcorr.perm\n\ncharcorr.perm.conjugate(1, 2)\n",
+    ]
+    assert _callerless(package, callers) == []
+    # a bare name counts in the module that defines it, outside the definition
+    package["perm.py"] += "\n\nIDENTITY = order(())\n"
+    assert _callerless(package, callers[:1]) == ["perm.py conjugate"]
