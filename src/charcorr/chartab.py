@@ -54,10 +54,6 @@ class ClassFunction:
         if len(self.values) != conjugacy_classes(group).count:
             raise ValueError(f"class function on {group.name} needs one value per class")
 
-    @property
-    def degree(self) -> Cyc:
-        return self.values[0]
-
     def degree_int(self) -> int:
         d = self.values[0].as_fraction()
         if d.denominator != 1:
@@ -135,7 +131,7 @@ class CharacterTable:
             "order": self.group.order,
             "degree": self.group.degree,
             "class_sizes": list(cls.sizes),
-            "class_orders": [cls.rep_order(i) for i in range(cls.count)],
+            "class_orders": list(cls.orders),
             "class_reps": [pm.cycle_string(cls.rep(i)) for i in range(cls.count)],
             "degrees": list(self.degrees),
             "irreducibles": self._rendered_rows(),
@@ -146,7 +142,7 @@ class CharacterTable:
         head = [
             ["class"] + [str(i) for i in range(cls.count)],
             ["size"] + [str(s) for s in cls.sizes],
-            ["order"] + [str(cls.rep_order(i)) for i in range(cls.count)],
+            ["order"] + [str(o) for o in cls.orders],
             ["rep"] + [pm.cycle_string(cls.rep(i)) for i in range(cls.count)],
         ]
         body = [[f"chi.{i}"] + row for i, row in enumerate(self._rendered_rows())]

@@ -81,7 +81,6 @@ class PermGroup:
         self._inv: list[int] | None = None
         self._classes = None
         self._subgroups: dict[frozenset[int], "Subgroup"] = {}
-        self._normals = None
         self._char_table = None  # filled by charcorr.chartab
 
     @classmethod
@@ -137,11 +136,6 @@ class PermGroup:
     def conj(self, i: int, j: int) -> int:
         """Id of elements[j]^-1 * elements[i] * elements[j]."""
         return self.mul(self.mul(self.inv(j), i), j)
-
-    def element_order(self, i: int) -> int:
-        """Order of element i, read off its conjugacy class."""
-        cls = conjugacy_classes(self)
-        return cls.orders[cls.class_of_id[i]]
 
     @property
     def exponent(self) -> int:
@@ -350,9 +344,6 @@ class ConjClasses:
     def class_of_perm(self, p: Perm) -> int:
         return self.class_of_id[self.group.id_of(p)]
 
-    def rep_order(self, i: int) -> int:
-        return self.orders[i]
-
     def action_of(self, g: Perm) -> tuple[int, ...]:
         """The class of g * rep * g^-1 for every class, for g normalizing the group.
 
@@ -555,35 +546,6 @@ def _normalizes(G: PermGroup, gen_ids, H: Subgroup) -> bool:
 def is_normal(G: PermGroup, N: Subgroup) -> bool:
     check_same_group("is_normal", N.parent, G)
     return _normalizes(G, [G.id_of(g) for g in G.generators], N)
-
-
-def normal_subgroups(G: PermGroup) -> tuple[Subgroup, ...]:
-    """All normal subgroups: normal closures of conjugacy classes, join-closed."""
-    if G._normals is not None:
-        return G._normals
-    classes = conjugacy_classes(G)
-    found: dict[frozenset[int], list[int]] = {}
-    for ms in classes.members_ids:
-        members, gens = G.pruned_closure_ids(list(ms))
-        found.setdefault(frozenset(members), gens)
-    changed = True
-    while changed:
-        changed = False
-        items = sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                ki, gi = items[i]
-                kj, gj = items[j]
-                if ki <= kj or kj <= ki:
-                    continue
-                members, gens = G.pruned_closure_ids(sorted(set(gi) | set(gj)))
-                key = frozenset(members)
-                if key not in found:
-                    found[key] = gens
-                    changed = True
-    out = [G.subgroup_from_ids(k) for k in sorted(found, key=lambda k: (len(k), sorted(k)))]
-    G._normals = tuple(out)
-    return G._normals
 
 
 # -- cosets ---------------------------------------------------------------------

@@ -423,8 +423,6 @@ class CorrespondenceReport(NamedTuple):
     descent_bijection: bool
     verdict: bool
 
-    to_dict = as_json
-
 
 def verify_main(inst: McKayInstance) -> CorrespondenceReport:
     """Run both correspondences over all of Irr_{p'}(G) and compare."""

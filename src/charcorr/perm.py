@@ -66,11 +66,6 @@ def inverse(a: Perm) -> Perm:
     return tuple(inv)
 
 
-def conjugate(h: Perm, g: Perm) -> Perm:
-    """g^-1 * h * g."""
-    return compose(compose(inverse(g), h), g)
-
-
 def cycles(a: Perm) -> list[list[int]]:
     """Disjoint cycles of length > 1, each starting at its least point."""
     seen = [False] * len(a)

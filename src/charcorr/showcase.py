@@ -176,10 +176,9 @@ def build_remark_group(cap: int = DEFAULT_CAP) -> RemarkGroup:
     _require(
         derived_subgroup(K).member_ids == L.member_ids, "K' != L"
     )
-    _require(
-        all(G.element_order(i) == 3 for i in K.sorted_ids if i != 0),
-        "K is not exponent 3",
-    )
+    g_classes = conjugacy_classes(G)
+    orders, class_of = g_classes.orders, g_classes.class_of_id
+    _require(all(orders[class_of[i]] == 3 for i in K.sorted_ids if i != 0), "K is not exponent 3")
 
     # coprime fixed points: C_{K/L}(x) = 1 for every non-identity x in P
     for xid in P.sorted_ids:
@@ -187,7 +186,7 @@ def build_remark_group(cap: int = DEFAULT_CAP) -> RemarkGroup:
             continue
         cyc_ids, _ = G.pruned_closure_ids([xid])
         fixed = fixed_points_on_cosets(G.subgroup_from_ids(cyc_ids), K, L)
-        _require(fixed == 1, f"C_(K/L)(x) != 1 for x of order {G.element_order(xid)}")
+        _require(fixed == 1, f"C_(K/L)(x) != 1 for x of order {orders[class_of[xid]]}")
 
     return RemarkGroup(G=G, K=K, L=L, H=H, P=P, N=N)
 

@@ -7,7 +7,11 @@ constituent theta of chi on a normal subgroup N, a character of the
 stabilizer G_theta extending theta.  ``check_glauberman_unique`` counts the
 P-invariant constituents of theta induced to K under coprime action, and
 requires exactly one when P fixes only one coset of N in K.
+``normal_subgroups`` lists every normal subgroup of a group, for the tests
+that pick a normal subgroup or run a lemma over all of them.
 """
+
+from functools import lru_cache
 
 from charcorr.chartab import (
     ClassFunction,
@@ -20,13 +24,43 @@ from charcorr.chartab import (
     restrict,
 )
 from charcorr.groups import (
+    PermGroup,
     Subgroup,
     check_same_group,
+    conjugacy_classes,
     fixed_points_on_cosets,
     is_normal,
     p_part,
 )
 from charcorr.mckay import FalsificationError, McKayInstance, _require, is_p_solvable
+
+
+@lru_cache
+def normal_subgroups(G: PermGroup) -> tuple[Subgroup, ...]:
+    """All normal subgroups: normal closures of conjugacy classes, join-closed.
+
+    Ascending by order, then by member ids.
+    """
+    found: dict[frozenset[int], list[int]] = {}
+    for ms in conjugacy_classes(G).members_ids:
+        members, gens = G.pruned_closure_ids(list(ms))
+        found.setdefault(frozenset(members), gens)
+    changed = True
+    while changed:
+        changed = False
+        items = sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                ki, gi = items[i]
+                kj, gj = items[j]
+                if ki <= kj or kj <= ki:
+                    continue
+                members, gens = G.pruned_closure_ids(sorted(set(gi) | set(gj)))
+                key = frozenset(members)
+                if key not in found:
+                    found[key] = gens
+                    changed = True
+    return tuple(G.subgroup_from_ids(k) for k in sorted(found, key=lambda k: (len(k), sorted(k))))
 
 
 def check_extension(

@@ -24,7 +24,6 @@ from charcorr.groups import (
     conjugacy_classes,
     fixed_points_on_cosets,
     intersection,
-    normal_subgroups,
     normalizer,
     sylow,
 )
@@ -39,7 +38,7 @@ from charcorr.showcase import load_corpus_group, remark_data
 from chartab_reference import inner_product
 from galois_check import check_galois_equivariance
 from instances import GOLDEN
-from lemma_checks import check_extension, check_glauberman_unique
+from lemma_checks import check_extension, check_glauberman_unique, normal_subgroups
 
 
 def report(criterion: int, label: str, ok: bool) -> None:

@@ -29,7 +29,6 @@ from charcorr.groups import (
     is_normal,
     is_solvable,
     load_group,
-    normal_subgroups,
     normalizer,
     o_p_residual,
     p_part,
@@ -38,7 +37,8 @@ from charcorr.groups import (
 )
 from charcorr.showcase import corpus, load_corpus_group
 from instances import CATALOGUE, named_group, s4_wreath_c2
-from perm_reference import reference_order
+from lemma_checks import normal_subgroups
+from perm_reference import conjugate, reference_order
 
 
 # -- oracles -------------------------------------------------------------------
@@ -50,7 +50,7 @@ def brute_conj_classes(G):
     left = set(G.elements)
     while left:
         x = next(iter(left))
-        orbit = frozenset(pm.conjugate(x, g) for g in G.elements)
+        orbit = frozenset(conjugate(x, g) for g in G.elements)
         out.append(orbit)
         left -= orbit
     return set(out)
@@ -106,7 +106,7 @@ def brute_all_subgroups(G):
 
 def brute_normalizer(G, fs) -> frozenset:
     """{g : g^-1 H g = H} for the member set fs of H, by testing every element."""
-    return frozenset(g for g in G.elements if all(pm.conjugate(x, g) in fs for x in fs))
+    return frozenset(g for g in G.elements if all(conjugate(x, g) in fs for x in fs))
 
 
 # -- load_group -----------------------------------------------------------------
@@ -229,10 +229,10 @@ def test_class_canonical_order(s4):
     # sorted by (rep element order, class size, first member position); identity first
     cls = conjugacy_classes(s4)
     keys = [
-        (cls.rep_order(i), cls.sizes[i], cls.members_ids[i][0]) for i in range(cls.count)
+        (cls.orders[i], cls.sizes[i], cls.members_ids[i][0]) for i in range(cls.count)
     ]
     assert keys == sorted(keys)
-    assert cls.sizes[0] == 1 and cls.rep_order(0) == 1
+    assert cls.sizes[0] == 1 and cls.orders[0] == 1
     assert cls.sizes == (1, 3, 6, 8, 6)
 
 
@@ -242,7 +242,7 @@ def test_element_orders_are_read_off_the_classes():
         cls = conjugacy_classes(G)
         assert cls.orders == tuple(reference_order(cls.rep(i)) for i in range(cls.count))
         orders = [reference_order(p) for p in G.elements]
-        assert [G.element_order(i) for i in range(G.order)] == orders
+        assert [cls.orders[cls.class_of_id[i]] for i in range(G.order)] == orders
         assert G.exponent == lcm(*orders)
 
 
@@ -310,7 +310,7 @@ def test_sylow_conjugate_count_f21(f21):
     P = sylow(f21, 3)
     members = set(P.members())
     conjugates = {
-        frozenset(pm.conjugate(x, g) for x in members) for g in f21.elements
+        frozenset(conjugate(x, g) for x in members) for g in f21.elements
     }
     assert len(conjugates) == 7
 
@@ -419,12 +419,12 @@ def test_normal_subgroups_s4(s4):
     assert all(is_normal(s4, N) for N in normal_subgroups(s4))
 
 
-def test_normal_subgroups_exhaustive_small(s3, d8):
-    for G in (s3, d8):
+def test_normal_subgroups_exhaustive_small(s3, d8, s4):
+    for G in (s3, d8, s4):
         brute = {
             fs
             for fs in brute_all_subgroups(G)
-            if all(frozenset(pm.conjugate(x, g) for x in fs) == fs for g in G.generators)
+            if all(frozenset(conjugate(x, g) for x in fs) == fs for g in G.generators)
         }
         ours = {frozenset(N.members()) for N in normal_subgroups(G)}
         assert ours == brute
@@ -435,7 +435,7 @@ def test_is_normal_matches_brute_force_on_every_subgroup(s3, d8, s4):
     for G in (s3, d8, s4):
         verdicts = []
         for fs in brute_all_subgroups(G):
-            brute = all(pm.conjugate(x, g) in fs for x in fs for g in G.generators)
+            brute = all(conjugate(x, g) in fs for x in fs for g in G.generators)
             assert is_normal(G, G.subgroup(fs)) == brute
             assert frozenset(normalizer(G, G.subgroup(fs)).members()) == brute_normalizer(G, fs)
             verdicts.append(brute)

@@ -29,7 +29,7 @@ from charcorr.showcase import (
     remark_generators,
     remark_report,
 )
-from lemma_checks import check_glauberman_unique
+from lemma_checks import check_glauberman_unique, normal_subgroups
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,8 @@ def test_sylow_not_self_normalizing(data):
 def test_k_is_extraspecial_exponent_3(data):
     G = data.G
     assert is_normal(G, data.K)
-    assert all(G.element_order(i) == 3 for i in data.K.sorted_ids if i != 0)
+    cls = conjugacy_classes(G)
+    assert all(cls.orders[cls.class_of_id[i]] == 3 for i in data.K.sorted_ids if i != 0)
     from charcorr.groups import derived_subgroup
 
     # Z(K) read off the classes of size 1, against the elements commuting with all of K
@@ -140,7 +141,7 @@ def test_psi_degree_and_values(data):
     h_classes = conjugacy_classes(data.H.view)
     root = sqrt_minus3()
     for c in range(h_classes.count):
-        o = h_classes.rep_order(c)
+        o = h_classes.orders[c]
         v = data.psi_h.values[c]
         if o == 2:
             assert v == -1
@@ -217,7 +218,6 @@ def test_invariant_constituent_lemma_on_remark(data):
     # P-invariant constituents of chi_N are N_G(P)-conjugate, and p'-degree
     # chi always has one
     from charcorr.chartab import is_invariant_under
-    from charcorr.groups import normal_subgroups
 
     G = data.G
     inst = check_hypotheses(G, 2)
@@ -284,8 +284,6 @@ def test_corpus_files_load(corpus_entries):
 
 
 def test_c5c5_c3_self_normalizing_via_fixed_points():
-    from charcorr.groups import normal_subgroups
-
     G = load_corpus_group("c5c5_c3")
     P = sylow(G, 3)
     K = next(N for N in normal_subgroups(G) if N.order == 25)

@@ -101,11 +101,17 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):
 
 
 
-CALLER_ROOTS = [SRC.parent.parent / folder for folder in ("tests", "perfbench")]
-# Callerless, but deleting it waits for the benchmark change that stops every
-# sample recompiling src/: with that recompilation, deleting these four lines
-# moved peak_rss_mb on all three workloads past its bound.
-KNOWN_CALLERLESS = {"chartab.py ClassFunction.degree"}
+# Besides the package itself, only the benchmark keeps a definition named: a
+# function that only the tests call belongs beside them, not in every CLI
+# process's compile.
+CALLER_ROOTS = [SRC.parent.parent / "perfbench"]
+
+
+def _sources(roots) -> list[str]:
+    """Sources of the Python files below the given folders."""
+    return [
+        path.read_text(encoding="utf-8") for root in roots for path in sorted(root.rglob("*.py"))
+    ]
 
 
 def _join(*parts) -> str:
@@ -307,16 +313,10 @@ def test_every_package_definition_is_named_outside_itself():
         path.relative_to(SRC).as_posix(): path.read_text(encoding="utf-8")
         for path in sorted(SRC.rglob("*.py"))
     }
-    others = [
-        path.read_text(encoding="utf-8")
-        for root in CALLER_ROOTS
-        for path in sorted(root.rglob("*.py"))
-    ]
-    callerless = _callerless(package, others)
-    assert set(callerless) == KNOWN_CALLERLESS, callerless
+    assert _callerless(package, _sources(CALLER_ROOTS)) == []
 
 
-def test_a_same_named_attribute_or_local_does_not_name_a_module_function():
+def test_a_same_named_attribute_or_local_does_not_name_a_module_function(tmp_path):
     # G.order and the parameter ``conjugate`` spell the names of perm.order and
     # perm.conjugate, which a match on names alone counted as mentions; neither
     # can reach them.  pm.cycles, an attribute read off the module, does.
@@ -334,6 +334,11 @@ def test_a_same_named_attribute_or_local_does_not_name_a_module_function():
         "import charcorr.perm\n\ncharcorr.perm.conjugate(1, 2)\n",
     ]
     assert _callerless(package, callers) == []
+    # a mention from a file outside the caller roots keeps nothing
+    for folder, source in (("perfbench", callers[0] + callers[2]), ("tests", callers[1])):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "calls.py").write_text(source, encoding="utf-8")
+    assert _callerless(package, _sources([tmp_path / "perfbench"])) == ["perm.py order"]
     # a bare name counts in the module that defines it, outside the definition
     package["perm.py"] += "\n\nIDENTITY = order(())\n"
     assert _callerless(package, callers[:1]) == ["perm.py conjugate"]
