@@ -6,31 +6,3 @@ machine verification that the star correspondence (unique linear constituent
 on restriction to a self-normalizing Sylow subgroup) coincides with the
 descent correspondence computed through iterated p-residual subgroups.
 """
-
-from .cyclotomic import Cyc, dixon_prime, render_cyc, root_of_unity
-from .groups import (
-    DEFAULT_CAP,
-    GroupTooLargeError,
-    MalformedGroupError,
-    PermGroup,
-    Subgroup,
-    conjugacy_classes,
-    load_group,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Cyc",
-    "DEFAULT_CAP",
-    "GroupTooLargeError",
-    "MalformedGroupError",
-    "PermGroup",
-    "Subgroup",
-    "conjugacy_classes",
-    "dixon_prime",
-    "load_group",
-    "render_cyc",
-    "root_of_unity",
-    "__version__",
-]

@@ -13,10 +13,11 @@ reads the classes' power map (``ConjClasses.powers``) and one list of roots
 of unity mod q per element order, built once per table; ``_lift_value`` is
 the per-entry step, and it runs once per distinct row of F_q values on a
 class's powers, since its result depends on nothing else.  One exact
-engine, ``_pairings``, computes sum_i |C_i| a(g_i) conj(b(g_i)) on Kronecker-packed integers: it
-verifies row orthogonality of every table at construction time (for a square
-table the column relation follows) and decomposes class functions into
-irreducibles.
+engine, ``_pairings``, computes sum_i |C_i| a(g_i) conj(b(g_i)) on
+Kronecker-packed integers, in the two shapes the maths needs: a table's rows
+paired with themselves verify row orthogonality of every table at
+construction time (for a square table the column relation follows), and
+class functions paired with a table's rows decompose into irreducibles.
 """
 
 from __future__ import annotations
@@ -351,7 +352,7 @@ def _verify_table(table: CharacterTable) -> None:
     if not all(v == 1 for v in table.rows[0].values):
         raise RuntimeError(f"{G.name}: first irreducible is not the trivial character")
     try:
-        gram, _ = _pairings(table.rows, table.rows)  # embedded once, and not kept
+        gram, _ = _pairings(table.rows)  # embedded once, and not kept
     except NotACharacterError as exc:
         raise RuntimeError(f"{G.name}: {exc}") from exc
     for a, row in enumerate(gram):
@@ -410,39 +411,31 @@ class _Embedding:
         return rows
 
 
-def _conductor(side) -> int:
-    """lcm of the stored conductors of the values on one side of a pairing."""
-    if isinstance(side, CharacterTable):
-        return side.conductor
-    return lcm(*(v.n for f in side for v in f.values))
+def _pairings(
+    functions, table: CharacterTable | None = None
+) -> tuple[list[list[int]], tuple[_Embedding, _Embedding]]:
+    """sum_i |C_i| a(g_i) conj(b(g_i)) for a in functions, all on one group.
 
-
-def _embedding(side, m: int) -> _Embedding:
-    if isinstance(side, CharacterTable):
-        return side.embedding(m)
-    return _Embedding(side, m)
-
-
-def _pairings(left, right) -> tuple[list[list[int]], tuple[_Embedding, _Embedding]]:
-    """sum_i |C_i| a(g_i) conj(b(g_i)) for a in left, b in right, all on one group.
-
-    Each side is a list of class functions, or a CharacterTable standing for
-    its rows, whose embedding is built once and kept on the table.  Both are
-    embedded (``_Embedding``) into Z[zeta_m], m the lcm of their conductors;
-    a list paired with itself is embedded once, and only its pairs a <= b are
-    computed: pairing(b, a) = conj(pairing(a, b)), which is pairing(a, b)
-    since each computed entry must be rational.
-    Each vector is packed into one int (Kronecker substitution, slots wide
-    enough for any coefficient of the sum), one big-int product per class
-    gives the polynomial product, and the sum over classes is decoded and
-    reduced mod Phi_m once per pair; it must be rational, or
-    NotACharacterError.  Returns the pairing matrix, a row per function of
-    left, and the embeddings of left and right, whose ``embedded`` values
-    serve checks that must not go through the packed products.
+    Given a table, b ranges over its rows, whose embedding is built once per
+    conductor and kept on the table (``CharacterTable.embedding``).  Without
+    one, b ranges over the functions themselves: they are embedded once, and
+    only the pairs a <= b are computed, since pairing(b, a) =
+    conj(pairing(a, b)), which is pairing(a, b) as each computed entry must
+    be rational.  Both sides are embedded (``_Embedding``) into Z[zeta_m],
+    m the lcm of their conductors.  Each vector is packed into one int
+    (Kronecker substitution, slots wide enough for any coefficient of the
+    sum), one big-int product per class gives the polynomial product, and
+    the sum over classes is decoded and reduced mod Phi_m once per pair; it
+    must be rational, or NotACharacterError.  Returns the pairing matrix, a
+    row per function, and the embeddings of the two sides, whose
+    ``embedded`` values serve checks that must not go through the packed
+    products.
     """
-    m = lcm(_conductor(left), _conductor(right))
-    a = _embedding(left, m)
-    b = a if right is left else _embedding(right, m)
+    m = lcm(*(v.n for f in functions for v in f.values))
+    if table is not None:
+        m = lcm(m, table.conductor)
+    a = _Embedding(functions, m)
+    b = a if table is None else table.embedding(m)
     G = a.group
     check_same_group("pairing", b.group, G)
     basis = a.basis
@@ -452,7 +445,7 @@ def _pairings(left, right) -> tuple[list[list[int]], tuple[_Embedding, _Embeddin
     wtd = [list(map(mul, sizes, row)) for row in a.packed_rows(width, False)]
     conj = b.packed_rows(width, True)
     slots = 2 * basis.phi - 1
-    mirror = right is left  # then row i is computed from column i on only
+    mirror = table is None  # then row i is computed from column i on only
     starts = range(len(wtd)) if mirror else [0] * len(wtd)
     sums = [
         [basis.reduce(_unpack(sum(map(mul, x, y)), width, slots)) for y in conj[start:]]
@@ -541,12 +534,6 @@ def _multiplicity(pairing: int, n: int, what: str) -> int:
     return m
 
 
-def inner_product_int(a: ClassFunction, b: ClassFunction) -> int:
-    """<a, b> for virtual characters; NotACharacterError unless it is an integer."""
-    ((c,),), _ = _pairings([a], [b])
-    return _multiplicity(c, a.group.order, "inner product")
-
-
 def constituents(f: ClassFunction) -> list[tuple[int, int]]:
     """(row index, multiplicity) pairs; errors unless f is a genuine character."""
     (pairings,), (target, rows) = _pairings([f], character_table(f.group))
@@ -567,14 +554,14 @@ def constituents(f: ClassFunction) -> list[tuple[int, int]]:
     return out
 
 
-def lying_over(table: CharacterTable, N: Subgroup, theta: ClassFunction) -> list[int]:
-    """Indices of irreducibles chi with <chi_N, theta> != 0 (N normal, theta a character).
+def lying_over(N: Subgroup, theta: ClassFunction) -> list[int]:
+    """Rows chi of Irr(G), G = N.parent, with <chi_N, theta> != 0 (N normal, theta a character).
 
     By Frobenius reciprocity <chi_N, theta> = <chi, theta^G>, so these are
     the constituents of the induced character: one decomposition against the
-    table's cached embedding, with the same integrality checks.
+    cached embedding of G's table, with the same integrality checks.
     """
-    if not is_normal(table.group, N):
+    if not is_normal(N.parent, N):
         raise ValueError("lying_over: N is not normal")
     return [i for i, _ in constituents(induce(theta, N))]
 

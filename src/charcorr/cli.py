@@ -46,16 +46,22 @@ class OutputError(Exception):
 
 
 def _resolve_group(spec: str, cap: int):
-    """A --group argument is a file path or a builtin corpus name."""
+    """A --group argument is a file path or a builtin corpus name.
+
+    A missing path falls back to the shipped corpus only when it is a bare
+    name or ``corpus/NAME``, with or without ``.json``; any other missing
+    path is an error, never a shipped group of the same basename.
+    """
     for candidate in (spec, spec + ".json"):
         if os.path.isfile(candidate):
             return load_group(candidate, cap=cap)
-    base = os.path.basename(spec)
+    folder, base = os.path.split(spec)
     if base.endswith(".json"):
         base = base[:-5]
-    packaged = corpus_path(base)
-    if os.path.isfile(packaged):
-        return load_group(packaged, cap=cap)
+    if folder in ("", "corpus"):
+        packaged = corpus_path(base)
+        if os.path.isfile(packaged):
+            return load_group(packaged, cap=cap)
     raise FileNotFoundError(f"group file or builtin name not found: {spec}")
 
 

@@ -12,16 +12,17 @@ throughout.  Everything here is immutable and pure.
 All power-basis work goes through ``power_basis(n)``, one cached context per
 conductor: its row table holds x^j mod Phi_n, ``substitute`` rewrites
 sum_i c_i zeta_n^(i*k) in the basis (embedding into a larger conductor,
-Galois action, conjugation) and ``reduce`` takes a product polynomial mod
-Phi_n.  ``root_sum`` builds sum_k c_k zeta_m^k and is the one place where a
-root of unity of order 2 mod 4 is folded into the odd conductor with a sign.
+with or without complex conjugation) and ``reduce`` takes a product
+polynomial mod Phi_n.  ``root_sum`` builds sum_k c_k zeta_m^k and is the one
+place where a root of unity of order 2 mod 4 is folded into the odd
+conductor with a sign.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 
 # -- small number theory --------------------------------------------------------
@@ -298,24 +299,6 @@ class Cyc:
             # a rational value hashes as the number it equals
             self._hash = hash(self.coeffs[0] if self.n == 1 else self.min_form())
         return self._hash
-
-    # Galois action
-
-    def galois(self, k: int) -> "Cyc":
-        """Apply zeta_n -> zeta_n^k; requires gcd(k, n) = 1."""
-        n = self.n
-        if n == 1:
-            return self
-        k %= n
-        if gcd(k, n) != 1:
-            raise ValueError(f"galois exponent {k} not coprime to conductor {n}")
-        if k == 1:
-            return self
-        return Cyc(n, power_basis(n).substitute(self.coeffs, k))
-
-    def conj(self) -> "Cyc":
-        """Complex conjugation: zeta -> zeta^-1."""
-        return self.galois(self.n - 1) if self.n > 1 else self
 
     # integer key, ordering
 

@@ -255,10 +255,9 @@ class DescentLevel(NamedTuple):
     def rows_over(self, theta: int) -> frozenset[int]:
         over = self.over.get(theta)
         if over is None:
-            view = self.H.view
             row = character_table(self.L.view).rows[theta]
-            l_in_h = view.subgroup(self.L.members())
-            over = self.over[theta] = frozenset(lying_over(character_table(view), l_in_h, row))
+            l_in_h = self.H.view.subgroup(self.L.members())
+            over = self.over[theta] = frozenset(lying_over(l_in_h, row))
         return over
 
 

@@ -24,7 +24,6 @@ from .chartab import (
     character_table,
     constituents,
     induce,
-    inner_product_int,
     lying_over,
     mul_classfn,
     orbit_and_stabilizer,
@@ -269,13 +268,13 @@ def recover_psi(data: RemarkGroup, theta: ClassFunction, phi: ClassFunction) -> 
 
     odd_chis = [
         i
-        for i in lying_over(g_table, data.K, phi)
+        for i in lying_over(data.K, phi)
         if g_table.degrees[i] % 2 == 1
     ]
     l_in_n = n_view.subgroup(data.L.members())
     odd_xis = [
         i
-        for i in lying_over(n_table, l_in_n, theta)
+        for i in lying_over(l_in_n, theta)
         if n_table.degrees[i] % 2 == 1
     ]
     _require(len(odd_chis) == 4 and len(odd_xis) == 4, "expected 4 odd characters on each side")
@@ -340,14 +339,18 @@ def recover_psi(data: RemarkGroup, theta: ClassFunction, phi: ClassFunction) -> 
 def verify_non_constituent(
     data: RemarkGroup, pairs: tuple[tuple[int, int], ...]
 ) -> tuple[dict, ...]:
-    """<chi_N, xi> for every matched pair; must vanish whenever xi is linear."""
+    """<chi_N, xi> for every matched pair, read off one decomposition of chi_N.
+
+    It must vanish whenever xi is linear.
+    """
     g_table = character_table(data.G)
     n_table = character_table(data.N.view)
     records = []
     for ci, xi in pairs:
         chi_n = restrict(g_table.rows[ci], data.N)
-        ip = inner_product_int(chi_n, n_table.rows[xi])
-        norm = inner_product_int(chi_n, chi_n)
+        multiplicities = dict(constituents(chi_n))
+        ip = multiplicities.get(xi, 0)
+        norm = sum(m * m for m in multiplicities.values())
         if norm < 1:
             raise FalsificationError("restriction has non-positive norm", chi=ci)
         xi_degree = n_table.degrees[xi]

@@ -13,11 +13,12 @@ from math import gcd
 
 from charcorr.chartab import CharacterTable, ClassFunction, character_table, p_prime_irreducibles
 from charcorr.mckay import FalsificationError, _require, is_p_solvable, navarro_star
+from cyclotomic_reference import galois
 
 
 def galois_classfn(f: ClassFunction, k: int) -> ClassFunction:
     """Apply the Galois map zeta -> zeta^k to every value."""
-    return ClassFunction(f.group, (v.galois(k) for v in f.values))
+    return ClassFunction(f.group, (galois(v, k) for v in f.values))
 
 
 def check_galois_is_power_map(table: CharacterTable) -> int:
@@ -36,7 +37,7 @@ def check_galois_is_power_map(table: CharacterTable) -> int:
     for k in range(1, e + 1):
         if gcd(k, e) != 1:
             continue
-        sigma_k = {v: v.galois(k) for v in values}
+        sigma_k = {v: galois(v, k) for v in values}
         pi_k = [powers[k % len(powers)] for powers in classes.powers]
         for ci, row in enumerate(table.rows):
             if tuple(map(sigma_k.get, row.values)) != tuple(row.values[c] for c in pi_k):

@@ -18,7 +18,6 @@ from charcorr.chartab import (
     character_table,
     constituents,
     induce,
-    inner_product_int,
     is_invariant_under,
     orbit_and_stabilizer,
     restrict,
@@ -33,6 +32,7 @@ from charcorr.groups import (
     p_part,
 )
 from charcorr.mckay import FalsificationError, McKayInstance, _require, is_p_solvable
+from chartab_reference import inner_product_int
 
 
 @lru_cache

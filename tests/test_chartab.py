@@ -20,7 +20,6 @@ from charcorr.chartab import (
     conjugate_classfn,
     fusion_map,
     induce,
-    inner_product_int,
     is_invariant_under,
     lying_over,
     mul_classfn,
@@ -52,8 +51,8 @@ from charcorr.groups import (
 )
 from charcorr.kernels import pure
 from charcorr.showcase import corpus, corpus_path, load_corpus_group, remark_data
-from chartab_reference import inner_product
-from cyclotomic_reference import reference_conductor
+from chartab_reference import inner_product, inner_product_int
+from cyclotomic_reference import conj, reference_conductor
 from faults import with_foreign_identity_column, with_one_entry_matrix
 from galois_check import check_galois_is_power_map, galois_classfn
 from instances import (
@@ -325,7 +324,7 @@ def test_abelian_table_is_dual_group(c7):
         assert row.degree_int() == 1
         for i, v in enumerate(row.values):
             # linear character values are roots of unity: v * conj(v) = 1
-            assert v * v.conj() == 1
+            assert v * conj(v) == 1
 
 
 def test_first_row_trivial_and_row_order(s4):
@@ -357,7 +356,7 @@ def test_verifier_rejects_every_single_entry_corruption(name):
     tried = 0
     for a, row in enumerate(tab.rows):
         for i, v in enumerate(row.values):
-            for bad in (v.conj(), -v, v + 1):
+            for bad in (conj(v), -v, v + 1):
                 if bad == v:  # conjugating a real value or negating 0 changes nothing
                     continue
                 tried += 1
@@ -453,16 +452,17 @@ def test_pairings_match_the_reference(name):
     against that subgroup's rows, and Sylow characters induced to G against
     the rows of G: every pairing and every decomposition."""
     G = load_corpus_group(name)
-    rows = character_table(G).rows
+    table = character_table(G)
+    rows = table.rows
     sylows = [sylow(G, p) for p in prime_factors(G.order)]
-    families = [(rows, rows)]
+    families = [(rows, table)]
     for H in sylows + list(normal_subgroups(G)):
-        families.append(([restrict(chi, H) for chi in rows], character_table(H.view).rows))
+        families.append(([restrict(chi, H) for chi in rows], character_table(H.view)))
     for S in sylows:
-        families.append(([induce(theta, S) for theta in character_table(S.view).rows], rows))
+        families.append(([induce(theta, S) for theta in character_table(S.view).rows], table))
     for left, right in families:
         order = left[0].group.order
-        reference = [[inner_product(a, b) for b in right] for a in left]
+        reference = [[inner_product(a, b) for b in right.rows] for a in left]
         pairings, _ = _pairings(left, right)
         assert pairings == [[order * v for v in row] for row in reference]
         for f, row in zip(left, reference):
@@ -471,15 +471,16 @@ def test_pairings_match_the_reference(name):
 
 @pytest.mark.parametrize("name", CORPUS + ("s4wrc2#1", "heis7"))
 def test_gram_matrix_mirrors_the_full_product(name):
-    # rows paired with themselves compute the pairs a <= b only; a copy of the
-    # rows is another side, and gets every pair computed
-    rows = character_table(named_group(name)).rows
+    # functions paired with themselves compute the pairs a <= b only; the rows
+    # paired with their table get every pair computed
+    table = character_table(named_group(name))
+    rows = table.rows
     order = named_group(name).order
     identity = [[order * (a == b) for b in range(len(rows))] for a in range(len(rows))]
-    assert _pairings(rows, rows)[0] == _pairings(rows, list(rows))[0] == identity
+    assert _pairings(rows)[0] == _pairings(rows, table)[0] == identity
     # sums of neighbouring rows: a pairing matrix with entries off the diagonal
     mixed = [a + b for a, b in zip(rows, rows[1:])] + [rows[-1] - rows[0]]
-    assert _pairings(mixed, mixed)[0] == _pairings(mixed, list(mixed))[0]
+    assert _pairings(mixed)[0] == [[order * inner_product(a, b) for b in mixed] for a in mixed]
 
 
 def test_pack_unpack_round_trip_at_the_bound():
@@ -523,7 +524,7 @@ def test_pairing_reaches_the_slot_bound_exactly(s4, f21, c):
         f = ClassFunction(G, [Cyc.rational(c)] * r)
         g = ClassFunction(G, [Cyc.rational(-c)] * r)
         bound = G.order * c * c
-        assert _pairings([f, g], [f, g])[0] == [[bound, -bound], [-bound, bound]]
+        assert _pairings([f, g])[0] == [[bound, -bound], [-bound, bound]]
         assert inner_product_int(f, g) == -c * c
 
 
@@ -693,8 +694,8 @@ def test_constituents_reconstruction_catches_a_misdecoded_pairing(monkeypatch, s
     chi = character_table(s4).rows[2]
     real = chartab._pairings
 
-    def one_more_trivial(left, right):
-        pairings, vectors = real(left, right)
+    def one_more_trivial(functions, table=None):
+        pairings, vectors = real(functions, table)
         pairings[0][0] += s4.order  # still a multiple of |G|, and nonnegative
         return pairings, vectors
 
@@ -712,18 +713,23 @@ def test_constituents_over_examples(s4):
     assert is_invariant_under(lam1, V4, P)
     chi_p = restrict(tab.rows[std_char(s4)], P)
     v4_in_p = P.view.subgroup(V4.members())
-    over = lying_over(character_table(P.view), v4_in_p, lam1)
+    over = lying_over(v4_in_p, lam1)
     assert [i for i, _ in constituents(chi_p) if i in over] == [1]  # exactly beta
     # trivial class function lies over only the trivial theta
     assert [i for i, _ in constituents(restrict(tab.rows[0], P)) if i in over] == []
 
 
 def test_lying_over(s4):
-    tab = character_table(s4)
     V4 = next(N for N in normal_subgroups(s4) if N.order == 4)
     v_tab = character_table(V4.view)
-    over_trivial = lying_over(tab, V4, v_tab.rows[0])
+    over_trivial = lying_over(V4, v_tab.rows[0])
     assert over_trivial == [0, 1, 2]  # the characters of S4/V4 = S3
+
+
+def test_lying_over_refuses_a_subgroup_that_is_not_normal(s4):
+    P = sylow(s4, 2)  # order 8, one of three conjugates
+    with pytest.raises(ValueError, match="N is not normal"):
+        lying_over(P, character_table(P.view).rows[0])
 
 
 def test_degree_divisibility(s4, f21):

@@ -53,6 +53,18 @@ def test_table_missing_file_exits_2(capsys):
     assert main(["table", "--group", "missing-file"]) == 2
 
 
+def test_a_missing_group_path_is_not_read_as_a_shipped_group(tmp_path, capsys):
+    # only a bare name or corpus/NAME falls back to the shipped corpus; a path
+    # elsewhere that does not exist is an error, whatever its basename
+    for spec in (str(tmp_path / "nowhere" / "s4.json"), str(tmp_path / "nowhere" / "s4")):
+        assert main(["table", "--group", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "group file or builtin name not found" in err
+    for spec in ("corpus/s4", "corpus/s4.json", "s4"):
+        code, text = run_cli(["table", "--group", spec, "--format", "text"], tmp_path)
+        assert code == 0 and text == (GOLDEN / "s4_table.txt").read_text()
+
+
 def test_table_cap_too_small_exits_2(capsys):
     assert main(["table", "--group", "s4", "--cap", "10"]) == 2
 

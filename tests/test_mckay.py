@@ -15,7 +15,6 @@ from charcorr.chartab import (
     ClassFunction,
     character_table,
     constituents,
-    inner_product_int,
     is_invariant_under,
     lying_over,
     orbit_and_stabilizer,
@@ -47,7 +46,7 @@ from charcorr.mckay import (
     verify_main,
 )
 from charcorr.showcase import load_corpus_group
-from chartab_reference import inner_product
+from chartab_reference import inner_product, inner_product_int
 from galois_check import check_galois_equivariance
 from instances import THEOREM_INSTANCES, gl23_record, named_group, s4_wreath_c2_record
 from lemma_checks import check_extension, check_glauberman_unique, normal_subgroups
@@ -599,10 +598,10 @@ def test_restriction_bijection_lemma():
                     phi_n = restrict(phi, n_in_k)
                     if inner_product_int(phi_n, phi_n) != 1:
                         continue
-                    over_phi = lying_over(tab, K, phi)
+                    over_phi = lying_over(K, phi)
                     theta_row = n_tab.rows[n_tab.index_of(phi_n)]
                     h_tab = character_table(H.view)
-                    over_theta = lying_over(h_tab, H.view.subgroup(inter.members()), theta_row)
+                    over_theta = lying_over(H.view.subgroup(inter.members()), theta_row)
                     restrictions = []
                     for ci in over_phi:
                         res = restrict(tab.rows[ci], H)

@@ -144,15 +144,12 @@ def _definitions(trees):
             yield label, node.name, owner is not None, rel, node.lineno, node.end_lineno
 
 
-def _member_mentions(node, roots) -> list[str]:
-    """Names a node can mention as a method: an attribute read, or a part of a dotted path.
+def _path_parts(node, roots) -> list[str]:
+    """The parts of a string holding a dotted path that starts at one of the roots.
 
-    A path is a string holding a dotted path that starts at one of the
-    roots, such as ``"PermGroup.from_generators"``: the form that
+    Such as ``"PermGroup.from_generators"``: the form that
     ``monkeypatch.setattr`` and the benchmark's tracer take.
     """
-    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-        return [node.attr]
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         parts = node.value.split(".")
         if len(parts) > 1 and parts[0] in roots and all(part.isidentifier() for part in parts):
@@ -193,6 +190,22 @@ def _bindings(tree, package, modules):
             else:
                 imported[local] = (source, alias.name)
     return module_names, imported
+
+
+def _modules_read(tree, package, modules, resolve) -> set[str]:
+    """The package modules a file imports, or imports a name from (also through a re-export)."""
+    module_names, imported = _bindings(tree, package, modules)
+    found = set(module_names.values())
+    for target in imported.values():
+        found |= {target[0], resolve(target)[0]}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {
+                _join(*alias.name.split(".")[1:])
+                for alias in node.names
+                if alias.name.split(".")[0] == "charcorr"
+            }
+    return found
 
 
 def _reaching_mentions(tree, module, package, modules):
@@ -244,15 +257,17 @@ def _callerless(package: dict[str, str], others) -> list[str]:
 
     ``package`` maps each package file, by its path below the package
     (``"kernels/pure.py"``), to its source; ``others`` are the sources of
-    files outside it.  A method or property is named by an attribute read or
-    a dotted path.  A read of a name that the package also stores as a plain
-    attribute (``self.degree = ...``) cannot be told apart from a read of that
-    attribute, so it does not count.  A module-level definition is named only
-    by a mention that can reach it (``_reaching_mentions``): a same-named
-    attribute of some other object, or a same-named local of a module that
-    neither defines nor imports it, does not count.  A name read off a
-    package module that imports it resolves to where it is defined.  Dunder
-    methods are exempt.
+    files outside it.  A method or property is named by a dotted path
+    anywhere, or by an attribute read in a file that defines it or imports
+    from its module: ``G.conj`` in a file that imports nothing from
+    cyclotomic cannot read ``Cyc.conj``.  A read of a name that the package
+    also stores as a plain attribute (``self.degree = ...``) cannot be told
+    apart from a read of that attribute, so it does not count.  A
+    module-level definition is named only by a mention that can reach it
+    (``_reaching_mentions``): a same-named attribute of some other object, or
+    a same-named local of a module that neither defines nor imports it, does
+    not count.  A name read off a package module that imports it resolves to
+    where it is defined.  Dunder methods are exempt.
     """
     files = []  # (file, tree, module, package parts); module None outside the package
     for rel, source in package.items():
@@ -288,18 +303,27 @@ def _callerless(package: dict[str, str], others) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
     }
-    member_uses: dict[str, set] = {}
+    paths: dict[str, set] = {}
+    reads: dict[str, set] = {}
     reaching: dict[tuple[str, str], set] = {}
+    importers: dict[str, set] = {}
     for where, tree, module, parts in files:
         for node in ast.walk(tree):
-            for name in _member_mentions(node, roots):
-                member_uses.setdefault(name, set()).add((where, getattr(node, "lineno", 0)))
+            line = getattr(node, "lineno", 0)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, set()).add((where, line))
+            for name in _path_parts(node, roots):
+                paths.setdefault(name, set()).add((where, line))
         for base, name, line in _reaching_mentions(tree, module, parts, modules):
             reaching.setdefault(resolve((base, name)), set()).add((where, line))
+        for read in _modules_read(tree, parts, modules, resolve):
+            importers.setdefault(read, set()).add(where)
     callerless = []
     for label, name, is_member, rel, first, last in _definitions(trees):
         if is_member:
-            uses = set() if name in stored else member_uses.get(name, set())
+            readers = {rel} | importers.get(module_of_file[rel], set())
+            uses = {use for use in reads.get(name, ()) if use[0] in readers}
+            uses = set() if name in stored else uses | paths.get(name, set())
         else:
             uses = reaching.get((module_of_file[rel], name), set())
         if not any(not (where == rel and first <= line <= last) for where, line in uses):
@@ -342,3 +366,16 @@ def test_a_same_named_attribute_or_local_does_not_name_a_module_function(tmp_pat
     # a bare name counts in the module that defines it, outside the definition
     package["perm.py"] += "\n\nIDENTITY = order(())\n"
     assert _callerless(package, callers[:1]) == ["perm.py conjugate"]
+    # a method is read only where its module is defined or imported from:
+    # G.conj in a file that imports groups alone reaches PermGroup.conj, not
+    # Cyc.conj; a dotted path names a method from any file
+    package = {
+        "cyclotomic.py": "class Cyc:\n    def conj(self):\n        return self\n\n\nONE = Cyc()\n",
+        "groups.py": "class PermGroup:\n    def conj(self, i, j):\n        return i\n",
+        "mckay.py": "from .groups import PermGroup\n\n\n"
+        "def run(G: PermGroup):\n    return G.conj(0, 1)\n",
+        "cli.py": "from .mckay import run\n\nrun(None)\n",
+    }
+    assert _callerless(package, []) == ["cyclotomic.py Cyc.conj"]
+    assert _callerless(package, ["from charcorr.cyclotomic import Cyc\n\nCyc().conj()\n"]) == []
+    assert _callerless(package, ['PATH = "Cyc.conj"\n']) == []
