@@ -22,13 +22,12 @@ class functions paired with a table's rows decompose into irreducibles.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import perm as pm
 from .cyclotomic import Cyc, dixon_prime, power_basis, primitive_root, render_cyc, root_sum
-from .fq import eigenvalues, nullspace, rref
+from .fq import eigenvalues, nullspace
 from .groups import (
     ConjClasses,
     PermGroup,
@@ -56,10 +55,10 @@ class ClassFunction:
             raise ValueError(f"class function on {group.name} needs one value per class")
 
     def degree_int(self) -> int:
-        d = self.values[0].as_fraction()
-        if d.denominator != 1:
-            raise ValueError(f"degree {d} is not an integer")
-        return d.numerator
+        d = self.values[0]
+        if d.n != 1 or d.den != 1:
+            raise ValueError(f"degree {render_cyc(d)} is not an integer")
+        return d.coeffs[0]
 
     def __add__(self, other):
         check_same_group("ClassFunction.__add__", self.group, other.group)
@@ -178,7 +177,8 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
     members class matrix i is built from, and the classes of the powers of
     each representative: ``_lift_value`` turns the F_q values of a row on
     them into an exact value.  Those values are the key of a per-table dict,
-    so each distinct key is lifted, and checked, once.
+    so each distinct key is lifted, and checked, once, and its value's sort
+    key is computed once for the row order.
     """
     classes = conjugacy_classes(G)
     r = classes.count
@@ -195,7 +195,7 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
         raise RuntimeError(f"{G.name}: {len(vectors)} common eigenvectors for {r} classes")
     inv_sizes = [pow(s, q - 2, q) for s in classes.sizes]
     roots = _inverse_roots(q, classes.orders)
-    lifted = {}  # one exact value per distinct row of F_q values on a class's powers
+    lifted = {}  # per distinct row of F_q values on a class's powers: its value and sort key
     rows = []
     for vec in vectors:
         if vec[0] == 0:
@@ -208,16 +208,17 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
         if d is None:
             raise RuntimeError(f"{G.name}: no degree d <= sqrt(|G|) has d^2 = {d2} mod {q}")
         fq_values = [(d * omega[i] * inv_sizes[i]) % q for i in range(r)]
-        values = []
+        entries = []
         for powers in classes.powers:
             key = tuple(fq_values[c] for c in powers)
-            value = lifted.get(key)
-            if value is None:
-                value = lifted[key] = _lift_value(key, roots[len(key)], q)
-            values.append(value)
-        rows.append(ClassFunction(G, values))
-    rows.sort(key=lambda f: (f.degree_int(), tuple(v.sort_key() for v in f.values)))
-    table = CharacterTable(G, classes, rows)
+            entry = lifted.get(key)
+            if entry is None:
+                value = _lift_value(key, roots[len(key)], q)
+                entry = lifted[key] = (value, value.sort_key())
+            entries.append(entry)
+        rows.append((d, tuple(k for _, k in entries), [v for v, _ in entries]))
+    rows.sort(key=lambda row: row[:2])
+    table = CharacterTable(G, classes, [ClassFunction(G, values) for _, _, values in rows])
     _verify_table(table)
     return table
 
@@ -243,13 +244,20 @@ def _common_eigenvectors(class_matrix, r, q):
     (``_pack``, slots wide enough for any sum of dim products of residues), so
     the invariance check and the lifting of eigen-coordinates back to F_q^r
     take one big-int combination per vector (``_fq_combination``).  Spaces are
-    row bases in reduced row echelon form and eigen-subspaces are ordered by
-    ascending eigenvalue, so the output is deterministic.  A space on which
-    the matrix acts as a scalar (T = lambda I, checked after the invariance
-    check) cannot split: it is kept as it is, with no characteristic
-    polynomial, nullspace or rref, since the nullspace of T^t - lambda is then
-    the whole space and its rref is the basis already held.  Returns one
-    spanning vector per line.
+    pivoted row bases: on the pivot columns the rows are the identity, so the
+    coordinates of a vector of the space are its entries there.  Lifted
+    nullspace vectors are such a basis already, pivoted at the space's pivots
+    on the free columns of the nullspace, where their coordinates are the
+    identity; no second elimination is needed.  The first space, all of
+    F_q^r, is invariant under any matrix, so its images are not checked, and
+    its basis is the identity, so its nullspace vectors are not lifted.
+    Eigen-subspaces are ordered by ascending eigenvalue, so the output is
+    deterministic: each line is unique up to a scalar, which the caller
+    fixes.  A space on which the matrix acts as a scalar (T = lambda I,
+    checked after the invariance check) cannot split: it is kept as it is,
+    with no characteristic polynomial or nullspace, since the nullspace of
+    T^t - lambda is then the whole space.  Returns one spanning vector per
+    line.
     """
     identity = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     spaces = [(identity, list(range(r)))]
@@ -275,11 +283,13 @@ def _common_eigenvectors(class_matrix, r, q):
             # coordinate row c transforms as c -> c*T and eigen-coordinates
             # are nullspace vectors of (T^t - lambda).
             T = [[image[p] for p in pivots] for image in images]
-            width = (dim * (q - 1) ** 2).bit_length()
-            packed = [_pack(b, width) for b in basis]
-            for t, image in zip(T, images):  # invariance check: image must lie in the space
-                if _fq_combination(t, packed, width, r, q) != image:
-                    raise RuntimeError("class-matrix eigenspace is not invariant")
+            whole = dim == r  # all of F_q^r, whose basis is the identity
+            if not whole:
+                width = (dim * (q - 1) ** 2).bit_length()
+                packed = [_pack(b, width) for b in basis]
+                for t, image in zip(T, images):  # invariance check: image must lie in the space
+                    if _fq_combination(t, packed, width, r, q) != image:
+                        raise RuntimeError("class-matrix eigenspace is not invariant")
             lam = T[0][0]
             if all(t[a] == (lam if a == j else 0) for j, t in enumerate(T) for a in range(dim)):
                 nxt.append((basis, pivots))  # T = lam*I: the general path returns this space
@@ -291,11 +301,12 @@ def _common_eigenvectors(class_matrix, r, q):
                     [(Tt[a][b] - (lam if a == b else 0)) % q for b in range(dim)]
                     for a in range(dim)
                 ]
-                vecs = [_fq_combination(c, packed, width, r, q) for c in nullspace(shifted, q)]
-                if vecs:
-                    rows, pivs = rref(vecs, q)
-                    covered += len(rows)
-                    nxt.append((rows, pivs))
+                coords, free = nullspace(shifted, q)
+                if coords:
+                    covered += len(coords)
+                    if not whole:
+                        coords = [_fq_combination(c, packed, width, r, q) for c in coords]
+                    nxt.append((coords, [pivots[f] for f in free]))
             if covered != dim:
                 raise RuntimeError("eigenspace splitting lost dimensions")
         spaces = nxt
@@ -368,10 +379,12 @@ class _Embedding:
     """Class functions on one group with their values embedded in Z[zeta_m].
 
     m is a multiple of every value's stored conductor, which is its least
-    one.  Values are keyed by their cached integer form (``min_form``), and
-    each distinct value and its conjugate become integer power-basis vectors
-    once (``vectors``, ``conjugates``), or NotACharacterError if it is not
-    an algebraic integer; ``top`` bounds every coefficient.  The packed rows
+    one.  Every value must be an algebraic integer, that is have denominator
+    1, or NotACharacterError; so (conductor, numerators) identifies it, and
+    keys each distinct value and its conjugate, which become integer
+    power-basis vectors once (``vectors``, ``conjugates``).  A tuple key is
+    hashed and compared in C, where a value key would call ``Cyc.__hash__``
+    and ``Cyc.__eq__``.  ``top`` bounds every coefficient.  The packed rows
     are kept per slot width, so a table's embedding, which meets many other
     sides, packs its rows once per width.
     """
@@ -384,21 +397,22 @@ class _Embedding:
             check_same_group("pairing", f.group, G)
         self.functions = functions
         self.basis = basis = power_basis(m)
-        forms = {v.min_form(): v for f in functions for v in f.values}
         self.vectors, self.conjugates = vectors, conjugates = {}, {}
-        for (d, pairs), v in forms.items():
-            if any(den != 1 for _, den in pairs):
-                raise NotACharacterError(f"value {render_cyc(v)} is not an algebraic integer")
-            coeffs = [num for num, _ in pairs]
-            vectors[d, pairs] = basis.substitute(coeffs, m // d)
-            conjugates[d, pairs] = basis.substitute(coeffs, -m // d)
+        for f in functions:
+            for v in f.values:
+                if v.den != 1:
+                    raise NotACharacterError(f"value {render_cyc(v)} is not an algebraic integer")
+                key = v.n, v.coeffs
+                if key not in vectors:
+                    vectors[key] = basis.substitute(v.coeffs, m // v.n)
+                    conjugates[key] = basis.substitute(v.coeffs, -m // v.n)
         # every value may be 0
         self.top = max(1, *(max(map(abs, x + conjugates[k])) for k, x in vectors.items()))
         self._packed: dict[tuple[int, bool], list[list[int]]] = {}
 
     def embedded(self, i: int) -> list[list[int]]:
         """The embedded values of function i."""
-        return [self.vectors[v.min_form()] for v in self.functions[i].values]
+        return [self.vectors[v.n, v.coeffs] for v in self.functions[i].values]
 
     def packed_rows(self, width: int, conjugate: bool) -> list[list[int]]:
         """Per function, its values or their conjugates packed at this slot width (cached)."""
@@ -406,7 +420,7 @@ class _Embedding:
         if rows is None:
             source = self.conjugates if conjugate else self.vectors
             forms = {k: _pack(x, width) for k, x in source.items()}
-            rows = [[forms[v.min_form()] for v in f.values] for f in self.functions]
+            rows = [[forms[v.n, v.coeffs] for v in f.values] for f in self.functions]
             self._packed[width, conjugate] = rows
         return rows
 
@@ -508,7 +522,9 @@ def induce(theta: ClassFunction, H: Subgroup) -> ClassFunction:
     """Induced class function on the parent group, through the fusion map.
 
     theta^G(g_k) = |G| / (|H| |C_k|) * sum of |c| theta(c) over the classes c
-    of H that fuse into the class C_k of G.
+    of H that fuse into the class C_k of G: the numerators of the sum times
+    |G| over its denominator times |H| |C_k|, which the constructor reduces,
+    so a character's values come out with denominator 1.
     """
     G = H.parent
     check_same_group("induce", theta.group, H.view)
@@ -517,7 +533,11 @@ def induce(theta: ClassFunction, H: Subgroup) -> ClassFunction:
     for size, k, value in zip(conjugacy_classes(H.view).sizes, fusion_map(H), theta.values):
         sums[k] = sums[k] + size * value
     return ClassFunction(
-        G, (Fraction(G.order, H.order * size) * v for size, v in zip(parent_sizes, sums))
+        G,
+        (
+            Cyc(v.n, [G.order * c for c in v.coeffs], H.order * size * v.den)
+            for size, v in zip(parent_sizes, sums)
+        ),
     )
 
 
@@ -527,10 +547,11 @@ def mul_classfn(a: ClassFunction, b: ClassFunction) -> ClassFunction:
 
 
 def _multiplicity(pairing: int, n: int, what: str) -> int:
-    """pairing / n, which must be an integer."""
+    """pairing / n, which must be an integer; the error shows it as p/q in lowest terms."""
     m, rem = divmod(pairing, n)
     if rem:
-        raise NotACharacterError(f"{what} is {Fraction(pairing, n)}; not an integer")
+        g = gcd(pairing, n)
+        raise NotACharacterError(f"{what} is {pairing // g}/{n // g}; not an integer")
     return m
 
 

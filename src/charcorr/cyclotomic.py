@@ -1,9 +1,12 @@
 """Exact cyclotomic numbers: Q(zeta_n) in the power basis mod the n-th
-cyclotomic polynomial, with rational (Fraction) coefficients.
+cyclotomic polynomial, as integer numerators over one shared denominator.
 
 Every value is stored in one form: at its least conductor n, which is
 canonical (n = 1 or n not congruent to 2 mod 4), with its coordinates in the
-power basis of Q(zeta_n).  The constructor establishes this: a rational value
+power basis of Q(zeta_n) written as integers over a positive denominator
+that shares no factor with all of them.  Every character value is an
+algebraic integer, so its denominator is 1 and all its arithmetic is on
+Python ints.  The constructor establishes this form: a rational value
 collapses to conductor 1, and any other is moved to the least canonical
 divisor d of n with the value in Q(zeta_d).  Equality, hashing, ordering and
 rendering then read the stored fields directly, and rational fast paths fire
@@ -20,9 +23,9 @@ conductor with a sign.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 
 # -- small number theory --------------------------------------------------------
@@ -182,16 +185,33 @@ def power_basis(n: int) -> _Context:
 
 
 class Cyc:
-    """An exact element of Q(zeta_n), stored at its least conductor; immutable."""
+    """An exact element of Q(zeta_n), stored at its least conductor; immutable.
 
-    __slots__ = ("n", "coeffs", "_min", "_hash")
+    The value is sum_i coeffs[i] * zeta_n^i / den: integer numerators over
+    one positive shared denominator, with no factor common to all of them and
+    den.  So den is 1 exactly when the value lies in Z[zeta_n], as every
+    character value does, and then ``coeffs`` are its coordinates.
+    Coefficients may be given as ints or exact rationals (``_ratio``);
+    anything else, a float above all, is refused.
+    """
 
-    def __init__(self, n: int, coeffs):
+    __slots__ = ("n", "coeffs", "den", "_hash")
+
+    def __init__(self, n: int, coeffs, den: int = 1):
         if n < 1 or n % 4 == 2:
             raise ValueError(f"non-canonical conductor {n}")
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != euler_phi(n):
             raise ValueError(f"Q(zeta_{n}) needs {euler_phi(n)} coefficients, got {len(coeffs)}")
+        if not all(type(c) is int for c in coeffs):
+            coeffs, den = _over_common_denominator(coeffs, den)
+        if den != 1:
+            if type(den) is not int or den < 1:
+                raise ValueError(f"denominator must be a positive int, got {den!r}")
+            g = gcd(den, *coeffs)
+            if g != 1:
+                den //= g
+                coeffs = tuple(c // g for c in coeffs)
         if n > 1 and not any(coeffs[1:]):
             n, coeffs = 1, (coeffs[0],)
         for d in _subfield_conductors(n):  # rationals collapsed above, so no d = 1
@@ -201,25 +221,20 @@ class Cyc:
                 break
         self.n = n
         self.coeffs = coeffs
-        self._min = None
+        self.den = den
         self._hash = None
 
     # construction helpers
 
     @staticmethod
     def rational(x) -> "Cyc":
-        return Cyc(1, (Fraction(x),))
+        return Cyc(1, (x,))
 
     @staticmethod
     def zero() -> "Cyc":
         return _ZERO
 
-    # conversions
-
-    def as_fraction(self) -> Fraction:
-        if self.n != 1:
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+    # predicates
 
     def is_zero(self) -> bool:
         return self.n == 1 and self.coeffs[0] == 0
@@ -229,30 +244,28 @@ class Cyc:
 
     # arithmetic
 
-    def _embedded(self, m: int) -> tuple[Fraction, ...]:
-        """Coefficients of this value inside Q(zeta_m), n | m."""
+    def _embedded(self, m: int):
+        """Numerators of this value inside Q(zeta_m), n | m."""
         if m == self.n:
             return self.coeffs
-        return tuple(power_basis(m).substitute(self.coeffs, m // self.n))
+        return power_basis(m).substitute(self.coeffs, m // self.n)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.n == 1 and other.n == 1:
-            return Cyc(1, (self.coeffs[0] + other.coeffs[0],))
-        if self.n == 1:
-            return Cyc(other.n, (other.coeffs[0] + self.coeffs[0],) + other.coeffs[1:])
-        if other.n == 1:
-            return Cyc(self.n, (self.coeffs[0] + other.coeffs[0],) + self.coeffs[1:])
+        den, sa, sb = self.den, 1, 1
+        if other.den != den:
+            den = lcm(den, other.den)
+            sa, sb = den // self.den, den // other.den
         m = lcm(self.n, other.n)
         a, b = self._embedded(m), other._embedded(m)
-        return Cyc(m, tuple(x + y for x, y in zip(a, b)))
+        return Cyc(m, [sa * x + sb * y for x, y in zip(a, b)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.n, tuple(-c for c in self.coeffs))
+        return Cyc(self.n, [-c for c in self.coeffs], self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -270,100 +283,155 @@ class Cyc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.n == 1:
-            r = self.coeffs[0]
-            return Cyc(other.n, tuple(r * c for c in other.coeffs))
-        if other.n == 1:
-            r = other.coeffs[0]
-            return Cyc(self.n, tuple(r * c for c in self.coeffs))
-        m = lcm(self.n, other.n)
-        a, b = self._embedded(m), other._embedded(m)
-        prod = [0] * (2 * len(a) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return Cyc(m, power_basis(m).reduce(prod))
+        a, b = (other, self) if other.n == 1 else (self, other)  # a rational factor first
+        if a.n == 1:
+            r = a.coeffs[0]
+            if r == a.den:  # a is 1, and values are immutable
+                return b
+            return Cyc(b.n, [r * c for c in b.coeffs], a.den * b.den)
+        m = lcm(a.n, b.n)
+        x, y = a._embedded(m), b._embedded(m)
+        prod = [0] * (2 * len(x) - 1)
+        for i, u in enumerate(x):
+            if u:
+                for j, v in enumerate(y):
+                    if v:
+                        prod[i + j] += u * v
+        return Cyc(m, power_basis(m).reduce(prod), a.den * b.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        if not isinstance(other, Cyc):  # most comparisons are of two values
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.n == other.n and self.den == other.den and self.coeffs == other.coeffs
 
     def __hash__(self):
         if self._hash is None:
-            # a rational value hashes as the number it equals
-            self._hash = hash(self.coeffs[0] if self.n == 1 else self.min_form())
+            if self.n == 1:  # a rational value hashes as the number it equals
+                self._hash = _rational_hash(self.coeffs[0], self.den)
+            else:
+                self._hash = hash((self.n, self.den, self.coeffs))
         return self._hash
 
-    # integer key, ordering
-
-    def min_form(self) -> tuple:
-        """(n, (numerator, denominator) per coefficient): the stored form as ints.
-
-        Cached, since hashing, sorting and the pairing engine key values by it.
-        """
-        if self._min is None:
-            self._min = (self.n, tuple((c.numerator, c.denominator) for c in self.coeffs))
-        return self._min
+    # ordering
 
     def sort_key(self) -> tuple:
-        """Total order for deterministic tie-breaks; 1 sorts before everything."""
-        if self.n == 1 and self.coeffs[0] == 1:
+        """Total order for deterministic tie-breaks; 1 sorts before everything.
+
+        After it: the conductor, then each coefficient as its reduced
+        (numerator, denominator) pair.
+        """
+        if self.n == 1 and self.den == 1 and self.coeffs[0] == 1:
             return (0,)
-        d, pairs = self.min_form()
-        return (1, d, pairs)
+        return (1, self.n, tuple(_reduced(c, self.den) for c in self.coeffs))
 
     def __repr__(self):
         return f"Cyc({render_cyc(self)})"
 
 
+def _ratio(x) -> tuple[int, int] | None:
+    """(numerator, positive denominator) of an int or an exact rational, else None.
+
+    An exact rational is anything with an int ``numerator`` and a positive
+    int ``denominator``, as the standard library's rationals have; a float,
+    complex, str or Decimal has neither.
+    """
+    if isinstance(x, int):
+        return int(x), 1
+    p, q = getattr(x, "numerator", None), getattr(x, "denominator", None)
+    if isinstance(p, int) and isinstance(q, int) and q > 0:
+        return int(p), int(q)
+    return None
+
+
+def _over_common_denominator(coeffs, den: int) -> tuple[tuple[int, ...], int]:
+    """Rational coefficients over den as integer numerators over one denominator."""
+    ratios = [_ratio(c) for c in coeffs]
+    for c, r in zip(coeffs, ratios):
+        if r is None:
+            raise TypeError(
+                f"cyclotomic coefficients must be ints or exact rationals, not {type(c).__name__}"
+            )
+    scale = lcm(*(q for _, q in ratios))
+    return tuple(p * (scale // q) for p, q in ratios), den * scale
+
+
 def _coerce(x):
     if isinstance(x, Cyc):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Cyc(1, (Fraction(x),))
-    return NotImplemented
+    r = _ratio(x)
+    if r is None:
+        return NotImplemented
+    return Cyc(1, (r[0],), r[1])
 
 
-_ZERO = Cyc(1, (Fraction(0),))
+def _reduced(c: int, den: int) -> tuple[int, int]:
+    """c/den in lowest terms, as (numerator, positive denominator)."""
+    g = gcd(c, den)
+    return c // g, den // g
+
+
+def _rational_hash(p: int, q: int) -> int:
+    """hash(p/q) by the rule Python's numeric types share (p/q in lowest terms, q > 0).
+
+    With P the hash modulus: hash(|p| * q^-1 mod P), or inf when P divides q,
+    carrying the sign of p, and -2 in place of -1.
+    """
+    if q == 1:
+        return hash(p)
+    modulus = sys.hash_info.modulus
+    h = sys.hash_info.inf if q % modulus == 0 else hash(hash(abs(p)) * pow(q, -1, modulus))
+    h = h if p >= 0 else -h
+    return -2 if h == -1 else h
+
+
+_ZERO = Cyc(1, (0,))
 
 
 def _express_in_subfield(n: int, coeffs, d: int):
     """Coefficients in the power basis of Q(zeta_d) of the element of Q(zeta_n)
-    with power-basis coefficients ``coeffs``, or None if it is not in Q(zeta_d)."""
+    with integer power-basis coefficients ``coeffs``, or None if it is not in
+    Q(zeta_d).
+
+    Z[zeta_d] is the part of Z[zeta_n] that lies in Q(zeta_d), so the
+    coefficients found are integers too.  They come from fraction-free
+    Gauss-Jordan elimination: a row is cleared by integer multiples of the
+    pivot row, and each pivot row ends with only its pivot among the
+    subfield columns, so one exact division per pivot reads the solution off.
+    """
     ctx = power_basis(n)
     phid = euler_phi(d)
     step = n // d
     basis = [ctx.rows[i * step] for i in range(phid)]
-    # Solve sum_i c_i basis[i] = coeffs by Gaussian elimination over Q.
-    rows = [[Fraction(basis[i][j]) for i in range(phid)] + [coeffs[j]] for j in range(ctx.phi)]
-    ncols = phid
+    rows = [[basis[i][j] for i in range(phid)] + [coeffs[j]] for j in range(ctx.phi)]
     pivot_row = 0
     pivots = []
-    for col in range(ncols):
+    for col in range(phid):
         sel = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
         if sel is None:
             continue
         rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        inv = 1 / rows[pivot_row][col]
-        rows[pivot_row] = [x * inv for x in rows[pivot_row]]
+        top = rows[pivot_row]
+        p = top[col]
         for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
+            f = rows[r][col]
+            if r != pivot_row and f:
+                row = [p * x - f * y for x, y in zip(rows[r], top)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         pivot_row += 1
     for r in range(pivot_row, len(rows)):
-        if rows[r][ncols]:
+        if rows[r][phid]:
             return None  # inconsistent: value not in the subfield
-    sol = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        sol[col] = rows[i][ncols]
+    sol = [0] * phid
+    for row, col in zip(rows, pivots):
+        sol[col], rem = divmod(row[phid], row[col])
+        if rem:
+            raise RuntimeError(f"an integral value of Q(zeta_{n}) is not integral in Q(zeta_{d})")
     return sol
 
 
@@ -396,20 +464,26 @@ def sqrt_minus3() -> Cyc:
 
 def render_cyc(v: Cyc) -> str:
     """Exact printer at the stored (least) conductor, e.g. '1+2*z3', '-1/2', 'z8^3'."""
-    d, coeffs = v.n, v.coeffs
+    d, den = v.n, v.den
     if d == 1:
-        return str(coeffs[0])
+        return _rational_text(v.coeffs[0], den)
     parts = []
-    for k, c in enumerate(coeffs):
+    for k, c in enumerate(v.coeffs):
         if not c:
             continue
         base = f"z{d}" if k == 1 else f"z{d}^{k}"
         if k == 0:
-            parts.append(str(c))
-        elif c == 1:
+            parts.append(_rational_text(c, den))
+        elif c == den:
             parts.append(base)
-        elif c == -1:
+        elif c == -den:
             parts.append("-" + base)
         else:
-            parts.append(f"{c}*{base}")
+            parts.append(f"{_rational_text(c, den)}*{base}")
     return "+".join(parts).replace("+-", "-")
+
+
+def _rational_text(c: int, den: int) -> str:
+    """c/den in lowest terms as 'p' or 'p/q'."""
+    p, q = _reduced(c, den)
+    return str(p) if q == 1 else f"{p}/{q}"

@@ -34,20 +34,23 @@ def rref(rows, q):
 
 
 def nullspace(M, q):
-    """Basis of the right nullspace, one vector per free column, ascending."""
+    """Basis of the right nullspace, one vector per free column, ascending.
+
+    Returns (basis, free columns): on the free columns the basis vectors are
+    the identity, so a vector of the nullspace has its coordinates there.
+    """
     ncols = len(M[0])
     red, pivots = rref(M, q)
     pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
+    for f in free:
         v = [0] * ncols
-        v[free] = 1
+        v[f] = 1
         for i, c in enumerate(pivots):
-            v[c] = (-red[i][free]) % q
+            v[c] = (-red[i][f]) % q
         basis.append(v)
-    return basis
+    return basis, free
 
 
 def charpoly(M, q):

@@ -261,7 +261,7 @@ def _fq_image(v, q):
     """v mod q, with zeta_n sent to w0^((q-1)/n) for w0 the least primitive root mod q."""
     w = pow(primitive_root(q), (q - 1) // v.n, q)
     terms = (
-        c.numerator * pow(c.denominator, -1, q) * pow(w, j, q) for j, c in enumerate(v.coeffs)
+        c * pow(v.den, -1, q) * pow(w, j, q) for j, c in enumerate(v.coeffs)
     )
     return sum(terms) % q
 

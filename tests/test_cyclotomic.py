@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic and the table-prime search."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,19 @@ from charcorr.cyclotomic import (
     root_sum,
     sqrt_minus3,
 )
-from cyclotomic_reference import conj, galois, least_conductor, reference_conductor
+from cyclotomic_reference import (
+    conj,
+    galois,
+    least_conductor,
+    least_form,
+    model,
+    model_add,
+    model_equal,
+    model_mul,
+    model_neg,
+    reference_conductor,
+    render,
+)
 
 CONDUCTORS = (3, 4, 8, 12, 24)
 
@@ -112,10 +125,9 @@ def test_conductor_two_mod_four_is_folded():
 
 def test_rational_collapse_and_predicates():
     v = zeta(4) * zeta(4)
-    assert v.n == 1 and v.as_fraction() == -1
+    assert v.n == 1 and (v.coeffs, v.den) == ((-1,), 1)
     assert (zeta(5) - zeta(5)).is_zero()
-    with pytest.raises(ValueError):
-        zeta(5).as_fraction()
+    assert zeta(5).n == 5  # not stored as a rational
 
 
 # -- the shared power basis ---------------------------------------------------------
@@ -187,6 +199,23 @@ def test_rational_values_hash_as_the_numbers_they_equal():
     assert Fraction(1, 2) in {Cyc.rational(Fraction(1, 2))}
     assert Cyc.rational(2) in {2}
     assert hash(Cyc.rational(Fraction(-1, 2))) == hash(Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("bad", (0.5, 1.0, 1j, "1", Decimal("0.5")), ids=repr)
+def test_a_coefficient_that_is_not_exact_is_refused(bad):
+    # a float would turn into a binary fraction unnoticed, and then the
+    # arithmetic would be exact about a number nobody meant
+    with pytest.raises(TypeError, match="ints or exact rationals"):
+        Cyc(1, (bad,))
+    with pytest.raises(TypeError, match="ints or exact rationals"):
+        Cyc(4, (1, bad))
+    with pytest.raises(TypeError):
+        Cyc.rational(bad)
+    with pytest.raises(TypeError):
+        zeta(4) + bad
+    with pytest.raises(TypeError):
+        bad * zeta(4)
+    assert zeta(4) != bad
 
 
 def test_a_non_canonical_conductor_is_refused_when_built():
@@ -286,3 +315,53 @@ def test_cross_conductor_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# -- differential test against the Fraction model --------------------------------------
+
+
+CANONICAL_UP_TO_60 = tuple(n for n in range(1, 61) if n % 4 != 2)
+
+
+def _value(data, N):
+    """A Cyc built in Q(zeta_N) from a value drawn at a canonical divisor of N, with its model.
+
+    Drawing below N and embedding makes the constructor's least-conductor
+    search find a proper subfield; small numerators, zeros and denominators
+    up to 6 give rational, integral and non-integral values alike.
+    """
+    d = data.draw(st.sampled_from([d for d in CANONICAL_UP_TO_60 if N % d == 0]))
+    den = data.draw(st.sampled_from((1, 1, 2, 3, 6)))
+    nums = data.draw(st.lists(st.integers(-4, 4), min_size=euler_phi(d), max_size=euler_phi(d)))
+    coeffs = power_basis(N).substitute([Fraction(c, den) for c in nums], N // d)
+    return Cyc(N, coeffs), model(N, coeffs)
+
+
+def _agrees(value, reference):
+    d, coords = least_form(reference)
+    assert value.n == d
+    assert tuple(Fraction(c, value.den) for c in value.coeffs) == coords
+    assert render_cyc(value) == render(reference)
+    assert value == Cyc(d, coords) and hash(value) == hash(Cyc(d, coords))
+    if d == 1:
+        assert value == coords[0] and hash(value) == hash(coords[0])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(CANONICAL_UP_TO_60), st.data())
+def test_cyc_agrees_with_the_fraction_model(N, data):
+    (a, ra), (b, rb) = _value(data, N), _value(data, N)
+    r = Fraction(data.draw(st.integers(-5, 5)), data.draw(st.integers(1, 4)))
+    _agrees(a, ra)
+    _agrees(b, rb)
+    _agrees(a + b, model_add(ra, rb))
+    _agrees(a - b, model_add(ra, model_neg(rb)))
+    _agrees(-a, model_neg(ra))
+    _agrees(a * b, model_mul(ra, rb))
+    _agrees(a + r, model_add(ra, model(1, [r])))
+    _agrees(r - a, model_add(model(1, [r]), model_neg(ra)))
+    _agrees(r * a, model_mul(ra, model(1, [r])))
+    assert (a == b) == model_equal(ra, rb)
+    assert a + b - b == a
+    if a == b:
+        assert hash(a) == hash(b)

@@ -66,10 +66,11 @@ def test_eigenvalues_of_known_matrices():
 def test_nullspace_and_rank():
     q = 13
     M = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    ns = nullspace(M, q)
+    ns, free = nullspace(M, q)
     assert len(ns) == 1
     for v in ns:
         assert matvec(M, v, q) == [0, 0, 0]
+    assert [[v[f] for f in free] for v in ns] == [[1]]
     red, pivots = rref(M, q)
     assert len(pivots) + len(ns) == 3
     for i, c in enumerate(pivots):

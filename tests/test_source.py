@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+from instances import GOLDEN
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "charcorr"
 TRIG = {"cos", "sin", "pi"}
 
@@ -81,23 +83,64 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):
     # in is paid on every run; dataclasses alone brings inspect, ast, dis and
     # tokenize, and each dataclass costs about ten times a NamedTuple to create.
     # Parsing the command line must not load argparse either, nor the gettext
-    # and locale modules that argparse's messages load.
-    out = tmp_path / "out.txt"
+    # and locale modules that argparse's messages load.  No command may load
+    # fractions, nor the decimal and numbers modules it imports: every value
+    # is exact on ints (cyclotomic.Cyc), and the three cost about 2 ms and
+    # 0.5 MB per process.  The three commands run one after another in one
+    # process, so a module that any of them loads shows.
+    runs = [
+        (["verify", "--group", "s4", "-p", "2"], None),
+        (["verify", "--all", "--format", "structured"], "verify_all.json"),
+        (["remark648", "--format", "structured"], "remark648.json"),
+    ]
+    outs = [tmp_path / f"out{i}" for i in range(len(runs))]
+    argvs = [[*argv, "--out", str(out)] for (argv, _), out in zip(runs, outs)]
     code = (
         "import sys; before = set(sys.modules); import charcorr.cli; "
-        f"code = charcorr.cli.main(['verify', '--group', 's4', '-p', '2', '--out', {str(out)!r}]); "
-        "print(code, ' '.join(sorted(set(sys.modules) - before)))"
+        f"codes = [charcorr.cli.main(argv) for argv in {argvs!r}]; "
+        "print(*codes, ' '.join(sorted(set(sys.modules) - before)))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    code, *loaded = proc.stdout.split()
-    assert code == "0" and out.read_text().endswith("verdict: TRUE\n")
+    words = proc.stdout.split()
+    codes, loaded = words[: len(runs)], words[len(runs) :]
+    assert codes == ["0"] * len(runs)
+    assert outs[0].read_text().endswith("verdict: TRUE\n")
+    for out, (_, golden) in zip(outs[1:], runs[1:]):
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
     assert "charcorr.cli" in loaded
     unwanted = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+    unwanted |= {"fractions", "decimal", "numbers"}
     assert not unwanted & set(loaded), sorted(loaded)
+
+
+NUMERIC_TOWER = {"fractions", "decimal", "numbers"}
+
+
+def _numeric_tower_imports(node) -> list[str]:
+    """The modules of the numeric tower that an import statement names."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module or ""]
+    else:
+        return []
+    return [name for name in names if name.split(".")[0] in NUMERIC_TOWER]
+
+
+def test_no_package_module_imports_fractions():
+    # Cyc keeps integer numerators over one shared denominator, so nothing in
+    # the package needs a Fraction, and importing fractions would load decimal
+    # and numbers in every CLI process.
+    found = [
+        f"{where} {name}"
+        for where, node in _package_nodes()
+        for name in _numeric_tower_imports(node)
+    ]
+    assert not found, found
 
 
 
