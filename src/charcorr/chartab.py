@@ -29,7 +29,9 @@ from . import perm as pm
 from .cyclotomic import Cyc, dixon_prime, power_basis, primitive_root, render_cyc, root_sum
 from .fq import eigenvalues, nullspace
 from .groups import (
+    MAX_CLASSES,
     ConjClasses,
+    GroupTooLargeError,
     PermGroup,
     Subgroup,
     check_same_group,
@@ -56,7 +58,7 @@ class ClassFunction:
 
     def degree_int(self) -> int:
         d = self.values[0]
-        if d.n != 1 or d.den != 1:
+        if d.n != 1:
             raise ValueError(f"degree {render_cyc(d)} is not an integer")
         return d.coeffs[0]
 
@@ -178,10 +180,15 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
     each representative: ``_lift_value`` turns the F_q values of a row on
     them into an exact value.  Those values are the key of a per-table dict,
     so each distinct key is lifted, and checked, once, and its value's sort
-    key is computed once for the row order.
+    key is computed once for the row order.  A group with more than
+    ``MAX_CLASSES`` classes is refused before any matrix is built.
     """
     classes = conjugacy_classes(G)
     r = classes.count
+    if r > MAX_CLASSES:
+        raise GroupTooLargeError(
+            f"{G.name}: {r} conjugacy classes exceed the class bound {MAX_CLASSES} of a table"
+        )
     n = G.order
     q = dixon_prime(G.exponent, n)
     inverse_class = [powers[-1] for powers in classes.powers]
@@ -379,10 +386,9 @@ class _Embedding:
     """Class functions on one group with their values embedded in Z[zeta_m].
 
     m is a multiple of every value's stored conductor, which is its least
-    one.  Every value must be an algebraic integer, that is have denominator
-    1, or NotACharacterError; so (conductor, numerators) identifies it, and
-    keys each distinct value and its conjugate, which become integer
-    power-basis vectors once (``vectors``, ``conjugates``).  A tuple key is
+    one, so (conductor, coordinates) identifies a value, and keys each
+    distinct value and its conjugate, which become integer power-basis
+    vectors once (``vectors``, ``conjugates``).  A tuple key is
     hashed and compared in C, where a value key would call ``Cyc.__hash__``
     and ``Cyc.__eq__``.  ``top`` bounds every coefficient.  The packed rows
     are kept per slot width, so a table's embedding, which meets many other
@@ -400,8 +406,6 @@ class _Embedding:
         self.vectors, self.conjugates = vectors, conjugates = {}, {}
         for f in functions:
             for v in f.values:
-                if v.den != 1:
-                    raise NotACharacterError(f"value {render_cyc(v)} is not an algebraic integer")
                 key = v.n, v.coeffs
                 if key not in vectors:
                     vectors[key] = basis.substitute(v.coeffs, m // v.n)
@@ -522,9 +526,9 @@ def induce(theta: ClassFunction, H: Subgroup) -> ClassFunction:
     """Induced class function on the parent group, through the fusion map.
 
     theta^G(g_k) = |G| / (|H| |C_k|) * sum of |c| theta(c) over the classes c
-    of H that fuse into the class C_k of G: the numerators of the sum times
-    |G| over its denominator times |H| |C_k|, which the constructor reduces,
-    so a character's values come out with denominator 1.
+    of H that fuse into the class C_k of G: each coordinate of |G| times the
+    sum, divided exactly by |H| |C_k|.  A remainder means a value off
+    Z[zeta_n], which no character has: NotACharacterError.
     """
     G = H.parent
     check_same_group("induce", theta.group, H.view)
@@ -532,13 +536,18 @@ def induce(theta: ClassFunction, H: Subgroup) -> ClassFunction:
     sums = [Cyc.zero()] * len(parent_sizes)
     for size, k, value in zip(conjugacy_classes(H.view).sizes, fusion_map(H), theta.values):
         sums[k] = sums[k] + size * value
-    return ClassFunction(
-        G,
-        (
-            Cyc(v.n, [G.order * c for c in v.coeffs], H.order * size * v.den)
-            for size, v in zip(parent_sizes, sums)
-        ),
-    )
+    values = []
+    for size, v in zip(parent_sizes, sums):
+        scale, coeffs = H.order * size, []
+        for c in v.coeffs:
+            quotient, rem = divmod(G.order * c, scale)
+            if rem:
+                raise NotACharacterError(
+                    f"induced value {G.order}/{scale}*({render_cyc(v)}) is not an algebraic integer"
+                )
+            coeffs.append(quotient)
+        values.append(Cyc(v.n, coeffs))
+    return ClassFunction(G, values)
 
 
 def mul_classfn(a: ClassFunction, b: ClassFunction) -> ClassFunction:

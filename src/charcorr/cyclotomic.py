@@ -1,14 +1,13 @@
-"""Exact cyclotomic numbers: Q(zeta_n) in the power basis mod the n-th
-cyclotomic polynomial, as integer numerators over one shared denominator.
+"""Exact cyclotomic integers: Z[zeta_n] in the power basis mod the n-th
+cyclotomic polynomial.
 
-Every value is stored in one form: at its least conductor n, which is
-canonical (n = 1 or n not congruent to 2 mod 4), with its coordinates in the
-power basis of Q(zeta_n) written as integers over a positive denominator
-that shares no factor with all of them.  Every character value is an
-algebraic integer, so its denominator is 1 and all its arithmetic is on
-Python ints.  The constructor establishes this form: a rational value
-collapses to conductor 1, and any other is moved to the least canonical
-divisor d of n with the value in Q(zeta_d).  Equality, hashing, ordering and
+Every character value is a sum of roots of unity, so every value the engine
+builds lies in Z[zeta_n], and its coordinates in the power basis, an integral
+basis, are ints.  Every value is stored in one form: at its least conductor
+n, which is canonical (n = 1 or n not congruent to 2 mod 4).  The
+constructor establishes this form: a rational integer collapses to
+conductor 1, and any other value is moved to the least canonical divisor d
+of n with the value in Z[zeta_d].  Equality, hashing, ordering and
 rendering then read the stored fields directly, and rational fast paths fire
 throughout.  Everything here is immutable and pure.
 
@@ -23,7 +22,6 @@ conductor with a sign.
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
@@ -111,15 +109,15 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _polydiv_exact(num: list[int], den) -> list[int]:
+def _polydiv_exact(num: list[int], divisor) -> list[int]:
     num = list(num)
-    den = list(den)
-    out = [0] * (len(num) - len(den) + 1)
+    divisor = list(divisor)
+    out = [0] * (len(num) - len(divisor) + 1)
     for shift in range(len(out) - 1, -1, -1):
-        coef = num[shift + len(den) - 1]  # den is monic
+        coef = num[shift + len(divisor) - 1]  # divisor is monic
         out[shift] = coef
         if coef:
-            for i, d in enumerate(den):
+            for i, d in enumerate(divisor):
                 num[shift + i] -= coef * d
     if any(num):
         raise RuntimeError("cyclotomic polynomial division left a remainder")
@@ -185,33 +183,26 @@ def power_basis(n: int) -> _Context:
 
 
 class Cyc:
-    """An exact element of Q(zeta_n), stored at its least conductor; immutable.
+    """An element of Z[zeta_n], stored at its least conductor n; immutable.
 
-    The value is sum_i coeffs[i] * zeta_n^i / den: integer numerators over
-    one positive shared denominator, with no factor common to all of them and
-    den.  So den is 1 exactly when the value lies in Z[zeta_n], as every
-    character value does, and then ``coeffs`` are its coordinates.
-    Coefficients may be given as ints or exact rationals (``_ratio``);
-    anything else, a float above all, is refused.
+    The value is sum_i coeffs[i] * zeta_n^i with int coefficients, which are
+    its coordinates in the power basis, an integral basis of Z[zeta_n].
+    Every character value is a sum of roots of unity, so this is all the
+    engine builds; any other coefficient, an exact rational or a float above
+    all, is refused.
     """
 
-    __slots__ = ("n", "coeffs", "den", "_hash")
+    __slots__ = ("n", "coeffs", "_hash")
 
-    def __init__(self, n: int, coeffs, den: int = 1):
+    def __init__(self, n: int, coeffs):
         if n < 1 or n % 4 == 2:
             raise ValueError(f"non-canonical conductor {n}")
         coeffs = tuple(coeffs)
         if len(coeffs) != euler_phi(n):
             raise ValueError(f"Q(zeta_{n}) needs {euler_phi(n)} coefficients, got {len(coeffs)}")
-        if not all(type(c) is int for c in coeffs):
-            coeffs, den = _over_common_denominator(coeffs, den)
-        if den != 1:
-            if type(den) is not int or den < 1:
-                raise ValueError(f"denominator must be a positive int, got {den!r}")
-            g = gcd(den, *coeffs)
-            if g != 1:
-                den //= g
-                coeffs = tuple(c // g for c in coeffs)
+        for c in coeffs:
+            if type(c) is not int:
+                raise TypeError(f"cyclotomic coefficients must be ints, not {type(c).__name__}")
         if n > 1 and not any(coeffs[1:]):
             n, coeffs = 1, (coeffs[0],)
         for d in _subfield_conductors(n):  # rationals collapsed above, so no d = 1
@@ -221,13 +212,12 @@ class Cyc:
                 break
         self.n = n
         self.coeffs = coeffs
-        self.den = den
         self._hash = None
 
     # construction helpers
 
     @staticmethod
-    def rational(x) -> "Cyc":
+    def rational(x: int) -> "Cyc":
         return Cyc(1, (x,))
 
     @staticmethod
@@ -245,7 +235,7 @@ class Cyc:
     # arithmetic
 
     def _embedded(self, m: int):
-        """Numerators of this value inside Q(zeta_m), n | m."""
+        """Coordinates of this value inside Z[zeta_m], n | m."""
         if m == self.n:
             return self.coeffs
         return power_basis(m).substitute(self.coeffs, m // self.n)
@@ -254,18 +244,13 @@ class Cyc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        den, sa, sb = self.den, 1, 1
-        if other.den != den:
-            den = lcm(den, other.den)
-            sa, sb = den // self.den, den // other.den
         m = lcm(self.n, other.n)
-        a, b = self._embedded(m), other._embedded(m)
-        return Cyc(m, [sa * x + sb * y for x, y in zip(a, b)], den)
+        return Cyc(m, [x + y for x, y in zip(self._embedded(m), other._embedded(m))])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.n, [-c for c in self.coeffs], self.den)
+        return Cyc(self.n, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -286,9 +271,9 @@ class Cyc:
         a, b = (other, self) if other.n == 1 else (self, other)  # a rational factor first
         if a.n == 1:
             r = a.coeffs[0]
-            if r == a.den:  # a is 1, and values are immutable
+            if r == 1:  # values are immutable
                 return b
-            return Cyc(b.n, [r * c for c in b.coeffs], a.den * b.den)
+            return Cyc(b.n, [r * c for c in b.coeffs])
         m = lcm(a.n, b.n)
         x, y = a._embedded(m), b._embedded(m)
         prod = [0] * (2 * len(x) - 1)
@@ -297,7 +282,7 @@ class Cyc:
                 for j, v in enumerate(y):
                     if v:
                         prod[i + j] += u * v
-        return Cyc(m, power_basis(m).reduce(prod), a.den * b.den)
+        return Cyc(m, power_basis(m).reduce(prod))
 
     __rmul__ = __mul__
 
@@ -306,14 +291,11 @@ class Cyc:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return self.n == other.n and self.den == other.den and self.coeffs == other.coeffs
+        return self.n == other.n and self.coeffs == other.coeffs
 
     def __hash__(self):
-        if self._hash is None:
-            if self.n == 1:  # a rational value hashes as the number it equals
-                self._hash = _rational_hash(self.coeffs[0], self.den)
-            else:
-                self._hash = hash((self.n, self.den, self.coeffs))
+        if self._hash is None:  # a rational integer hashes as the int it equals
+            self._hash = hash(self.coeffs[0]) if self.n == 1 else hash((self.n, self.coeffs))
         return self._hash
 
     # ordering
@@ -321,71 +303,22 @@ class Cyc:
     def sort_key(self) -> tuple:
         """Total order for deterministic tie-breaks; 1 sorts before everything.
 
-        After it: the conductor, then each coefficient as its reduced
-        (numerator, denominator) pair.
+        After it: the conductor, then the coordinates.
         """
-        if self.n == 1 and self.den == 1 and self.coeffs[0] == 1:
+        if self.n == 1 and self.coeffs[0] == 1:
             return (0,)
-        return (1, self.n, tuple(_reduced(c, self.den) for c in self.coeffs))
+        return (1, self.n, self.coeffs)
 
     def __repr__(self):
         return f"Cyc({render_cyc(self)})"
 
 
-def _ratio(x) -> tuple[int, int] | None:
-    """(numerator, positive denominator) of an int or an exact rational, else None.
-
-    An exact rational is anything with an int ``numerator`` and a positive
-    int ``denominator``, as the standard library's rationals have; a float,
-    complex, str or Decimal has neither.
-    """
-    if isinstance(x, int):
-        return int(x), 1
-    p, q = getattr(x, "numerator", None), getattr(x, "denominator", None)
-    if isinstance(p, int) and isinstance(q, int) and q > 0:
-        return int(p), int(q)
-    return None
-
-
-def _over_common_denominator(coeffs, den: int) -> tuple[tuple[int, ...], int]:
-    """Rational coefficients over den as integer numerators over one denominator."""
-    ratios = [_ratio(c) for c in coeffs]
-    for c, r in zip(coeffs, ratios):
-        if r is None:
-            raise TypeError(
-                f"cyclotomic coefficients must be ints or exact rationals, not {type(c).__name__}"
-            )
-    scale = lcm(*(q for _, q in ratios))
-    return tuple(p * (scale // q) for p, q in ratios), den * scale
-
-
 def _coerce(x):
     if isinstance(x, Cyc):
         return x
-    r = _ratio(x)
-    if r is None:
-        return NotImplemented
-    return Cyc(1, (r[0],), r[1])
-
-
-def _reduced(c: int, den: int) -> tuple[int, int]:
-    """c/den in lowest terms, as (numerator, positive denominator)."""
-    g = gcd(c, den)
-    return c // g, den // g
-
-
-def _rational_hash(p: int, q: int) -> int:
-    """hash(p/q) by the rule Python's numeric types share (p/q in lowest terms, q > 0).
-
-    With P the hash modulus: hash(|p| * q^-1 mod P), or inf when P divides q,
-    carrying the sign of p, and -2 in place of -1.
-    """
-    if q == 1:
-        return hash(p)
-    modulus = sys.hash_info.modulus
-    h = sys.hash_info.inf if q % modulus == 0 else hash(hash(abs(p)) * pow(q, -1, modulus))
-    h = h if p >= 0 else -h
-    return -2 if h == -1 else h
+    if isinstance(x, int):
+        return Cyc(1, (int(x),))
+    return NotImplemented
 
 
 _ZERO = Cyc(1, (0,))
@@ -463,27 +396,21 @@ def sqrt_minus3() -> Cyc:
 
 
 def render_cyc(v: Cyc) -> str:
-    """Exact printer at the stored (least) conductor, e.g. '1+2*z3', '-1/2', 'z8^3'."""
-    d, den = v.n, v.den
+    """Exact printer at the stored (least) conductor, e.g. '1+2*z3', '-1', 'z8^3'."""
+    d = v.n
     if d == 1:
-        return _rational_text(v.coeffs[0], den)
+        return str(v.coeffs[0])
     parts = []
     for k, c in enumerate(v.coeffs):
         if not c:
             continue
         base = f"z{d}" if k == 1 else f"z{d}^{k}"
         if k == 0:
-            parts.append(_rational_text(c, den))
-        elif c == den:
+            parts.append(str(c))
+        elif c == 1:
             parts.append(base)
-        elif c == -den:
+        elif c == -1:
             parts.append("-" + base)
         else:
-            parts.append(f"{_rational_text(c, den)}*{base}")
+            parts.append(f"{c}*{base}")
     return "+".join(parts).replace("+-", "-")
-
-
-def _rational_text(c: int, den: int) -> str:
-    """c/den in lowest terms as 'p' or 'p/q'."""
-    p, q = _reduced(c, den)
-    return str(p) if q == 1 else f"{p}/{q}"

@@ -14,8 +14,8 @@ verified here, not assumed.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
-from importlib import resources
 from typing import NamedTuple
 
 from . import perm as pm
@@ -448,7 +448,8 @@ def corpus() -> tuple[CorpusEntry, ...]:
 
 
 def corpus_path(name: str) -> str:
-    return str(resources.files("charcorr") / "corpus" / f"{name}.json")
+    """The shipped group file ``corpus/NAME.json``, package data beside this module."""
+    return os.path.join(os.path.dirname(__file__), "corpus", f"{name}.json")
 
 
 @lru_cache(maxsize=None)

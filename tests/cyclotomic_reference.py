@@ -15,8 +15,8 @@ Q(zeta_N)) at whatever conductor it was built: sums and products work at
 the lcm of the two conductors, and only ``least_form`` moves a value to its
 least conductor, found by ``least_conductor`` and solved for by Gaussian
 elimination over Q.  ``render`` prints that form as ``render_cyc`` must.
-Against it ``Cyc``, with its integer numerators, shared denominator and
-fraction-free subfield search, is checked.
+Against it ``Cyc``, with its integer coordinates and fraction-free subfield
+search, is checked.
 """
 
 from fractions import Fraction
@@ -54,7 +54,7 @@ def galois(value: Cyc, k: int) -> Cyc:
         raise ValueError(f"galois exponent {k} not coprime to conductor {n}")
     if k == 1:
         return value
-    return Cyc(n, power_basis(n).substitute(value.coeffs, k), value.den)
+    return Cyc(n, power_basis(n).substitute(value.coeffs, k))
 
 
 def conj(value: Cyc) -> Cyc:

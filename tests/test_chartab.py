@@ -5,8 +5,10 @@ decomposition against independently verified tables, and an element-wise
 induction formula implemented here for cross-checking.
 """
 
+import json
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 import pytest
 
@@ -60,16 +62,23 @@ from instances import (
     CORPUS,
     GOLDEN,
     RECORDS,
+    S4_RECORD,
+    direct_product_record,
     named_group,
     s4_wreath_c2,
     s4_wreath_c2_record,
 )
 from lemma_checks import normal_subgroups
 from perm_reference import conjugate, reference_order
+from product_oracle import factor_classes, keyed_rows, predicted_rows
 
 
 def brute_induce(theta, H):
-    """Element-wise induced character: (1/|H|) sum over x of theta(x g x^-1)."""
+    """Element-wise induced character: (1/|H|) sum over x of theta(x g x^-1).
+
+    The sum is |H| times a value of Z[zeta_n], so each coordinate divides
+    exactly by |H|.
+    """
     G = H.parent
     view = H.view
     vcls = conjugacy_classes(view)
@@ -83,7 +92,9 @@ def brute_induce(theta, H):
             t = pm.compose(pm.compose(x, g), pm.inverse(x))
             if t in members:
                 acc = acc + theta.values[vcls.class_of_perm(t)]
-        values.append(Fraction(1, H.order) * acc)
+        coords = [divmod(c, H.order) for c in acc.coeffs]
+        assert not any(rem for _, rem in coords), "the induced value is not in Z[zeta_n]"
+        values.append(Cyc(acc.n, [c for c, _ in coords]))
     return ClassFunction(G, values)
 
 
@@ -260,10 +271,7 @@ def test_lift_rejects_multiplicities_that_miss_the_degree():
 def _fq_image(v, q):
     """v mod q, with zeta_n sent to w0^((q-1)/n) for w0 the least primitive root mod q."""
     w = pow(primitive_root(q), (q - 1) // v.n, q)
-    terms = (
-        c * pow(v.den, -1, q) * pow(w, j, q) for j, c in enumerate(v.coeffs)
-    )
-    return sum(terms) % q
+    return sum(c * pow(w, j, q) for j, c in enumerate(v.coeffs)) % q
 
 
 def _lift_inputs(table):
@@ -365,12 +373,6 @@ def test_verifier_rejects_every_single_entry_corruption(name):
     assert tried > tab.count * tab.count  # every "+1" corruption, plus more
 
 
-def test_verifier_rejects_non_integral_value(f21):
-    tab = character_table(f21)
-    with pytest.raises(RuntimeError, match="algebraic integer"):
-        _verify_table(_with_value(tab, 1, 1, tab.rows[1].values[1] + Fraction(1, 2)))
-
-
 def test_remark648_tables_are_checked_at_conductor_3(monkeypatch):
     # every value of these tables lies in Q(zeta_3), though some are lifted
     # at conductor 9 or 12: the engine must embed from the least conductor
@@ -441,6 +443,29 @@ def test_remark648_pipeline_values_sit_at_their_least_conductor(monkeypatch):
         if row.values[i].n != 1
     ]
     assert len(moved) == 44 and set(moved) == {3}
+
+
+def _corpus_record(name):
+    with open(corpus_path(name)) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("factors", [("S4", "S4", "S4"), ("f21", "c7")])
+def test_direct_product_table_is_the_product_of_the_factor_tables(factors):
+    # S4 x S4 x S4 has 125 classes; F21 x C7 has 35, and F21's values at
+    # conductors 3 and 7 times C7's at 7 give products at conductor 21
+    records = [S4_RECORD if f == "S4" else _corpus_record(f) for f in factors]
+    G = group_from_dict(direct_product_record("x".join(factors), *records))
+    parts = [group_from_dict(r) for r in records]
+    keys = factor_classes(G, parts)
+    part_classes = [conjugacy_classes(F) for F in parts]
+    assert sorted(keys) == list(product(*(range(c.count) for c in part_classes)))
+    for key, size in zip(keys, conjugacy_classes(G).sizes):
+        assert size == prod(c.sizes[k] for c, k in zip(part_classes, key))
+    table = character_table(G)
+    assert keyed_rows(table, keys) == predicted_rows(parts)
+    if "f21" in factors:
+        assert {v.n for row in table.rows for v in row.values} == {1, 3, 7, 21}
 
 
 # -- the pairing engine --------------------------------------------------------------
@@ -602,6 +627,23 @@ def test_induce_matches_brute_force(s4, f21):
             assert induce(theta, H).values == brute_induce(theta, H).values
 
 
+def test_induce_refuses_a_value_off_the_cyclotomic_integers(monkeypatch, s4):
+    # |G| sum |c| theta(c) / (|H| |C_k|) sums theta(c) |C_G(c)| / |C_H(c)|, so
+    # a class function of the right subgroup induces into Z[zeta_n]; a fusion
+    # map that sends the identity of C3 to the transpositions (|C_k| = 6)
+    # makes the value there 24 / (3 * 6), which induce must refuse
+    from charcorr import chartab
+
+    H = sylow(s4, 3)
+    theta = character_table(H.view).rows[0]
+    cls = conjugacy_classes(s4)
+    transpositions = next(k for k in range(cls.count) if (cls.orders[k], cls.sizes[k]) == (2, 6))
+    wrong = (transpositions,) + fusion_map(H)[1:]
+    monkeypatch.setattr(chartab, "fusion_map", lambda _: wrong)
+    with pytest.raises(NotACharacterError, match="24/18"):
+        induce(theta, H)
+
+
 def test_frobenius_reciprocity(s4, f21, sl23):
     for G, p in ((s4, 2), (s4, 3), (f21, 3), (sl23, 2)):
         H = sylow(G, p)
@@ -631,24 +673,15 @@ def test_constituents_rejects_non_characters(s4):
         constituents(delta)
 
 
-def test_constituents_rejects_a_value_with_a_non_integral_coefficient(f21):
-    chi = character_table(f21).rows[3]
-    k = next(k for k, v in enumerate(chi.values) if v.n != 1)
-    values = list(chi.values)
-    values[k] = values[k] + Fraction(1, 2) * root_of_unity(7)
-    with pytest.raises(NotACharacterError, match="algebraic integer"):
-        constituents(ClassFunction(f21, values))
-
-
 def test_constituents_rejects_a_non_integral_multiplicity(s4):
-    # (chi_0 + sign) / 2 takes the values 1 and 0, so every value is integral
+    # 1 at the identity and 0 elsewhere: every value is integral, and the
+    # multiplicity of the trivial row is 1/24
     tab = character_table(s4)
-    half = ClassFunction(s4, (Fraction(1, 2) * v for v in (tab.rows[0] + tab.rows[1]).values))
-    assert all(v in (0, 1) for v in half.values)
-    with pytest.raises(NotACharacterError, match="1/2"):
-        constituents(half)
-    with pytest.raises(NotACharacterError, match="1/2"):
-        inner_product_int(half, tab.rows[0])
+    point = ClassFunction(s4, [Cyc.rational(1)] + [Cyc.zero()] * (tab.count - 1))
+    with pytest.raises(NotACharacterError, match="multiplicity of row 0 is 1/24"):
+        constituents(point)
+    with pytest.raises(NotACharacterError, match="1/24"):
+        inner_product_int(point, tab.rows[0])
 
 
 def test_irrational_pairing_is_rejected(c7):
@@ -671,13 +704,10 @@ def test_a_cached_table_embedding_still_checks_every_decomposition(f21):
     assert constituents(chi) == [(3, 1)]
     cached = tab.embedding(tab.conductor)
     k = next(k for k, v in enumerate(chi.values) if v.n != 1)
-    non_integral = list(chi.values)
-    non_integral[k] = non_integral[k] + Fraction(1, 2) * root_of_unity(7)
     point = [Cyc.rational(1)] + [Cyc.zero()] * (tab.count - 1)  # <point, chi_0> = 1/21
     off_field = list(chi.values)
     off_field[k] = off_field[k] + root_of_unity(5)  # the rows are re-embedded at 5 * 21
     for values, message in (
-        (non_integral, "algebraic integer"),
         ((tab.rows[0] - tab.rows[1]).values, "not a character"),
         (point, "not an integer"),
         (off_field, "not rational"),

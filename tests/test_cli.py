@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from charcorr import cli, groups, showcase
 from charcorr.cli import main
-from charcorr.groups import DEFAULT_CAP, MAX_FILE_BYTES, group_from_dict
+from charcorr.groups import DEFAULT_CAP, MAX_CLASSES, MAX_FILE_BYTES, group_from_dict
 from charcorr.mckay import FalsificationError, HypothesisError, check_hypotheses, verify_main
 from faults import with_foreign_identity_column
 from instances import GOLDEN, MANIFEST, RECORDS, s4_wreath_c2_record, write_record
@@ -67,6 +67,34 @@ def test_a_missing_group_path_is_not_read_as_a_shipped_group(tmp_path, capsys):
 
 def test_table_cap_too_small_exits_2(capsys):
     assert main(["table", "--group", "s4", "--cap", "10"]) == 2
+
+
+def test_a_group_over_the_class_bound_exits_2_before_any_class_matrix(tmp_path):
+    # C2^k on 2k points has 2^k classes: the least such group over the bound
+    # is refused right after its classes are found, before the split builds
+    # a class matrix or its dense identity, in a fresh process of small size
+    k = MAX_CLASSES.bit_length()
+    swaps = [[i ^ 1 if i // 2 == j else i for i in range(2 * k)] for j in range(k)]
+    path = write_record({"name": "c2^k", "degree": 2 * k, "generators": swaps}, tmp_path, "c2k")
+    code = (
+        "import resource, time; from charcorr.kernels import pure; calls = []; "
+        "real = pure.class_matrix; "
+        "pure.class_matrix = lambda *args: calls.append(args) or real(*args); "
+        "from charcorr.cli import main; start = time.perf_counter(); "
+        f"code = main(['table', '--group', {str(path)!r}]); "
+        "print(code, len(calls), time.perf_counter() - start, "
+        "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    exit_code, calls, seconds, rss_kb = proc.stdout.split()
+    assert (exit_code, calls) == ("2", "0")
+    assert proc.stderr == (
+        f"error: c2^k: {2**k} conjugacy classes exceed the class bound {MAX_CLASSES} of a table\n"
+    )
+    assert float(seconds) < 10 and int(rss_kb) < 64 * 1024
 
 
 def test_engine_error_exits_3_without_traceback(monkeypatch, capsys):

@@ -86,8 +86,12 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):
     # and locale modules that argparse's messages load.  No command may load
     # fractions, nor the decimal and numbers modules it imports: every value
     # is exact on ints (cyclotomic.Cyc), and the three cost about 2 ms and
-    # 0.5 MB per process.  The three commands run one after another in one
-    # process, so a module that any of them loads shows.
+    # 0.5 MB per process.  The corpus is found beside the package, so no
+    # command loads importlib.resources either, nor the zipfile, tempfile,
+    # pathlib and shutil modules behind it.  The child runs under -S: a .pth
+    # file that ``site`` runs may preload any of these, and would hide a
+    # package import of them.  The three commands run one after another in
+    # one process, so a module that any of them loads shows.
     runs = [
         (["verify", "--group", "s4", "-p", "2"], None),
         (["verify", "--all", "--format", "structured"], "verify_all.json"),
@@ -102,7 +106,7 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     words = proc.stdout.split()
@@ -114,6 +118,7 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):
     assert "charcorr.cli" in loaded
     unwanted = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
     unwanted |= {"fractions", "decimal", "numbers"}
+    unwanted |= {"importlib.resources", "zipfile", "tempfile", "pathlib", "shutil"}
     assert not unwanted & set(loaded), sorted(loaded)
 
 
@@ -132,8 +137,8 @@ def _numeric_tower_imports(node) -> list[str]:
 
 
 def test_no_package_module_imports_fractions():
-    # Cyc keeps integer numerators over one shared denominator, so nothing in
-    # the package needs a Fraction, and importing fractions would load decimal
+    # Cyc holds cyclotomic integers on int coordinates, so nothing in the
+    # package needs a Fraction, and importing fractions would load decimal
     # and numbers in every CLI process.
     found = [
         f"{where} {name}"
