@@ -18,6 +18,8 @@ Kronecker-packed integers, in the two shapes the maths needs: a table's rows
 paired with themselves verify row orthogonality of every table at
 construction time (for a square table the column relation follows), and
 class functions paired with a table's rows decompose into irreducibles.
+A group known to be a direct product A x B gets its table from its
+factors' tables instead (``product_table``), sorted and checked the same way.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .groups import (
     Subgroup,
     check_same_group,
     conjugacy_classes,
+    direct_factor_classes,
     is_normal,
 )
 from .kernels import pure
@@ -224,6 +227,36 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
                 entry = lifted[key] = (value, value.sort_key())
             entries.append(entry)
         rows.append((d, tuple(k for _, k in entries), [v for v, _ in entries]))
+    return _checked_table(G, classes, rows)
+
+
+def product_table(G: PermGroup, A: Subgroup, B: Subgroup) -> CharacterTable:
+    """G's table from its factors' tables, for G the internal direct product A x B.
+
+    Irr(A x B) = {lambda x beta : lambda in Irr(A), beta in Irr(B)} (Isaacs,
+    *Character Theory of Finite Groups*, Thm 4.21): on the class of t = a*b
+    the row lambda x beta takes lambda(a) beta(b), with the factor classes
+    read off ``direct_factor_classes``.  The rows are ordered and checked as
+    ``_dixon_schneider`` orders and checks its own, and the table is stored
+    as G's.  If G already has a table, that table is returned.
+    """
+    if G._char_table is None:
+        pairs = direct_factor_classes(G, A, B)
+        a_table, b_table = character_table(A.view), character_table(B.view)
+        rows = []
+        for da, lam in zip(a_table.degrees, a_table.rows):
+            for db, beta in zip(b_table.degrees, b_table.rows):
+                values = [lam.values[i] * beta.values[j] for i, j in pairs]
+                rows.append((da * db, tuple(v.sort_key() for v in values), values))
+        G._char_table = _checked_table(G, conjugacy_classes(G), rows)
+    return G._char_table
+
+
+def _checked_table(G: PermGroup, classes: ConjClasses, rows) -> CharacterTable:
+    """The table of rows given as (degree, sort keys of the values, values), once verified.
+
+    The rows go in canonical order: by degree, then by the values' sort keys.
+    """
     rows.sort(key=lambda row: row[:2])
     table = CharacterTable(G, classes, [ClassFunction(G, values) for _, _, values in rows])
     _verify_table(table)
@@ -525,28 +558,23 @@ def restrict(chi: ClassFunction, H: Subgroup) -> ClassFunction:
 def induce(theta: ClassFunction, H: Subgroup) -> ClassFunction:
     """Induced class function on the parent group, through the fusion map.
 
-    theta^G(g_k) = |G| / (|H| |C_k|) * sum of |c| theta(c) over the classes c
-    of H that fuse into the class C_k of G: each coordinate of |G| times the
-    sum, divided exactly by |H| |C_k|.  A remainder means a value off
-    Z[zeta_n], which no character has: NotACharacterError.
+    theta^G(g_k) is the sum of |C_G(h)| / |C_H(h)| theta(c) over the classes
+    c of H that fuse into the class C_k of G, for h in c.  That index is the
+    integer |G| |c| / (|H| |C_k|); a remainder can only come from a wrong
+    fusion map or class size, an engine fault: RuntimeError with the sizes.
     """
     G = H.parent
     check_same_group("induce", theta.group, H.view)
     parent_sizes = conjugacy_classes(G).sizes
-    sums = [Cyc.zero()] * len(parent_sizes)
+    values = [Cyc.zero()] * len(parent_sizes)
     for size, k, value in zip(conjugacy_classes(H.view).sizes, fusion_map(H), theta.values):
-        sums[k] = sums[k] + size * value
-    values = []
-    for size, v in zip(parent_sizes, sums):
-        scale, coeffs = H.order * size, []
-        for c in v.coeffs:
-            quotient, rem = divmod(G.order * c, scale)
-            if rem:
-                raise NotACharacterError(
-                    f"induced value {G.order}/{scale}*({render_cyc(v)}) is not an algebraic integer"
-                )
-            coeffs.append(quotient)
-        values.append(Cyc(v.n, coeffs))
+        index, rem = divmod(G.order * size, H.order * parent_sizes[k])
+        if rem:
+            raise RuntimeError(
+                f"induce: the centralizer index {G.order * size}/{H.order * parent_sizes[k]}"
+                f" of class {k} is not an integer"
+            )
+        values[k] = values[k] + index * value
     return ClassFunction(G, values)
 
 

@@ -13,6 +13,12 @@ showcase ``ConstructionError``, or any other unexpected exception; this is
 a bug in the engine, not a statement about the group).  A stderr that
 cannot be written loses its message but never changes the exit code.
 
+Each command loads only its own engine: ``verify`` imports ``mckay``, and
+``remark648`` imports ``showcase``, inside the function that runs it, so
+no process compiles a module its command never calls; ``table`` needs
+neither.  What every command uses (the error classes, ``as_json`` and the
+corpus helpers) comes from ``common``, imported at the top.
+
 ``main(argv)`` is the in-process API and leaves the interpreter as it found
 it.  ``run()`` is the entry point of a fresh process: ``python -m
 charcorr.cli`` and the ``charcorr`` script.
@@ -28,17 +34,16 @@ from types import SimpleNamespace
 from typing import NoReturn
 
 from .chartab import character_table
-from .cyclotomic import is_prime
-from .groups import DEFAULT_CAP, MAX_CAP, GroupTooLargeError, MalformedGroupError, load_group
-from .mckay import (
+from .common import (
     FalsificationError,
     HypothesisError,
     as_json,
-    check_hypotheses,
-    mckay_count,
-    verify_main,
+    corpus,
+    corpus_path,
+    load_corpus_group,
 )
-from .showcase import corpus, corpus_path, load_corpus_group, remark_report
+from .cyclotomic import is_prime
+from .groups import DEFAULT_CAP, MAX_CAP, GroupTooLargeError, MalformedGroupError, load_group
 
 
 class OutputError(Exception):
@@ -145,6 +150,8 @@ def _log(cfg: SimpleNamespace, message: str) -> None:
 
 
 def _run_corpus_entry(entry, cap: int) -> dict:
+    from .mckay import check_hypotheses, mckay_count, verify_main
+
     G = load_corpus_group(entry.name, cap=cap)
     inst = check_hypotheses(G, entry.prime)
     if inst.hypotheses_ok != (entry.expect == "theorem"):
@@ -169,6 +176,8 @@ def _run_corpus_entry(entry, cap: int) -> dict:
 
 
 def cmd_verify(cfg: SimpleNamespace) -> int:
+    from .mckay import check_hypotheses, verify_main
+
     if not cfg.run_all:
         G = _resolve_group(cfg.group, cfg.cap)
         rep = verify_main(check_hypotheses(G, cfg.prime))
@@ -228,6 +237,8 @@ def _remark_text(report: dict) -> str:
 
 
 def cmd_remark(cfg: SimpleNamespace) -> int:
+    from .showcase import remark_report
+
     _log(cfg, "building the order-648 group and running all showcase checks")
     report = remark_report(cap=cfg.cap)
     if cfg.fmt == "structured":

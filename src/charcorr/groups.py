@@ -544,6 +544,29 @@ def intersection(A: Subgroup, B: Subgroup) -> Subgroup:
     return A.parent.subgroup_from_ids(A.member_ids & B.member_ids)
 
 
+def direct_factor_classes(G: PermGroup, A: Subgroup, B: Subgroup) -> tuple[tuple[int, int], ...]:
+    """Per class of G = A x B, the classes in A and in B of the factors of its representative.
+
+    The representative t factors as t = a*b with a in A and b = a^-1 t in B,
+    found by trying each a; a representative that does not factor raises
+    RuntimeError.  In a direct product the factors are unique; the caller
+    proves that G is one (``showcase.build_remark_group`` does).
+    """
+    check_same_group("direct_factor_classes", A.parent, G)
+    check_same_group("direct_factor_classes", B.parent, G)
+    a_classes, b_classes = conjugacy_classes(A.view), conjugacy_classes(B.view)
+    els, out = G.elements, []
+    for t in conjugacy_classes(G).rep_ids:
+        for a in A.sorted_ids:
+            b = G.mul(G.inv(a), t)
+            if b in B.member_ids:
+                out.append((a_classes.class_of_perm(els[a]), b_classes.class_of_perm(els[b])))
+                break
+        else:
+            raise RuntimeError(f"{G.name}: a class representative does not factor as a*b")
+    return tuple(out)
+
+
 def _normalizes(G: PermGroup, gen_ids, H: Subgroup) -> bool:
     """True if conjugating by each of the given generator ids maps H into H."""
     return all(G.conj(x, g) in H.member_ids for x in H.gen_ids for g in gen_ids)

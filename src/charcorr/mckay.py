@@ -26,6 +26,9 @@ the class action of each element that conjugated a class function on it.
 
 The result records are NamedTuples whose field names are the keys of the
 structured output; ``as_json`` is the one function that serializes them.
+It lives in ``common``, beside ``HypothesisError`` and
+``FalsificationError``, since every command needs them; ``cli`` loads this
+module only inside ``verify``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .chartab import (
     p_prime_irreducibles,
     restrict,
 )
+from .common import FalsificationError, HypothesisError, as_json
 from .cyclotomic import is_prime
 from .groups import (
     PermGroup,
@@ -57,32 +61,6 @@ from .groups import (
     product_subgroup,
     sylow,
 )
-
-
-def as_json(value):
-    """Plain JSON data: a record becomes a dict of its fields, a tuple a list."""
-    if hasattr(value, "_asdict"):
-        value = value._asdict()
-    if isinstance(value, dict):
-        return {k: as_json(v) for k, v in value.items()}
-    if isinstance(value, (tuple, list)):
-        return [as_json(v) for v in value]
-    return value
-
-
-class HypothesisError(Exception):
-    """An operation was asked to run on an instance missing its hypotheses."""
-
-
-class FalsificationError(Exception):
-    """A verified theorem statement failed; carries forensic context."""
-
-    def __init__(self, message: str, **context):
-        self.context = context
-        if context:
-            detail = "; ".join(f"{k}={v}" for k, v in sorted(context.items()))
-            message = f"{message} [{detail}]"
-        super().__init__(message)
 
 
 class McKayInstance(NamedTuple):

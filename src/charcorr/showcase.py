@@ -1,4 +1,4 @@
-"""The order-648 showcase group and the shipped verification corpus.
+"""The order-648 showcase group: ``remark648`` is the one command that loads this module.
 
 G = K : H on 27 points, where K is the Heisenberg group of upper
 unitriangular 3x3 matrices over F_3 (extraspecial of order 27, exponent 3)
@@ -9,16 +9,16 @@ strictly larger than P, so this instance sits outside the coincidence
 theorem's hypotheses: its correspondence is defined through a degree-3
 product relation instead, and the matched linear targets are provably NOT
 constituents of the restrictions.  Every numeric claim about this group is
-verified here, not assumed.
+verified here, not assumed.  Once N = L x H is proven, N's table is built
+from the tables of L and H (``chartab.product_table``), not by its own
+Dixon-Schneider run.  The shipped corpus and its loader live in ``common``.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import perm as pm
 from .chartab import (
     ClassFunction,
     character_table,
@@ -27,8 +27,10 @@ from .chartab import (
     lying_over,
     mul_classfn,
     orbit_and_stabilizer,
+    product_table,
     restrict,
 )
+from .common import FalsificationError, as_json
 from .cyclotomic import render_cyc, sqrt_minus3
 from .groups import (
     DEFAULT_CAP,
@@ -36,14 +38,13 @@ from .groups import (
     Subgroup,
     conjugacy_classes,
     derived_subgroup,
+    direct_factor_classes,
     fixed_points_on_cosets,
     intersection,
-    load_group,
     normalizer,
     product_subgroup,
     sylow,
 )
-from .mckay import FalsificationError, as_json
 
 
 class ConstructionError(RuntimeError):
@@ -222,25 +223,6 @@ def verify_fully_ramified(
     return 1, theta, phi_index, phi, e
 
 
-def _projection_classes(data: RemarkGroup) -> tuple[int, ...]:
-    """The class of H that each class of N = L x H maps to under the projection N -> H."""
-    n_classes = conjugacy_classes(data.N.view)
-    h_classes = conjugacy_classes(data.H.view)
-    l_members = data.L.members()
-    h_set = set(data.H.members())
-    image = []
-    for c in range(n_classes.count):
-        t = n_classes.rep(c)
-        for z in l_members:
-            h = pm.compose(pm.inverse(z), t)
-            if h in h_set:
-                image.append(h_classes.class_of_perm(h))
-                break
-        else:
-            raise ConstructionError("N element does not factor as z*h")
-    return tuple(image)
-
-
 def _values_by_class_order(f: ClassFunction) -> dict[int, list]:
     """The values of f grouped by the element order of their class, in class order."""
     out = {}
@@ -263,7 +245,9 @@ def recover_psi(data: RemarkGroup, theta: ClassFunction, phi: ClassFunction) -> 
     """
     g_table = character_table(data.G)
     n_view = data.N.view
-    n_table = character_table(n_view)
+    l_in_n = n_view.subgroup(data.L.members())
+    h_in_n = n_view.subgroup(data.H.members())
+    n_table = product_table(n_view, l_in_n, h_in_n)  # N = L x H, proven by build_remark_group
     h_table = character_table(data.H.view)
 
     odd_chis = [
@@ -271,7 +255,6 @@ def recover_psi(data: RemarkGroup, theta: ClassFunction, phi: ClassFunction) -> 
         for i in lying_over(data.K, phi)
         if g_table.degrees[i] % 2 == 1
     ]
-    l_in_n = n_view.subgroup(data.L.members())
     odd_xis = [
         i
         for i in lying_over(l_in_n, theta)
@@ -283,7 +266,7 @@ def recover_psi(data: RemarkGroup, theta: ClassFunction, phi: ClassFunction) -> 
     linears = [i for i, d in enumerate(h_table.degrees) if d == 1]
     deg2 = [i for i, d in enumerate(h_table.degrees) if d == 2]
     _require(len(linears) == 3 and len(deg2) == 3, "H should have 3 linear and 3 degree-2 rows")
-    to_h = _projection_classes(data)
+    to_h = [h for _, h in direct_factor_classes(n_view, l_in_n, h_in_n)]  # the projection N -> H
 
     def psi(a: int, b: int) -> tuple[ClassFunction, ClassFunction]:  # on H, and inflated to N
         psi_h = h_table.rows[a] + h_table.rows[b]
@@ -420,38 +403,3 @@ def remark_report(cap: int = DEFAULT_CAP) -> dict:
         "pairs": data.pairs,
         "non_constituent": data.non_constituent,
     })
-
-
-# -- the corpus -----------------------------------------------------------------------
-
-
-class CorpusEntry(NamedTuple):
-    name: str
-    prime: int
-    expect: str  # "theorem" | "hypothesis-fail" | "showcase"
-
-
-def corpus() -> tuple[CorpusEntry, ...]:
-    """The shipped verification targets, in canonical run order."""
-    return (
-        CorpusEntry("s3", 2, "theorem"),
-        CorpusEntry("c3xc2", 2, "theorem"),
-        CorpusEntry("s4", 2, "theorem"),
-        CorpusEntry("d8", 2, "theorem"),
-        CorpusEntry("f21", 3, "theorem"),
-        CorpusEntry("c5c5_c3", 3, "theorem"),
-        CorpusEntry("c7", 7, "theorem"),
-        CorpusEntry("sl23", 3, "hypothesis-fail"),
-        CorpusEntry("f21", 7, "hypothesis-fail"),
-        CorpusEntry("remark648", 2, "showcase"),
-    )
-
-
-def corpus_path(name: str) -> str:
-    """The shipped group file ``corpus/NAME.json``, package data beside this module."""
-    return os.path.join(os.path.dirname(__file__), "corpus", f"{name}.json")
-
-
-@lru_cache(maxsize=None)
-def load_corpus_group(name: str, cap: int = DEFAULT_CAP) -> PermGroup:
-    return load_group(corpus_path(name), cap=cap)

@@ -2,8 +2,8 @@
 
 import pytest
 
+from charcorr.common import corpus, load_corpus_group
 from charcorr.mckay import check_hypotheses
-from charcorr.showcase import corpus, load_corpus_group
 
 
 @pytest.fixture(scope="session")

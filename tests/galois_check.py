@@ -12,7 +12,8 @@ against the classes' power map: chi^sigma_k(g) = chi(g^k).
 from math import gcd
 
 from charcorr.chartab import CharacterTable, ClassFunction, character_table, p_prime_irreducibles
-from charcorr.mckay import FalsificationError, _require, is_p_solvable, navarro_star
+from charcorr.common import FalsificationError
+from charcorr.mckay import _require, is_p_solvable, navarro_star
 from cyclotomic_reference import galois
 
 

@@ -17,8 +17,9 @@ import random
 from functools import lru_cache
 from typing import NamedTuple
 
+from charcorr.common import corpus, load_corpus_group
 from charcorr.groups import PermGroup, group_from_dict
-from charcorr.showcase import corpus, load_corpus_group, remark_generators
+from charcorr.showcase import remark_generators
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

@@ -22,6 +22,7 @@ from charcorr.chartab import (
     orbit_and_stabilizer,
     restrict,
 )
+from charcorr.common import FalsificationError
 from charcorr.groups import (
     PermGroup,
     Subgroup,
@@ -31,7 +32,7 @@ from charcorr.groups import (
     is_normal,
     p_part,
 )
-from charcorr.mckay import FalsificationError, McKayInstance, _require, is_p_solvable
+from charcorr.mckay import McKayInstance, _require, is_p_solvable
 from chartab_reference import inner_product_int
 
 

@@ -19,6 +19,7 @@ from charcorr.chartab import (
     p_prime_irreducibles,
     restrict,
 )
+from charcorr.common import load_corpus_group
 from charcorr.groups import (
     conjugacy_classes,
     fixed_points_on_cosets,
@@ -33,7 +34,7 @@ from charcorr.mckay import (
     mckay_count,
     navarro_star,
 )
-from charcorr.showcase import load_corpus_group, remark_data
+from charcorr.showcase import remark_data
 from chartab_reference import inner_product, inner_product_int
 from cyclotomic_reference import conj
 from galois_check import check_galois_equivariance

@@ -27,7 +27,9 @@ from charcorr.chartab import (
     mul_classfn,
     orbit_and_stabilizer,
     p_prime_irreducibles,
+    product_table,
     restrict,
+    _dixon_schneider,
     _fq_combination,
     _inverse_roots,
     _lift_value,
@@ -36,6 +38,7 @@ from charcorr.chartab import (
     _unpack,
     _verify_table,
 )
+from charcorr.common import corpus, corpus_path, load_corpus_group
 from charcorr.cyclotomic import (
     Cyc,
     dixon_prime,
@@ -52,7 +55,7 @@ from charcorr.groups import (
     sylow,
 )
 from charcorr.kernels import pure
-from charcorr.showcase import corpus, corpus_path, load_corpus_group, remark_data
+from charcorr.showcase import remark_data
 from chartab_reference import inner_product, inner_product_int
 from cyclotomic_reference import conj, reference_conductor
 from faults import with_foreign_identity_column, with_one_entry_matrix
@@ -118,9 +121,7 @@ def test_degrees(s4, d8, sl23, f21, c7):
 
 
 def test_table_builds_only_the_class_matrices_the_split_needs(monkeypatch):
-    from charcorr.groups import load_group
     from charcorr.kernels import pure
-    from charcorr.showcase import corpus_path
 
     G = load_group(corpus_path("remark648"))  # fresh group: no cached table
     built = []
@@ -294,8 +295,29 @@ def test_corpus_values_are_the_lifts_of_their_own_entries(name):
         assert _lift_value(key, roots, q) == value
 
 
-def test_remark648_pipeline_lifts_each_distinct_power_row_once(monkeypatch):
+def _run_fresh_remark_pipeline(monkeypatch) -> list[int]:
+    """Run the showcase pipeline on fresh subgroup views, with no tables yet.
+
+    Returns the orders of the groups whose tables Dixon-Schneider built: every
+    table but N's, which ``recover_psi`` builds from N = L x H.
+    """
     from charcorr import chartab, groups
+
+    built = []
+    real = chartab._dixon_schneider
+
+    def counting(G):
+        built.append(G.order)
+        return real(G)
+
+    monkeypatch.setattr(chartab, "_dixon_schneider", counting)
+    monkeypatch.setattr(groups, "_VIEW_CACHE", {})
+    remark_data.__wrapped__()
+    return sorted(built)
+
+
+def test_remark648_pipeline_lifts_each_distinct_power_row_once(monkeypatch):
+    from charcorr import chartab
 
     calls, tables = [], []
     real_lift, real_verify = chartab._lift_value, chartab._verify_table
@@ -311,12 +333,14 @@ def test_remark648_pipeline_lifts_each_distinct_power_row_once(monkeypatch):
 
     monkeypatch.setattr(chartab, "_lift_value", counting_lift)
     monkeypatch.setattr(chartab, "_verify_table", recording_verify)
-    monkeypatch.setattr(groups, "_VIEW_CACHE", {})  # fresh subgroup views, no tables yet
-    remark_data.__wrapped__()
+    assert _run_fresh_remark_pipeline(monkeypatch) == [3, 24, 27, 648]
     assert sorted(t.group.order for t, _ in tables) == [3, 24, 27, 72, 648]
     for table, lifts in tables:
         inputs = _lift_inputs(table)
-        assert lifts == len({key for key, *_ in inputs}) < len(inputs)
+        if table.group.order == 72:  # N's product table lifts nothing
+            assert lifts == 0
+        else:
+            assert lifts == len({key for key, *_ in inputs}) < len(inputs)
         for key, roots, q, value in inputs:
             assert real_lift(key, roots, q) == value
 
@@ -375,8 +399,9 @@ def test_verifier_rejects_every_single_entry_corruption(name):
 
 def test_remark648_tables_are_checked_at_conductor_3(monkeypatch):
     # every value of these tables lies in Q(zeta_3), though some are lifted
-    # at conductor 9 or 12: the engine must embed from the least conductor
-    from charcorr import chartab, groups
+    # at conductor 9 or 12: the engine must embed from the least conductor;
+    # N's product table is checked the same way
+    from charcorr import chartab
 
     conductors, checked = [], []
     real_basis, real_verify = chartab.power_basis, chartab._verify_table
@@ -392,8 +417,7 @@ def test_remark648_tables_are_checked_at_conductor_3(monkeypatch):
 
     monkeypatch.setattr(chartab, "power_basis", recording_basis)
     monkeypatch.setattr(chartab, "_verify_table", recording_verify)
-    monkeypatch.setattr(groups, "_VIEW_CACHE", {})  # fresh subgroup views, no tables yet
-    remark_data.__wrapped__()  # the showcase pipeline on a freshly built group
+    assert _run_fresh_remark_pipeline(monkeypatch) == [3, 24, 27, 648]
     assert sorted(checked) == [(3, [3]), (24, [3]), (27, [3]), (72, [3]), (648, [3])]
 
 
@@ -419,7 +443,7 @@ def test_corpus_table_values_sit_at_their_least_conductor(name):
 
 
 def test_remark648_pipeline_values_sit_at_their_least_conductor(monkeypatch):
-    from charcorr import chartab, groups
+    from charcorr import chartab
 
     tables = []
     real_verify = chartab._verify_table
@@ -429,8 +453,7 @@ def test_remark648_pipeline_values_sit_at_their_least_conductor(monkeypatch):
         tables.append(table)
 
     monkeypatch.setattr(chartab, "_verify_table", recording_verify)
-    monkeypatch.setattr(groups, "_VIEW_CACHE", {})  # fresh subgroup views, no tables yet
-    remark_data.__wrapped__()
+    assert _run_fresh_remark_pipeline(monkeypatch) == [3, 24, 27, 648]
     assert sorted(t.group.order for t in tables) == [3, 24, 27, 72, 648]
     assert all(_off_least_conductor(t) == [] for t in tables)
     # the irrational values lifted at conductor 9 or 12 all lie in Q(zeta_3)
@@ -466,6 +489,53 @@ def test_direct_product_table_is_the_product_of_the_factor_tables(factors):
     assert keyed_rows(table, keys) == predicted_rows(parts)
     if "f21" in factors:
         assert {v.n for row in table.rows for v in row.values} == {1, 3, 7, 21}
+
+
+def _showcase_n():
+    """A copy of the showcase's N = L x H, with L and H, and a second copy of N."""
+    data = remark_data()
+    N = data.N.view
+    G, other = (PermGroup.from_generators(N.degree, N.generators, N.name) for _ in range(2))
+    return G, G.subgroup(data.L.members()), G.subgroup(data.H.members()), other
+
+
+def _blocks(factors):
+    """G = A x B on blocks of points, A the first factor and B the rest, and a copy of G."""
+    records = [S4_RECORD if f == "S4" else _corpus_record(f) for f in factors]
+    record = direct_product_record("x".join(factors), *records)
+    G, other = group_from_dict(record), group_from_dict(record)
+    ids = [G.id_of(g) for g in G.generators]
+    k = len(records[0]["generators"])
+    A, B = (G.subgroup_from_ids(G.pruned_closure_ids(part)[0]) for part in (ids[:k], ids[k:]))
+    return G, A, B, other
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_showcase_n, lambda: _blocks(("S4", "S4", "S4")), lambda: _blocks(("f21", "c7"))],
+    ids=["showcase_n", "s4_cubed", "f21_x_c7"],
+)
+def test_product_table_equals_dixon_schneider_row_for_row(build):
+    G, A, B, other = build()
+    table = product_table(G, A, B)
+    assert character_table(G) is table and product_table(G, A, B) is table
+    want = [row.values for row in _dixon_schneider(other).rows]
+    assert [row.values for row in table.rows] == want
+
+
+def test_product_table_refuses_a_pair_that_is_not_a_direct_decomposition():
+    # B = A leaves a representative of N that does not factor; S3 = C3 C2
+    # factors, but C3 and C2 do not commute, and the 6 product rows on its 3
+    # classes fail the table check
+    G, L, _, _ = _showcase_n()
+    s3 = load_group(corpus_path("s3"))
+    for group, A, B, message in (
+        (G, L, L, "does not factor"),
+        (s3, sylow(s3, 3), sylow(s3, 2), "degree squares"),
+    ):
+        with pytest.raises(RuntimeError, match=message):
+            product_table(group, A, B)
+        assert group._char_table is None
 
 
 # -- the pairing engine --------------------------------------------------------------
@@ -628,10 +698,10 @@ def test_induce_matches_brute_force(s4, f21):
 
 
 def test_induce_refuses_a_value_off_the_cyclotomic_integers(monkeypatch, s4):
-    # |G| sum |c| theta(c) / (|H| |C_k|) sums theta(c) |C_G(c)| / |C_H(c)|, so
-    # a class function of the right subgroup induces into Z[zeta_n]; a fusion
-    # map that sends the identity of C3 to the transpositions (|C_k| = 6)
-    # makes the value there 24 / (3 * 6), which induce must refuse
+    # induce scales theta(c) by the index |C_G(h)| / |C_H(h)| = |G| |c| / (|H| |C_k|),
+    # an integer for consistent class data; a fusion map that sends the
+    # identity of C3 to the transpositions (|C_k| = 6) makes it 24 / (3 * 6),
+    # an engine fault that induce must refuse
     from charcorr import chartab
 
     H = sylow(s4, 3)
@@ -640,7 +710,7 @@ def test_induce_refuses_a_value_off_the_cyclotomic_integers(monkeypatch, s4):
     transpositions = next(k for k in range(cls.count) if (cls.orders[k], cls.sizes[k]) == (2, 6))
     wrong = (transpositions,) + fusion_map(H)[1:]
     monkeypatch.setattr(chartab, "fusion_map", lambda _: wrong)
-    with pytest.raises(NotACharacterError, match="24/18"):
+    with pytest.raises(RuntimeError, match="24/18"):
         induce(theta, H)
 
 

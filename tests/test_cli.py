@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from charcorr import cli, groups, showcase
 from charcorr.cli import main
+from charcorr.common import FalsificationError, HypothesisError, corpus
 from charcorr.groups import DEFAULT_CAP, MAX_CLASSES, MAX_FILE_BYTES, group_from_dict
-from charcorr.mckay import FalsificationError, HypothesisError, check_hypotheses, verify_main
+from charcorr.mckay import check_hypotheses, verify_main
 from faults import with_foreign_identity_column
 from instances import GOLDEN, MANIFEST, RECORDS, s4_wreath_c2_record, write_record
 
@@ -591,7 +592,7 @@ def test_verify_all_refuses_a_corpus_label_its_flags_contradict(
     monkeypatch, capsys, name, p, label, flags
 ):
     from charcorr import cli
-    from charcorr.showcase import CorpusEntry
+    from charcorr.common import CorpusEntry
 
     monkeypatch.setattr(cli, "corpus", lambda: (CorpusEntry(name, p, label),))
     assert main(["verify", "--all"]) == 3
@@ -643,8 +644,7 @@ def test_verify_on_a_p_group_builds_one_table(monkeypatch, name, p):
 
 def test_verify_all_computes_each_instances_counts_once(monkeypatch):
     # a positive instance's counts come from its report, not from a second count
-    from charcorr import cli, mckay
-    from charcorr.showcase import corpus
+    from charcorr import mckay
 
     counted = []
     real = mckay.mckay_count
@@ -654,7 +654,6 @@ def test_verify_all_computes_each_instances_counts_once(monkeypatch):
         return real(inst)
 
     monkeypatch.setattr(mckay, "mckay_count", counting)
-    monkeypatch.setattr(cli, "mckay_count", counting)
     assert main(["verify", "--all", "--out", "/dev/null"]) == 0
     assert len(counted) == len(set(counted)) == len(corpus())
 
@@ -884,7 +883,7 @@ def test_the_engine_leaves_no_cyclic_garbage(monkeypatch):
             for record, p in ((s4_wreath_c2_record(1), 2), (RECORDS["heis7c3"], 3))
         ]
         held = [verify_main(inst) for inst in instances]
-        held += [cli._run_corpus_entry(entry, DEFAULT_CAP) for entry in showcase.corpus()]
+        held += [cli._run_corpus_entry(entry, DEFAULT_CAP) for entry in corpus()]
         held.append(showcase.remark_report())
         found = gc.collect()
     finally:

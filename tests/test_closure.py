@@ -10,10 +10,11 @@ from instances import CORPUS, named_group, s4_wreath_c2
 
 from charcorr import groups
 from charcorr.chartab import character_table, orbit_and_stabilizer
+from charcorr.common import corpus_path
 from charcorr.groups import derived_subgroup, load_group, sylow
 from charcorr.kernels import pure
 from charcorr.mckay import check_hypotheses, descent_levels
-from charcorr.showcase import corpus_path, remark_data
+from charcorr.showcase import remark_data
 
 
 # -- extend_closure ---------------------------------------------------------------

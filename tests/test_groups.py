@@ -13,6 +13,7 @@ from math import gcd, lcm
 import pytest
 
 from charcorr import perm as pm
+from charcorr.common import corpus, corpus_path, load_corpus_group
 from charcorr.groups import (
     MAX_DEGREE,
     MAX_GENERATORS,
@@ -35,7 +36,6 @@ from charcorr.groups import (
     product_subgroup,
     sylow,
 )
-from charcorr.showcase import corpus, load_corpus_group
 from instances import CATALOGUE, named_group, s4_wreath_c2
 from lemma_checks import normal_subgroups
 from perm_reference import conjugate, reference_order
@@ -559,8 +559,6 @@ def test_self_normalizing_iff_trivial_fixed_points():
 
 
 def test_determinism_rebuild():
-    from charcorr.showcase import corpus_path
-
     for name in ("s4", "f21", "sl23"):
         a = load_corpus_group(name)
         b = load_group(corpus_path(name))

@@ -22,6 +22,7 @@ from charcorr.chartab import (
     restrict,
 )
 from charcorr.cli import main
+from charcorr.common import FalsificationError, HypothesisError, as_json, load_corpus_group
 from charcorr.cyclotomic import prime_factors
 from charcorr.groups import (
     PermGroup,
@@ -33,9 +34,6 @@ from charcorr.groups import (
 from charcorr.mckay import (
     Counts,
     DescentStep,
-    FalsificationError,
-    HypothesisError,
-    as_json,
     check_hypotheses,
     descent_levels,
     instance_with_sylow,
@@ -45,7 +43,6 @@ from charcorr.mckay import (
     navarro_star,
     verify_main,
 )
-from charcorr.showcase import load_corpus_group
 from chartab_reference import inner_product, inner_product_int
 from galois_check import check_galois_equivariance
 from instances import THEOREM_INSTANCES, gl23_record, named_group, s4_wreath_c2_record

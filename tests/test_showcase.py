@@ -11,6 +11,7 @@ from charcorr.chartab import (
     orbit_and_stabilizer,
     restrict,
 )
+from charcorr.common import corpus_path, load_corpus_group
 from charcorr.cyclotomic import render_cyc, sqrt_minus3
 from charcorr.groups import (
     conjugacy_classes,
@@ -22,8 +23,6 @@ from charcorr.groups import (
 )
 from charcorr.mckay import check_hypotheses, mckay_count, verify_main
 from charcorr.showcase import (
-    corpus_path,
-    load_corpus_group,
     remark_data,
     remark_generators,
     remark_report,
