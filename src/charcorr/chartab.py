@@ -3,21 +3,26 @@
 Tables are computed by the standard two-phase scheme (Dixon, Schneider):
 common eigenvectors of the class-algebra matrices over a prime field F_q
 (q = 1 mod exp(G), large enough that degrees and multiplicities lift
-uniquely), then exact character values recovered by counting root-of-unity
-multiplicities through a discrete Fourier sum over powers of the class
-representative.  The class matrices come as sparse columns, so an image
-costs one pass over the nonzero entries; basis rows of an eigenspace are
-packed into one integer each, so the invariance check and the lifting of
+uniquely), then exact character values.  A rational class, one that every
+power map pi_k (k prime to its order) fixes, has integer values, since
+chi^sigma(g) = chi(g^k) for sigma: zeta -> zeta^k; each is read off the
+residue of its F_q value.  Every other value is recovered by counting
+root-of-unity multiplicities through a discrete Fourier sum over powers of
+the class representative.  The class matrices come as sparse columns, so an
+image costs one pass over the nonzero entries; basis rows of an eigenspace
+are packed into one integer each, so the invariance check and the lifting of
 eigen-coordinates are one big-int combination per vector.  The Fourier sum
 reads the classes' power map (``ConjClasses.powers``) and one list of roots
-of unity mod q per element order, built once per table; ``_lift_value`` is
-the per-entry step, and it runs once per distinct row of F_q values on a
-class's powers, since its result depends on nothing else.  One exact
-engine, ``_pairings``, computes sum_i |C_i| a(g_i) conj(b(g_i)) on
-Kronecker-packed integers, in the two shapes the maths needs: a table's rows
-paired with themselves verify row orthogonality of every table at
-construction time (for a square table the column relation follows), and
-class functions paired with a table's rows decompose into irreducibles.
+of unity mod q per order of such a class, built once per table;
+``_lift_value`` is the per-entry step, and it runs once per distinct row of
+F_q values on a class's powers, since its result depends on nothing else.
+One exact engine, ``_pairings``, computes sum_i |C_i| a(g_i) conj(b(g_i)),
+in the two shapes the maths needs: a table's rows paired with themselves
+verify row orthogonality of every table at construction time (for a square
+table the column relation follows), and class functions paired with a
+table's rows decompose into irreducibles.
+Integer values (common conductor 1) are paired as plain dot products, all
+others on Kronecker-packed integers.
 A group known to be a direct product A x B gets its table from its
 factors' tables instead (``product_table``), sorted and checked the same way.
 """
@@ -28,7 +33,15 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import perm as pm
-from .cyclotomic import Cyc, dixon_prime, power_basis, primitive_root, render_cyc, root_sum
+from .cyclotomic import (
+    Cyc,
+    dixon_prime,
+    euler_phi,
+    power_basis,
+    primitive_root,
+    render_cyc,
+    root_sum,
+)
 from .fq import eigenvalues, nullspace
 from .groups import (
     MAX_CLASSES,
@@ -101,13 +114,16 @@ class CharacterTable:
         self.rows: tuple[ClassFunction, ...] = tuple(rows)
         self.degrees = tuple(r.degree_int() for r in self.rows)
         self.conductor = lcm(*(v.n for r in self.rows for v in r.values))
-        self._embeddings: dict[int, _Embedding] = {}  # filled by embedding
+        self._embeddings = {}  # filled by embedding
 
-    def embedding(self, m: int) -> "_Embedding":
-        """The rows embedded in Z[zeta_m] for the pairing engine, built once per m."""
+    def embedding(self, m: int):
+        """The rows embedded in Z[zeta_m] for the pairing engine, built once per m.
+
+        At m = 1 that is the rows' integer values (``_Integers``).
+        """
         emb = self._embeddings.get(m)
         if emb is None:
-            emb = self._embeddings[m] = _Embedding(self.rows, m)
+            emb = self._embeddings[m] = (_Embedding if m > 1 else _Integers)(self.rows, m)
         return emb
 
     @property
@@ -180,11 +196,18 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
     the eigenvector with no further class matrix built.  The classes' power
     map gives the inverse class of C_i (the class of g^(m-1) = g^-1), whose
     members class matrix i is built from, and the classes of the powers of
-    each representative: ``_lift_value`` turns the F_q values of a row on
-    them into an exact value.  Those values are the key of a per-table dict,
-    so each distinct key is lifted, and checked, once, and its value's sort
-    key is computed once for the row order.  A group with more than
-    ``MAX_CLASSES`` classes is refused before any matrix is built.
+    each representative.  A class that every pi_k (k prime to its order)
+    fixes is rational: its value is an integer in [-d, d], d = chi(1) <=
+    sqrt(|G|) < q/2 (``dixon_prime``), so it is the residue of its F_q value
+    in [-d, q - d), with no Fourier sum; a residue above d is an engine
+    fault (RuntimeError naming the row, counted in eigenvector order, and
+    the class).  At every other class ``_lift_value`` turns the F_q values
+    of a row on the powers into an exact value, with roots of unity built
+    for those classes' orders only.  The integer, or the F_q values on the
+    powers, are the key of a per-table dict, so each distinct key is lifted
+    once, and its value's sort key is computed once for the row order.  A
+    group with more than ``MAX_CLASSES`` classes is refused before any matrix
+    is built.
     """
     classes = conjugacy_classes(G)
     r = classes.count
@@ -195,6 +218,9 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
     n = G.order
     q = dixon_prime(G.exponent, n)
     inverse_class = [powers[-1] for powers in classes.powers]
+    # g^k is in g's class only if k is prime to m = |g|, so pi_k fixes the
+    # class for every such k when phi(m) of the m powers lie in it
+    rational = {c for c, p in enumerate(classes.powers) if p.count(c) == euler_phi(len(p))}
 
     def class_matrix(i):
         inverse_members = classes.members_ids[inverse_class[i]]
@@ -204,8 +230,8 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
     if len(vectors) != r:
         raise RuntimeError(f"{G.name}: {len(vectors)} common eigenvectors for {r} classes")
     inv_sizes = [pow(s, q - 2, q) for s in classes.sizes]
-    roots = _inverse_roots(q, classes.orders)
-    lifted = {}  # per distinct row of F_q values on a class's powers: its value and sort key
+    roots = _inverse_roots(q, [m for c, m in enumerate(classes.orders) if c not in rational])
+    lifted = {}  # per distinct integer or row of F_q values on a class's powers: value, sort key
     rows = []
     for vec in vectors:
         if vec[0] == 0:
@@ -219,11 +245,18 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
             raise RuntimeError(f"{G.name}: no degree d <= sqrt(|G|) has d^2 = {d2} mod {q}")
         fq_values = [(d * omega[i] * inv_sizes[i]) % q for i in range(r)]
         entries = []
-        for powers in classes.powers:
-            key = tuple(fq_values[c] for c in powers)
+        for c, powers in enumerate(classes.powers):
+            if c not in rational:
+                key = tuple(fq_values[i] for i in powers)
+            elif (key := (fq_values[c] + d) % q - d) > d:
+                raise RuntimeError(
+                    f"{G.name}: row {len(rows)}, rational class {c}: {key} exceeds the degree {d}"
+                )
             entry = lifted.get(key)
             if entry is None:
-                value = _lift_value(key, roots[len(key)], q)
+                value = (
+                    Cyc.rational(key) if c in rational else _lift_value(key, roots[len(key)], q)
+                )
                 entry = lifted[key] = (value, value.sort_key())
             entries.append(entry)
         rows.append((d, tuple(k for _, k in entries), [v for v, _ in entries]))
@@ -370,6 +403,9 @@ def _fq_combination(coeffs, packed, width: int, length: int, q: int) -> list[int
 def _lift_value(row, roots, q):
     """Exact value at a class g of order m from the F_q values of chi on its powers.
 
+    Used at the classes that are not rational; ``_dixon_schneider`` reads a
+    rational class's integer value off its residue, with no Fourier sum.
+
     ``row[j]`` is chi(g^j) mod q for j < m, so row[0] is the degree, and
     ``roots[j]`` is w^-j mod q (``_inverse_roots``).  The multiplicity of
     w^k among the eigenvalues of the representation at g is
@@ -428,12 +464,9 @@ class _Embedding:
     sides, packs its rows once per width.
     """
 
-    __slots__ = ("group", "functions", "basis", "vectors", "conjugates", "top", "_packed")
+    __slots__ = ("functions", "basis", "vectors", "conjugates", "top", "_packed")
 
     def __init__(self, functions, m: int):
-        self.group = G = functions[0].group
-        for f in functions:
-            check_same_group("pairing", f.group, G)
         self.functions = functions
         self.basis = basis = power_basis(m)
         self.vectors, self.conjugates = vectors, conjugates = {}, {}
@@ -462,9 +495,24 @@ class _Embedding:
         return rows
 
 
+class _Integers(list):
+    """Class functions with integer values, as one list of ints per function.
+
+    Built with ``_Embedding``'s arguments at m = 1, and serves the same
+    checks through ``embedded``.
+    """
+
+    def __init__(self, functions, m):
+        super().__init__([v.coeffs[0] for v in f.values] for f in functions)
+
+    def embedded(self, i: int):
+        """The values of function i, each a vector of one coordinate."""
+        return [[x] for x in self[i]]
+
+
 def _pairings(
     functions, table: CharacterTable | None = None
-) -> tuple[list[list[int]], tuple[_Embedding, _Embedding]]:
+) -> tuple[list[list[int]], tuple]:
     """sum_i |C_i| a(g_i) conj(b(g_i)) for a in functions, all on one group.
 
     Given a table, b ranges over its rows, whose embedding is built once per
@@ -472,36 +520,40 @@ def _pairings(
     one, b ranges over the functions themselves: they are embedded once, and
     only the pairs a <= b are computed, since pairing(b, a) =
     conj(pairing(a, b)), which is pairing(a, b) as each computed entry must
-    be rational.  Both sides are embedded (``_Embedding``) into Z[zeta_m],
-    m the lcm of their conductors.  Each vector is packed into one int
+    be rational.  With m the lcm of the two sides' conductors, m = 1 means
+    integer values: each side is its rows of ints (``_Integers``) and each
+    pairing one dot product.  Otherwise both sides are embedded
+    (``_Embedding``) into Z[zeta_m].  Each vector is packed into one int
     (Kronecker substitution, slots wide enough for any coefficient of the
     sum), one big-int product per class gives the polynomial product, and
     the sum over classes is decoded and reduced mod Phi_m once per pair; it
     must be rational, or NotACharacterError.  Returns the pairing matrix, a
-    row per function, and the embeddings of the two sides, whose
-    ``embedded`` values serve checks that must not go through the packed
-    products.
+    row per function, and the two sides, whose ``embedded`` values serve
+    checks that must not go through the packed products.
     """
+    G = functions[0].group
+    for f in functions:
+        check_same_group("pairing", f.group, G)
     m = lcm(*(v.n for f in functions for v in f.values))
     if table is not None:
+        check_same_group("pairing", table.group, G)
         m = lcm(m, table.conductor)
-    a = _Embedding(functions, m)
+    a = (_Embedding if m > 1 else _Integers)(functions, m)
     b = a if table is None else table.embedding(m)
-    G = a.group
-    check_same_group("pairing", b.group, G)
-    basis = a.basis
-    top = max(a.top, b.top)
-    width = (2 * G.order * basis.phi * top * top).bit_length()
+    if m == 1:  # integer values: each pairing is one dot product
+        own, conj, decode = a, b, lambda s: (s,)
+    else:
+        basis = a.basis
+        top = max(a.top, b.top)
+        width = (2 * G.order * basis.phi * top * top).bit_length()
+        own, conj = a.packed_rows(width, False), b.packed_rows(width, True)
+        slots = 2 * basis.phi - 1
+        decode = lambda s: basis.reduce(_unpack(s, width, slots))
     sizes = conjugacy_classes(G).sizes
-    wtd = [list(map(mul, sizes, row)) for row in a.packed_rows(width, False)]
-    conj = b.packed_rows(width, True)
-    slots = 2 * basis.phi - 1
+    wtd = [list(map(mul, sizes, row)) for row in own]
     mirror = table is None  # then row i is computed from column i on only
     starts = range(len(wtd)) if mirror else [0] * len(wtd)
-    sums = [
-        [basis.reduce(_unpack(sum(map(mul, x, y)), width, slots)) for y in conj[start:]]
-        for start, x in zip(starts, wtd)
-    ]
+    sums = [[decode(sum(map(mul, x, y))) for y in conj[start:]] for start, x in zip(starts, wtd)]
     if any(any(c[1:]) for row in sums for c in row):
         raise NotACharacterError("a pairing is not rational")
     pairings = [[c[0] for c in row] for row in sums]

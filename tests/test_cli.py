@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -78,17 +79,26 @@ def test_a_group_over_the_class_bound_exits_2_before_any_class_matrix(tmp_path):
     swaps = [[i ^ 1 if i // 2 == j else i for i in range(2 * k)] for j in range(k)]
     path = write_record({"name": "c2^k", "degree": 2 * k, "generators": swaps}, tmp_path, "c2k")
     code = (
-        "import resource, time; from charcorr.kernels import pure; calls = []; "
+        "import time; from charcorr.kernels import pure; calls = []; "
         "real = pure.class_matrix; "
         "pure.class_matrix = lambda *args: calls.append(args) or real(*args); "
         "from charcorr.cli import main; start = time.perf_counter(); "
         f"code = main(['table', '--group', {str(path)!r}]); "
-        "print(code, len(calls), time.perf_counter() - start, "
-        "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        "print(code, len(calls), time.perf_counter() - start, flush=True)"
+    )
+    # a child's peak RSS starts at the peak of the process that spawned it,
+    # so the child is spawned by a bare interpreter, which prints the peak
+    spawn = (
+        "import os, sys; pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ); "
+        "print(os.wait4(pid, 0)[2].ru_maxrss)"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-S", "-I", "-c", spawn, sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     exit_code, calls, seconds, rss_kb = proc.stdout.split()
     assert (exit_code, calls) == ("2", "0")
@@ -145,6 +155,30 @@ def test_degree_recovery_fault_exits_3_without_traceback(monkeypatch, capsys):
     no_degree = [e for e in errors if "S4: no degree d <= sqrt(|G|) has d^2 = " in e]
     assert any("d^2 = 0 mod 13" in e for e in no_degree)
     assert any("d^2 = 0 mod 13" not in e for e in no_degree)
+
+
+def test_rational_value_above_the_degree_exits_3_without_traceback(monkeypatch, capsys):
+    # Every class of S4 is rational, so its values are read off as symmetric
+    # residues mod q.  Shifting the class-1 entry of one common eigenvector
+    # can leave the degree recoverable while that value leaves [-d, d].
+    from charcorr import chartab
+
+    real = chartab._common_eigenvectors
+    errors = []
+    for delta in range(1, 13):  # q = 13 for S4
+
+        def perturbed(class_matrix, r, q, delta=delta):
+            vectors = real(class_matrix, r, q)
+            vectors[0] = [vectors[0][0], (vectors[0][1] + delta) % q] + vectors[0][2:]
+            return vectors
+
+        monkeypatch.setattr(chartab, "_common_eigenvectors", perturbed)
+        assert main(["table", "--group", "s4"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("engine error: ") and "Traceback" not in err
+        errors.append(err)
+    pattern = r"engine error: S4: row 0, rational class 1: \d+ exceeds the degree \d\n"
+    assert sum(bool(re.fullmatch(pattern, e)) for e in errors) == 2
 
 
 def test_eigensplit_invariance_fault_exits_3_without_traceback(monkeypatch, capsys):

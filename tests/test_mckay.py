@@ -22,13 +22,20 @@ from charcorr.chartab import (
     restrict,
 )
 from charcorr.cli import main
-from charcorr.common import FalsificationError, HypothesisError, as_json, load_corpus_group
+from charcorr.common import (
+    FalsificationError,
+    HypothesisError,
+    as_json,
+    corpus_path,
+    load_corpus_group,
+)
 from charcorr.cyclotomic import prime_factors
 from charcorr.groups import (
     PermGroup,
     conjugacy_classes,
     group_from_dict,
     intersection,
+    load_group,
     sylow,
 )
 from charcorr.mckay import (
@@ -354,6 +361,45 @@ def test_verify_main_d8_trivial(d8):
     rep = verify_main(check_hypotheses(d8, 2))
     assert rep.verdict and len(rep.pairs) == 4
     assert [p.star for p in rep.pairs] == [p.descent for p in rep.pairs]
+
+
+def test_conductor_1_tables_skip_the_fourier_lift_and_the_packed_pairings(monkeypatch):
+    # every table verify builds for S4 wr C2 at p = 2 has conductor 1: values
+    # are read off as integers and paired as integers; F21 needs both engines.
+    # The eigenspace split packs rows of its own; only the pairings' are counted.
+    from charcorr import chartab, groups
+
+    calls = {"_lift_value": 0, "_pack": 0}
+    pairing = []
+    real_pairings, real_pack, real_lift = chartab._pairings, chartab._pack, chartab._lift_value
+
+    def in_pairings(*args):
+        pairing.append(True)
+        try:
+            return real_pairings(*args)
+        finally:
+            pairing.pop()
+
+    def counting_pack(*args):
+        calls["_pack"] += bool(pairing)
+        return real_pack(*args)
+
+    def counting_lift(*args):
+        calls["_lift_value"] += 1
+        return real_lift(*args)
+
+    monkeypatch.setattr(chartab, "_pairings", in_pairings)
+    monkeypatch.setattr(chartab, "_pack", counting_pack)
+    monkeypatch.setattr(chartab, "_lift_value", counting_lift)
+    for G, p, used in (
+        (group_from_dict(s4_wreath_c2_record(1)), 2, False),
+        (load_group(corpus_path("f21")), 3, True),
+    ):
+        monkeypatch.setattr(groups, "_VIEW_CACHE", {})  # fresh subgroup views, no tables yet
+        calls.update(dict.fromkeys(calls, 0))
+        assert verify_main(check_hypotheses(G, p)).verdict
+        assert all(bool(n) is used for n in calls.values()), (G.name, calls)
+    assert character_table(G).conductor == 21
 
 
 def test_verification_records_are_immutable(s4):
