@@ -3,15 +3,17 @@
 Tables are computed by the standard two-phase scheme (Dixon, Schneider):
 common eigenvectors of the class-algebra matrices over a prime field F_q
 (q = 1 mod exp(G), large enough that degrees and multiplicities lift
-uniquely), then exact character values.  A rational class, one that every
-power map pi_k (k prime to its order) fixes, has integer values, since
+uniquely), then exact character values.  The eigenvectors come from
+splitting one vector, the identity class's, into its components in the
+common eigenspaces (``fq.split``).  A rational class, one that every power
+map pi_k (k prime to its order) fixes, has integer values, since
 chi^sigma(g) = chi(g^k) for sigma: zeta -> zeta^k; each is read off the
 residue of its F_q value.  Every other value is recovered by counting
 root-of-unity multiplicities through a discrete Fourier sum over powers of
 the class representative.  The class matrices come as sparse columns, so an
-image costs one pass over the nonzero entries; basis rows of an eigenspace
-are packed into one integer each, so the invariance check and the lifting of
-eigen-coordinates are one big-int combination per vector.  The Fourier sum
+image costs one pass over the nonzero entries; coordinate k of all the
+eigenvectors is packed into one integer, so checking them against a class
+matrix is one pass over its entries with big-int sums.  The Fourier sum
 reads the classes' power map (``ConjClasses.powers``) and one list of roots
 of unity mod q per order of such a class, built once per table;
 ``_lift_value`` is the per-entry step, and it runs once per distinct row of
@@ -29,6 +31,7 @@ factors' tables instead (``product_table``), sorted and checked the same way.
 
 from __future__ import annotations
 
+import sys
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -42,7 +45,7 @@ from .cyclotomic import (
     render_cyc,
     root_sum,
 )
-from .fq import eigenvalues, nullspace
+from .fq import split
 from .groups import (
     MAX_CLASSES,
     ConjClasses,
@@ -306,98 +309,81 @@ def _inverse_roots(q: int, orders) -> dict[int, list[int]]:
 
 
 def _common_eigenvectors(class_matrix, r, q):
-    """Split F_q^r into common 1-dim eigenspaces of the class matrices.
+    """One vector on each common eigenline of the class matrices, in F_q^r.
 
+    By column orthogonality the identity-class vector e_0 is sum_chi
+    (chi(1)^2 / |G|) omega_chi, and no coefficient vanishes mod q, as q is
+    prime to |G|.  So splitting e_0 (``fq.split``) by class matrices 1, 2,
+    ... in canonical order, and each component by the next, gives one vector
+    per common eigenspace of the matrices built so far: its component there.
     ``class_matrix(i)`` builds the matrix of class i as sparse columns (see
-    ``kernels.pure.class_matrix``); it is called in canonical class order and
-    only until every space is a line, so matrices the split does not need are
-    never built.  The image of a basis row is summed over its nonzero entries
-    and the columns they pick, so the first split, on the identity basis,
-    costs one pass over the matrix.  Each basis row is packed into one integer
-    (``_pack``, slots wide enough for any sum of dim products of residues), so
-    the invariance check and the lifting of eigen-coordinates back to F_q^r
-    take one big-int combination per vector (``_fq_combination``).  Spaces are
-    pivoted row bases: on the pivot columns the rows are the identity, so the
-    coordinates of a vector of the space are its entries there.  Lifted
-    nullspace vectors are such a basis already, pivoted at the space's pivots
-    on the free columns of the nullspace, where their coordinates are the
-    identity; no second elimination is needed.  The first space, all of
-    F_q^r, is invariant under any matrix, so its images are not checked, and
-    its basis is the identity, so its nullspace vectors are not lifted.
-    Eigen-subspaces are ordered by ascending eigenvalue, so the output is
-    deterministic: each line is unique up to a scalar, which the caller
-    fixes.  A space on which the matrix acts as a scalar (T = lambda I,
-    checked after the invariance check) cannot split: it is kept as it is,
-    with no characteristic polynomial or nullspace, since the nullspace of
-    T^t - lambda is then the whole space.  Returns one spanning vector per
-    line.
+    ``kernels.pure.class_matrix``); it is called only until there are r
+    vectors, the number of lines, so matrices the split does not need are
+    never built.  Each split orders the components by ascending eigenvalue,
+    so the output is deterministic: each line's vector is unique up to a
+    scalar, which the caller fixes.  A matrix outside the class algebra
+    shows as a minimal polynomial without distinct roots in F_q, or as a
+    returned vector that is not an eigenvector of some matrix built, with
+    its own coordinate there as its eigenvalue (``_check_eigenvectors``);
+    either raises, naming the class.
     """
-    identity = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    spaces = [(identity, list(range(r)))]
+    vectors = [[1] + [0] * (r - 1)]
+    built = []
     for i in range(1, r):
-        if all(len(basis) == 1 for basis, _ in spaces):
+        if len(vectors) >= r:
             break
         columns = class_matrix(i)
-        nxt = []
-        for basis, pivots in spaces:
-            dim = len(basis)
-            if dim == 1:
-                nxt.append((basis, pivots))
-                continue
-            images = []
-            for b in basis:
-                image = [0] * r
-                for k, x in enumerate(b):
-                    if x:
-                        for j, c in columns[k]:
-                            image[j] += c * x
-                images.append([v % q for v in image])
-            # images[j] = mat * basis[j]; T expresses that in the basis, so a
-            # coordinate row c transforms as c -> c*T and eigen-coordinates
-            # are nullspace vectors of (T^t - lambda).
-            T = [[image[p] for p in pivots] for image in images]
-            whole = dim == r  # all of F_q^r, whose basis is the identity
-            if not whole:
-                width = (dim * (q - 1) ** 2).bit_length()
-                packed = [_pack(b, width) for b in basis]
-                for t, image in zip(T, images):  # invariance check: image must lie in the space
-                    if _fq_combination(t, packed, width, r, q) != image:
-                        raise RuntimeError("class-matrix eigenspace is not invariant")
-            lam = T[0][0]
-            if all(t[a] == (lam if a == j else 0) for j, t in enumerate(T) for a in range(dim)):
-                nxt.append((basis, pivots))  # T = lam*I: the general path returns this space
-                continue
-            Tt = [[T[b][a] for b in range(dim)] for a in range(dim)]
-            covered = 0
-            for lam in eigenvalues(Tt, q):
-                shifted = [
-                    [(Tt[a][b] - (lam if a == b else 0)) % q for b in range(dim)]
-                    for a in range(dim)
-                ]
-                coords, free = nullspace(shifted, q)
-                if coords:
-                    covered += len(coords)
-                    if not whole:
-                        coords = [_fq_combination(c, packed, width, r, q) for c in coords]
-                    nxt.append((coords, [pivots[f] for f in free]))
-            if covered != dim:
-                raise RuntimeError("eigenspace splitting lost dimensions")
-        spaces = nxt
-    for basis, _ in spaces:
-        if len(basis) != 1:
-            raise RuntimeError("eigenspace splitting failed to reach dimension 1")
-    return [basis[0] for basis, _ in spaces]
+        built.append((i, columns))
+        parts = []
+        for u in vectors:
+            try:
+                parts += split(columns, u, q)
+            except ValueError as exc:
+                raise RuntimeError(
+                    f"class-matrix eigenspace is not invariant: class {i}: {exc}"
+                ) from exc
+        vectors = parts
+    _check_eigenvectors(built, vectors, q)
+    return vectors
 
 
-def _fq_combination(coeffs, packed, width: int, length: int, q: int) -> list[int]:
-    """sum_l coeffs[l] * row_l mod q, for rows of residues packed by ``_pack``.
+def _check_eigenvectors(built, vectors, q: int) -> None:
+    """Each vector v must have M v = (v_i / v_0) v for every (i, M) built; else RuntimeError.
 
-    Exact when every slot of the sum stays below 2^width, that is when
-    len(coeffs) * (q-1)^2 < 2^width: no slot then carries into the next.
+    That is v_0 M v = v_i v, with no division.  The products v_0 v_k over
+    all the vectors are packed into one integer per coordinate k (``_pack``),
+    so each matrix costs one pass over its nonzero entries: row j of the
+    image is the sum of c * packed[k] over the entries (j, c) of the columns
+    k.  Exact when every slot of that sum stays below 2^width, that is when
+    r * (q-1)^2 < 2^width, as the entries and the products are reduced mod q
+    first: no slot then carries into the next.  Slots are one machine word
+    wide whenever that bound fits in one.
     """
-    acc = sum(map(mul, coeffs, packed))
+    r, count = len(vectors[0]), len(vectors)
+    width = max(64, (r * (q - 1) ** 2).bit_length())
+    coords = list(zip(*vectors))  # coords[k] holds coordinate k of every vector
+    packed = [_pack([x * v0 % q for x, v0 in zip(c, coords[0])], width) for c in coords]
+    for i, columns in built:
+        image = [0] * r
+        for column, x in zip(columns, packed):
+            for j, c in column:
+                image[j] += c % q * x
+        eigen = coords[i]
+        for row, acc in zip(coords, image):
+            got = [y % q for y in _slots(acc, width, count)]
+            if got != [e * x % q for e, x in zip(eigen, row)]:
+                raise RuntimeError(
+                    f"class-matrix eigenspace is not invariant: a vector is not an"
+                    f" eigenvector of class {i} with its coordinate there as eigenvalue"
+                )
+
+
+def _slots(value: int, width: int, count: int):
+    """The count slots of a nonnegative integer packed by ``_pack``, lowest first."""
+    if width == 64 and sys.byteorder == "little":  # a machine word per slot: split in C
+        return memoryview(value.to_bytes(8 * count, "little")).cast("Q")
     mask = (1 << width) - 1
-    return [((acc >> (width * c)) & mask) % q for c in range(length)]
+    return [value >> s & mask for s in range(0, width * count, width)]
 
 
 def _lift_value(row, roots, q):

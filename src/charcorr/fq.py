@@ -1,104 +1,81 @@
-"""Dense exact linear algebra over prime fields F_q (small q, small matrices).
+"""Exact linear algebra over a prime field F_q (small q): the eigen-split of one vector.
 
-Matrices are lists of row lists of ints in [0, q).  Everything is
-deterministic: pivots are chosen top-down, nullspace bases follow ascending
-free columns, eigenvalues are reported ascending.
+A matrix is given by its sparse columns, as ``kernels.pure.class_matrix``
+builds them: column k lists the (j, c) with c != 0 at row j, so an image
+costs one pass over the nonzero entries that the vector's support picks.
+Vectors are lists of residues in [0, q).  Everything is deterministic:
+components come in ascending order of eigenvalue.
 """
 
 from __future__ import annotations
 
-
-def rref(rows, q):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, nrows) if rows[i][c] % q), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = pow(rows[r][c], q - 2, q)
-        rows[r] = [(x * inv) % q for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] % q:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
+from operator import mul
 
 
-def nullspace(M, q):
-    """Basis of the right nullspace, one vector per free column, ascending.
+def apply(columns, v, q):
+    """M v mod q, for M given by its sparse columns."""
+    out = [0] * len(v)
+    for k, x in enumerate(v):
+        if x:
+            for j, c in columns[k]:
+                out[j] += c * x
+    return [y % q for y in out]
 
-    Returns (basis, free columns): on the free columns the basis vectors are
-    the identity, so a vector of the nullspace has its coordinates there.
+
+def roots(coeffs, q):
+    """The roots in F_q, ascending, of the polynomial with these coefficients (ascending, monic)."""
+    values = [1] * q  # the polynomial at every x in F_q, by Horner's rule
+    for c in reversed(coeffs[:-1]):
+        values = [(y * x + c) % q for x, y in enumerate(values)]
+    return [x for x, y in enumerate(values) if not y]
+
+
+def split(columns, u, q):
+    """u's components in the eigenspaces of M, one per eigenvalue on u's support, ascending.
+
+    The Krylov vectors u, Mu, M^2 u, ... are reduced, one elimination as
+    they come, until M^k u depends on those before it: that dependency is
+    u's monic minimal polynomial f, of degree k.  u lies in a sum of
+    eigenspaces of M exactly when f has k distinct roots in F_q; then its
+    component at the root lam is L(M) u, with L = f / ((x - lam) f'(lam))
+    the Lagrange polynomial that is 1 at lam and 0 at the other roots, so
+    the components sum to u.  A vector that M maps to a multiple of itself
+    (k = 1) is returned as it is, with no root pass (``roots``).  Any other
+    f raises ValueError: then u lies in no sum of eigenspaces.
     """
-    ncols = len(M[0])
-    red, pivots = rref(M, q)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-red[i][f]) % q
-        basis.append(v)
-    return basis, free
-
-
-def charpoly(M, q):
-    """Coefficients (ascending) of det(xI - M) mod q, via Hessenberg reduction."""
-    n = len(M)
-    H = [[x % q for x in row] for row in M]
-    for j in range(n - 2):
-        sel = next((i for i in range(j + 1, n) if H[i][j]), None)
-        if sel is None:
-            continue
-        if sel != j + 1:
-            H[j + 1], H[sel] = H[sel], H[j + 1]
-            for row in H:
-                row[j + 1], row[sel] = row[sel], row[j + 1]
-        inv = pow(H[j + 1][j], q - 2, q)
-        for i in range(j + 2, n):
-            if H[i][j]:
-                f = (H[i][j] * inv) % q
-                H[i] = [(x - f * y) % q for x, y in zip(H[i], H[j + 1])]
-                for row in H:
-                    row[j + 1] = (row[j + 1] + f * row[i]) % q
-    # p_m(x) for the leading m x m block of the Hessenberg matrix
-    polys = [[1]]
-    for m in range(1, n + 1):
-        d = H[m - 1][m - 1]
-        prev = polys[m - 1]
-        cur = [(-d * c) % q for c in prev] + [0]
-        for k, c in enumerate(prev):
-            cur[k + 1] = (cur[k + 1] + c) % q
-        run = 1
-        for i in range(1, m):
-            run = (run * H[m - i][m - i - 1]) % q
-            coef = (H[m - 1 - i][m - 1] * run) % q
-            if coef:
-                for k, c in enumerate(polys[m - 1 - i]):
-                    cur[k] = (cur[k] - coef * c) % q
-        polys.append(cur)
-    return polys[n]
-
-
-def poly_eval(coeffs, x, q):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % q
-    return acc
-
-
-def eigenvalues(M, q):
-    """Distinct eigenvalues in F_q, ascending (roots of the char poly)."""
-    cp = charpoly(M, q)
-    return [lam for lam in range(q) if poly_eval(cp, lam, q) == 0]
+    r, krylov, rows = len(u), [], []  # rows: (pivot, reduced row with 1 there)
+    v = u
+    while True:
+        # v followed by its coefficients over the Krylov vectors, reduced by the rows
+        w = v + [0] * len(krylov) + [1]
+        krylov.append(v)
+        for p, row in rows:
+            f = w[p]
+            if f:
+                w = [(x - f * y) % q for x, y in zip(w, row)] + w[len(row) :]
+        p = next(filter(w.__getitem__, range(r)), None)
+        if p is None:  # sum_s coeffs[s] M^s u = 0: coeffs is f, ascending
+            coeffs = w[r:]
+            break
+        inv = pow(w[p], q - 2, q)
+        rows.append((p, [x * inv % q for x in w]))
+        v = apply(columns, v, q)
+    k = len(coeffs) - 1
+    if k == 1:
+        return [u]
+    lams = roots(coeffs, q)
+    if len(lams) != k:
+        raise ValueError(f"minimal polynomial of degree {k} has {len(lams)} distinct roots mod {q}")
+    columns_of_krylov = list(zip(*krylov[:k]))
+    parts = []
+    for lam in lams:
+        quotient = [1]  # f / (x - lam) by synthetic division, top coefficient first
+        for c in reversed(coeffs[1:-1]):
+            quotient.append((c + lam * quotient[-1]) % q)
+        at = 0  # the quotient at lam, which is f'(lam), by Horner's rule
+        for c in quotient:
+            at = (at * lam + c) % q
+        scale = pow(at, q - 2, q)
+        lagrange = [c * scale % q for c in reversed(quotient)]
+        parts.append([sum(map(mul, lagrange, col)) % q for col in columns_of_krylov])
+    return parts

@@ -136,6 +136,12 @@ def agl1_record(q: int) -> dict:
     return {"name": f"AGL(1,{q})", "degree": q, "generators": [plus_one, times_g]}
 
 
+# ((S3 wr C2) wr C2) x AGL(1,9) (order 746496, 486 classes) on 21 points, the instance at
+# the enumeration cap: `verify -p 2 --cap 1000000`.  Not pinned, as one run takes over a
+# minute; a change to the table engine compares its output with the parent's by hand.
+CAP_RECORD = direct_product_record("((S3wrC2)wrC2)xAGL(1,9)", S3_WR_C2_WR_C2, agl1_record(9))
+
+
 def s4_wreath_c2_record(seed: int) -> dict:
     """Group record of S4 wr C2 (order 1152) on 8 points, relabelled by a seeded shuffle."""
     gens = [

@@ -29,8 +29,9 @@ from charcorr.chartab import (
     p_prime_irreducibles,
     product_table,
     restrict,
+    _check_eigenvectors,
+    _common_eigenvectors,
     _dixon_schneider,
-    _fq_combination,
     _inverse_roots,
     _lift_value,
     _pack,
@@ -207,16 +208,49 @@ def test_class_matrix_columns_are_the_structure_constants(name):
         assert got == brute_class_columns(G, i)
 
 
-def test_fq_combination_is_exact_at_the_slot_bound():
-    # every coefficient and entry q - 1: each slot sums to dim * (q-1)^2, the most it can
-    for q in (5, 13, 37, 1021):
-        for dim in range(1, 56):
-            width = (dim * (q - 1) ** 2).bit_length()
-            rows = [[q - 1] * 7 for _ in range(dim)]
-            coeffs = [q - 1] * dim
-            plain = [sum(c * row[k] for c, row in zip(coeffs, rows)) % q for k in range(7)]
-            packed = [_pack(row, width) for row in rows]
-            assert _fq_combination(coeffs, packed, width, 7, q) == plain
+def test_eigen_check_is_exact_at_the_slot_bound():
+    # every vector entry s with s^2 = -1 mod q, so every packed product v_0 v_k is q - 1.
+    # With every matrix entry q - 1 too, each slot of an image sums to r * (q-1)^2, the
+    # most it can; then v_0 M v = r s^2 (q-1)^2 = -r and v_i v = s^2 = -1 mod q, so the
+    # vectors pass exactly when r = -1 mod q.  With one entry per row r instead, every row
+    # sums to 1 mod q and the vectors always pass, the slots a little below the bound.
+    # q near 2^31 takes r * (q-1)^2 across 2^64: slots of one word, then wider ones.
+    for q in (5, 13, 37, 2147483629):
+        non_square = next(g for g in range(2, q) if pow(g, (q - 1) // 2, q) == q - 1)
+        s = pow(non_square, (q - 1) // 4, q)  # q = 1 mod 4
+        for r in range(1, 56 if q < 100 else 9):
+            full = [[(j, q - 1) for j in range(r)] for _ in range(r)]
+            summing_to_1 = [[(j, r if j == k else q - 1) for j in range(r)] for k in range(r)]
+            for count in (1, 2, r):
+                vectors = [[s] * r for _ in range(count)]
+                _check_eigenvectors([(r - 1, summing_to_1)], vectors, q)
+                if r % q == q - 1:
+                    _check_eigenvectors([(r - 1, full)], vectors, q)
+                else:
+                    with pytest.raises(RuntimeError, match="is not invariant: a vector"):
+                        _check_eigenvectors([(r - 1, full)], vectors, q)
+
+
+def test_eigen_check_wants_each_coordinate_as_the_eigenvalue():
+    # the split's vectors for S4, scaled, pass against every class matrix; moving one
+    # coordinate of one vector makes it fail, as no two central characters of S4
+    # differ at one class only
+    G = load_group(corpus_path("s4"))
+    classes = conjugacy_classes(G)
+    q = dixon_prime(G.exponent, G.order)
+    built = [
+        (i, pure.class_matrix(G, classes.class_of_id, classes.members_ids[p[-1]], classes.rep_ids))
+        for i, p in enumerate(classes.powers)
+    ]
+    vectors = _common_eigenvectors(lambda i: built[i][1], classes.count, q)
+    vectors = [[3 * x % q for x in v] for v in vectors]
+    _check_eigenvectors(built, vectors, q)
+    for a in range(len(vectors)):
+        for k in range(1, classes.count):
+            bent = [list(v) for v in vectors]
+            bent[a][k] = (bent[a][k] + 1) % q
+            with pytest.raises(RuntimeError, match="class-matrix eigenspace is not invariant"):
+                _check_eigenvectors(built, bent, q)
 
 
 def test_eigensplit_rejects_a_matrix_outside_the_class_algebra(monkeypatch):
@@ -236,30 +270,88 @@ def test_eigensplit_checks_invariance_before_it_keeps_a_space_unsplit(monkeypatc
         character_table(load_group(corpus_path("s4")))
 
 
-def test_eigensplit_never_splits_a_space_its_matrix_acts_on_as_a_scalar(monkeypatch):
-    # a class matrix acting on a space as lambda*I cannot split it, so no
-    # characteristic polynomial may be asked of a scalar matrix
-    from charcorr import chartab, groups
+def _fresh_groups(monkeypatch):
+    """(name, group) for every corpus group, S4 wr C2, its Sylow 2-subgroup and Heisenberg mod 7.
 
-    real = chartab.eigenvalues
-    calls = []
+    Each is built anew, with fresh subgroup views, so none has a table yet.
+    """
+    from charcorr import groups
 
-    def no_scalar(M, q):
-        lam = M[0][0]
-        if all(x == (lam if a == b else 0) for a, row in enumerate(M) for b, x in enumerate(row)):
-            raise AssertionError(f"eigenvalues of the scalar matrix {lam} * I_{len(M)}")
-        calls.append(len(M))
-        return real(M, q)
-
-    monkeypatch.setattr(chartab, "eigenvalues", no_scalar)
-    monkeypatch.setattr(groups, "_VIEW_CACHE", {})  # fresh subgroup views, no tables yet
-    fresh = [load_group(corpus_path(name)) for name in CORPUS]
+    monkeypatch.setattr(groups, "_VIEW_CACHE", {})
+    fresh = [(name, load_group(corpus_path(name))) for name in CORPUS]
     wreath = group_from_dict(s4_wreath_c2_record(1))
-    fresh += [wreath, sylow(wreath, 2).view, group_from_dict(RECORDS["heis7"])]
-    for G in fresh:
-        assert G._char_table is None
+    fresh += [("s4wrc2#1", wreath), ("s4wrc2#1/P", sylow(wreath, 2).view)]
+    fresh.append(("heis7", group_from_dict(RECORDS["heis7"])))
+    assert all(G._char_table is None for _, G in fresh)
+    return fresh
+
+
+def test_eigensplit_never_splits_a_space_its_matrix_acts_on_as_a_scalar(monkeypatch):
+    # a vector that its class matrix maps to a multiple of itself spans a space the
+    # matrix acts on as a scalar: splitting it costs one product and no root pass
+    from charcorr import chartab, fq
+
+    products, degrees = [], []
+    real_apply, real_roots, real_split = fq.apply, fq.roots, chartab.split
+
+    def counting_apply(columns, v, q):
+        products.append(1)
+        return real_apply(columns, v, q)
+
+    def counting_roots(coeffs, q):
+        degrees.append(len(coeffs) - 1)
+        return real_roots(coeffs, q)
+
+    def watched_split(columns, u, q):
+        before, passes = len(products), len(degrees)
+        parts = real_split(columns, u, q)
+        image = real_apply(columns, u, q)
+        p = next(j for j, x in enumerate(u) if x)
+        lam = image[p] * pow(u[p], q - 2, q) % q
+        if image == [lam * x % q for x in u]:
+            assert parts == [u] and len(products) == before + 1 and len(degrees) == passes
+        else:
+            assert len(degrees) == passes + 1 and len(parts) == degrees[-1] > 1
+        return parts
+
+    monkeypatch.setattr(fq, "apply", counting_apply)
+    monkeypatch.setattr(fq, "roots", counting_roots)
+    monkeypatch.setattr(chartab, "split", watched_split)
+    for _, G in _fresh_groups(monkeypatch):
         assert character_table(G).count == conjugacy_classes(G).count
-    assert calls  # the general path still ran where a matrix could split a space
+    assert degrees and min(degrees) > 1  # the general path still ran, never on a scalar
+
+
+def test_eigensplit_builds_the_class_matrices_it_always_built(monkeypatch):
+    # the split of e_0 stops at r vectors, where the split of spaces stopped at r lines:
+    # the same class matrices, in the same canonical order
+    built = []
+    real = pure.class_matrix
+
+    def counting(*args):
+        built.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(pure, "class_matrix", counting)
+    counts = {}
+    for name, G in _fresh_groups(monkeypatch):
+        built.clear()
+        character_table(G)
+        counts[name] = len(built)
+    assert counts == {
+        "s3": 1,
+        "c3xc2": 1,
+        "s4": 2,
+        "d8": 3,
+        "f21": 3,
+        "c5c5_c3": 7,
+        "c7": 1,
+        "sl23": 2,
+        "remark648": 4,
+        "s4wrc2#1": 4,
+        "s4wrc2#1/P": 10,
+        "heis7": 8,
+    }
 
 
 def test_lift_rejects_multiplicities_that_miss_the_degree():

@@ -1,81 +1,107 @@
-"""Prime-field linear algebra against brute-force polynomial oracles."""
+"""The eigen-split of one vector over F_q against brute-force diagonalizations."""
 
 import random
 
-from charcorr.fq import charpoly, eigenvalues, nullspace, poly_eval, rref
+import pytest
+
+from charcorr.fq import apply, roots, split
 
 
-def matvec(M, v, q):
-    return [sum(a * b for a, b in zip(row, v)) % q for row in M]
-
-
-def brute_charpoly(M, q):
-    """det(xI - M) by cofactor expansion over integer polynomial lists."""
-
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
-    def poly_add(a, b):
-        n = max(len(a), len(b))
-        return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-
-    def det(rows):
-        n = len(rows)
-        if n == 1:
-            return rows[0][0]
-        acc = [0]
-        for j in range(n):
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            term = poly_mul(rows[0][j], det(minor))
-            if j % 2:
-                term = [-c for c in term]
-            acc = poly_add(acc, term)
-        return acc
-
+def columns_of(M, q):
+    """The sparse columns of a dense matrix, as ``split`` takes them."""
     n = len(M)
-    rows = [
-        [([-M[i][j] % q, 1] if i == j else [-M[i][j] % q]) for j in range(n)]
-        for i in range(n)
-    ]
-    out = det(rows)
-    out += [0] * (n + 1 - len(out))
-    return [c % q for c in out]
+    return [[(j, M[j][k] % q) for j in range(n) if M[j][k] % q] for k in range(n)]
 
 
-def test_charpoly_against_brute_force():
-    rng = random.Random(7)
-    for q in (5, 13, 43):
-        for n in (1, 2, 3, 4, 5):
-            for _ in range(8):
-                M = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-                assert charpoly(M, q) == brute_charpoly(M, q), (q, M)
+def matmul(A, B, q):
+    return [[sum(a * b for a, b in zip(row, col)) % q for col in zip(*B)] for row in A]
 
 
-def test_eigenvalues_of_known_matrices():
-    assert eigenvalues([[3, 0], [0, 5]], 13) == [3, 5]
-    # companion matrix of x^2+1 over F_13: roots +-5
-    assert eigenvalues([[0, 12], [1, 0]], 13) == [5, 8]
-    # no roots in F_7 for x^2+1
-    assert eigenvalues([[0, 6], [1, 0]], 7) == []
+def inverse(S, q):
+    """S^-1 mod q by Gauss-Jordan elimination; None if S is singular."""
+    n = len(S)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(S)]
+    for c in range(n):
+        sel = next((i for i in range(c, n) if rows[i][c] % q), None)
+        if sel is None:
+            return None
+        rows[c], rows[sel] = rows[sel], rows[c]
+        inv = pow(rows[c][c], q - 2, q)
+        rows[c] = [x * inv % q for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[c])]
+    return [row[n:] for row in rows]
 
 
-def test_nullspace_and_rank():
+def random_diagonalizable(rng, n, q):
+    """(S, D, S D S^-1) with eigenvalues drawn from a few values, so some repeat."""
+    while True:
+        S = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+        S_inv = inverse(S, q)
+        if S_inv is not None:
+            break
+    pool = rng.sample(range(q), min(q, 3))
+    D = [rng.choice(pool) for _ in range(n)]
+    M = matmul([[s * d % q for s, d in zip(row, D)] for row in S], S_inv, q)
+    return S, S_inv, D, M
+
+
+def brute_components(S, S_inv, D, u, q):
+    """u = sum_a y_a s_a with y = S^-1 u; its part at lam sums the y_a s_a with D_a = lam."""
+    n = len(u)
+    y = [sum(a * b for a, b in zip(row, u)) % q for row in S_inv]
+    parts = {}
+    for a in range(n):
+        if y[a]:
+            part = parts.setdefault(D[a], [0] * n)
+            for j in range(n):
+                part[j] = (part[j] + y[a] * S[j][a]) % q
+    return [parts[lam] for lam in sorted(parts) if any(parts[lam])]
+
+
+@pytest.mark.parametrize("q", [5, 13, 37])
+def test_split_against_brute_force(q):
+    rng = random.Random(q)
+    for n in range(1, 8):
+        for _ in range(12):
+            S, S_inv, D, M = random_diagonalizable(rng, n, q)
+            columns = columns_of(M, q)
+            u = [rng.randrange(q) for _ in range(n)]
+            if rng.random() < 0.3:  # u on fewer eigenspaces: some coordinates y_a are 0
+                y = [rng.randrange(q) if rng.random() < 0.5 else 0 for _ in range(n)]
+                u = [sum(S[j][a] * y[a] for a in range(n)) % q for j in range(n)]
+            parts = split(columns, u, q)
+            assert parts == brute_components(S, S_inv, D, u, q), (q, M, u)
+            assert [sum(col) % q for col in zip(*parts)] == (u if parts else [])
+            for part in parts:
+                image = apply(columns, part, q)
+                p = next(j for j, x in enumerate(part) if x)
+                lam = image[p] * pow(part[p], q - 2, q) % q
+                assert image == [lam * x % q for x in part]
+
+
+def test_split_returns_an_eigenvector_as_it_is():
     q = 13
-    M = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    ns, free = nullspace(M, q)
-    assert len(ns) == 1
-    for v in ns:
-        assert matvec(M, v, q) == [0, 0, 0]
-    assert [[v[f] for f in free] for v in ns] == [[1]]
-    red, pivots = rref(M, q)
-    assert len(pivots) + len(ns) == 3
-    for i, c in enumerate(pivots):
-        assert red[i][c] == 1
+    columns = columns_of([[2, 0], [0, 5]], q)
+    assert split(columns, [0, 7], q) == [[0, 7]]
+    assert split(columns, [3, 1], q) == [[3, 0], [0, 1]]  # eigenvalues 2 < 5
 
 
-def test_poly_eval():
-    assert poly_eval([1, 0, 1], 5, 13) == (1 + 25) % 13
+def test_split_refuses_a_vector_in_no_sum_of_eigenspaces():
+    q = 13
+    jordan = columns_of([[4, 1], [0, 4]], q)
+    assert split(jordan, [1, 0], q) == [[1, 0]]  # the one eigenvector of the block
+    with pytest.raises(ValueError, match="degree 2 has 1 distinct roots mod 13"):
+        split(jordan, [0, 1], q)
+    # x^2 + 2 has no root mod 13 (-2 is not a square): the companion matrix has no eigenvector
+    companion = columns_of([[0, -2], [1, 0]], q)
+    with pytest.raises(ValueError, match="degree 2 has 0 distinct roots mod 13"):
+        split(companion, [1, 0], q)
+
+
+def test_roots_are_the_zeros_ascending():
+    assert roots([5, 7, 1], 13) == [1, 5]  # (x - 1)(x - 5) = x^2 - 6x + 5
+    assert roots([1, 0, 1], 13) == [5, 8]  # x^2 + 1
+    assert roots([1, 0, 1], 7) == []

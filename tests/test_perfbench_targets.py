@@ -19,6 +19,9 @@ TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.
 KNOWN_STALE = {
     "charcorr.chartab._central_character",
     "charcorr.chartab.inner_product",
+    "charcorr.fq.eigenvalues",
+    "charcorr.fq.nullspace",
+    "charcorr.fq.rref",
     "charcorr.groups.normal_subgroups",
     "charcorr.mckay.CorrespondenceReport.to_dict",
 }
