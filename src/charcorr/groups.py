@@ -17,7 +17,8 @@ Subgroups are generated by coset extension (Dimino's algorithm, in
 H adds whole right cosets of H instead of re-running a closure from the
 identity.  What depends only on the member set is computed once per
 interned ``Subgroup``: its lex-pruned generators (``gen_ids``), its view and
-its derived subgroup.
+its derived subgroup.  Solvability walks the derived series on generator ids
+alone, from the group's own generators, so no term of it is interned.
 """
 
 from __future__ import annotations
@@ -476,38 +477,36 @@ def normal_closure_ids(G: PermGroup, seed_ids, under_gen_ids) -> tuple[list[int]
     return sorted(mset), gens
 
 
+def _derived_ids(G: PermGroup, gen_ids) -> tuple[list[int], list[int]]:
+    """<gen_ids>' as (member ids, generator ids): the normal closure of the commutators [a, b]."""
+    seeds = {G.mul(G.mul(G.mul(G.inv(a), G.inv(b)), a), b) for a in gen_ids for b in gen_ids}
+    seeds.discard(0)
+    return normal_closure_ids(G, seeds, gen_ids)
+
+
 def derived_subgroup(S: Subgroup) -> Subgroup:
     """Commutator subgroup of S, as a subgroup of the same parent.
 
     Memoized on the interned Subgroup, since it depends only on the member set.
     """
     if S._derived is None:
-        G, gen_ids = S.parent, S.gen_ids
-        seeds = set()
-        for a in gen_ids:
-            for b in gen_ids:
-                seeds.add(G.mul(G.mul(G.mul(G.inv(a), G.inv(b)), a), b))
-        seeds.discard(0)
-        members, _ = normal_closure_ids(G, seeds, gen_ids)
-        S._derived = G.subgroup_from_ids(members)
+        S._derived = S.parent.subgroup_from_ids(_derived_ids(S.parent, S.gen_ids)[0])
     return S._derived
 
 
-def derived_series(G: PermGroup) -> list[Subgroup]:
-    """G >= G' >= G'' >= ..., ending when the term stabilizes."""
-    current = G.full_subgroup()
-    series = [current]
-    while True:
-        nxt = derived_subgroup(current)
-        if nxt.member_ids == current.member_ids:
-            break
-        series.append(nxt)
-        current = nxt
-    return series
-
-
 def is_solvable(G: PermGroup) -> bool:
-    return derived_series(G)[-1].order == 1
+    """True if the derived series of G ends at the identity.
+
+    Walked on generator ids from G's own generators until the order reaches
+    1 or stops shrinking; no term is interned as a Subgroup.
+    """
+    gens, order = [G.id_of(g) for g in G.generators], G.order
+    while order > 1:
+        members, gens = _derived_ids(G, gens)
+        if len(members) == order:
+            return False
+        order = len(members)
+    return True
 
 
 def o_p_residual(G: PermGroup, p: int) -> Subgroup:

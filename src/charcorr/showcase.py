@@ -22,11 +22,11 @@ from typing import NamedTuple
 from .chartab import (
     ClassFunction,
     character_table,
+    conjugate_classfn,
     constituents,
     induce,
     lying_over,
     mul_classfn,
-    orbit_and_stabilizer,
     product_table,
     restrict,
 )
@@ -201,9 +201,9 @@ def verify_fully_ramified(
     l_table = character_table(data.L.view)
     _require(l_table.degrees == (1, 1, 1), "Irr(L) should be three linears")
     theta = l_table.rows[1]  # canonical first nontrivial character of L
-    _, stab = orbit_and_stabilizer(theta, data.L)
-    if stab.order != data.G.order:
-        raise FalsificationError("theta is not G-invariant", stabilizer=stab.order)
+    for i, g in enumerate(data.G.generators):  # L is normal in G
+        if conjugate_classfn(theta, data.L, g).values != theta.values:
+            raise FalsificationError("theta is not G-invariant", generator=i)
     l_in_k = data.K.view.subgroup(data.L.members())
     induced = induce(theta, l_in_k)
     parts = constituents(induced)

@@ -3,7 +3,8 @@
 The catalogue names every group the tests share: the packaged corpus, and
 stress groups built here from generators as ``{name, degree, generators}``
 records, the format ``--group`` reads from a file.  ``named_group`` loads
-any of them once per session.
+any of them once per session; ``fresh_group`` builds one anew, for tests of
+what a run leaves behind on its group.
 
 ``MANIFEST`` has one entry per file under ``golden/``: the CLI arguments
 whose output that file pins byte for byte.  ``test_cli`` runs every entry
@@ -17,8 +18,8 @@ import random
 from functools import lru_cache
 from typing import NamedTuple
 
-from charcorr.common import corpus, load_corpus_group
-from charcorr.groups import PermGroup, group_from_dict
+from charcorr.common import corpus, corpus_path, load_corpus_group
+from charcorr.groups import PermGroup, group_from_dict, load_group
 from charcorr.showcase import remark_generators
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -204,6 +205,15 @@ def named_group(name: str) -> PermGroup:
     if name in RECORDS:
         return group_from_dict(RECORDS[name])
     return load_corpus_group(name)
+
+
+def fresh_group(name: str) -> PermGroup:
+    """A catalogue group built anew on each call, sharing no state with ``named_group``'s."""
+    if name.startswith("s4wrc2#"):
+        return group_from_dict(s4_wreath_c2_record(int(name.split("#")[1])))
+    if name in RECORDS:
+        return group_from_dict(RECORDS[name])
+    return load_group(corpus_path(name))
 
 
 # (name, p) for every catalogue instance inside the theorem's hypotheses

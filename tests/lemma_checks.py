@@ -8,7 +8,9 @@ stabilizer G_theta extending theta.  ``check_glauberman_unique`` counts the
 P-invariant constituents of theta induced to K under coprime action, and
 requires exactly one when P fixes only one coset of N in K.
 ``normal_subgroups`` lists every normal subgroup of a group, for the tests
-that pick a normal subgroup or run a lemma over all of them.
+that pick a normal subgroup or run a lemma over all of them, and
+``derived_series`` interns every term of a group's derived series, as a
+witness for ``is_solvable``, which walks the series without interning it.
 """
 
 from functools import lru_cache
@@ -28,6 +30,7 @@ from charcorr.groups import (
     Subgroup,
     check_same_group,
     conjugacy_classes,
+    derived_subgroup,
     fixed_points_on_cosets,
     is_normal,
     p_part,
@@ -62,6 +65,19 @@ def normal_subgroups(G: PermGroup) -> tuple[Subgroup, ...]:
                     found[key] = gens
                     changed = True
     return tuple(G.subgroup_from_ids(k) for k in sorted(found, key=lambda k: (len(k), sorted(k))))
+
+
+def derived_series(G: PermGroup) -> list[Subgroup]:
+    """G >= G' >= G'' >= ..., ending when the term stabilizes."""
+    current = G.full_subgroup()
+    series = [current]
+    while True:
+        nxt = derived_subgroup(current)
+        if nxt.member_ids == current.member_ids:
+            break
+        series.append(nxt)
+        current = nxt
+    return series
 
 
 def check_extension(

@@ -22,7 +22,6 @@ from charcorr.groups import (
     PermGroup,
     conjugacy_classes,
     coset_rep_ids,
-    derived_series,
     derived_subgroup,
     fixed_points_on_cosets,
     group_from_dict,
@@ -36,8 +35,8 @@ from charcorr.groups import (
     product_subgroup,
     sylow,
 )
-from instances import CATALOGUE, named_group, s4_wreath_c2
-from lemma_checks import normal_subgroups
+from instances import CATALOGUE, fresh_group, named_group, s4_wreath_c2
+from lemma_checks import derived_series, normal_subgroups
 from perm_reference import conjugate, reference_order
 
 
@@ -367,10 +366,32 @@ def test_derived_series_s4(s4):
     assert is_solvable(s4)
 
 
-def test_a5_not_solvable():
-    a5 = PermGroup.from_generators(5, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]], name="A5")
-    assert a5.order == 60
-    assert not is_solvable(a5)
+@pytest.mark.parametrize("name", CATALOGUE)
+def test_is_solvable_agrees_with_the_interned_derived_series(name):
+    G = named_group(name)
+    assert is_solvable(G) == (derived_series(G)[-1].order == 1)
+
+
+A5 = {"name": "A5", "degree": 5, "generators": [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]]}
+S5 = {"name": "S5", "degree": 5, "generators": [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]}
+TRIVIAL = {"name": "1", "degree": 1, "generators": []}
+
+
+@pytest.mark.parametrize(
+    "record, order, solvable",
+    [(A5, 60, False), (S5, 120, False), (TRIVIAL, 1, True)],  # A5' = A5; S5' = A5
+    ids=["A5", "S5", "trivial"],
+)
+def test_a5_not_solvable(record, order, solvable):
+    G = group_from_dict(record)
+    assert G.order == order
+    assert is_solvable(G) == solvable
+
+
+def test_is_solvable_interns_no_subgroup():
+    for G in (fresh_group("s4wrc2#1"), fresh_group("s3wrc2wrc2"), group_from_dict(A5)):
+        is_solvable(G)
+        assert G._subgroups == {}, G.name
 
 
 # -- O^p ---------------------------------------------------------------------------------

@@ -52,7 +52,13 @@ from charcorr.mckay import (
 )
 from chartab_reference import inner_product, inner_product_int
 from galois_check import check_galois_equivariance
-from instances import THEOREM_INSTANCES, gl23_record, named_group, s4_wreath_c2_record
+from instances import (
+    THEOREM_INSTANCES,
+    fresh_group,
+    gl23_record,
+    named_group,
+    s4_wreath_c2_record,
+)
 from lemma_checks import check_extension, check_glauberman_unique, normal_subgroups
 from perm_reference import conjugate, reference_order
 
@@ -500,6 +506,16 @@ def test_verify_on_a_solvable_group_skips_the_p_solvability_walk(monkeypatch):
     rep = verify_main(check_hypotheses(group_from_dict(s4_wreath_c2_record(1)), 2))
     assert rep.verdict is True and len(rep.pairs) == 8
     assert calls == []
+
+
+def test_verify_interns_no_whole_group_when_the_sylow_is_proper():
+    # a run interns the whole group only as P or N_G(P), and with P < G neither is G
+    for name, p in THEOREM_INSTANCES:
+        G = fresh_group(name)
+        inst = check_hypotheses(G, p)
+        if inst.sylow.order < G.order:
+            assert verify_main(inst).verdict is True
+            assert all(len(ids) < G.order for ids in G._subgroups), name
 
 
 def test_a_descent_level_failure_is_recorded_for_every_character(monkeypatch, tmp_path):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from charcorr import showcase
 from charcorr.chartab import (
     character_table,
     constituents,
@@ -11,7 +12,7 @@ from charcorr.chartab import (
     orbit_and_stabilizer,
     restrict,
 )
-from charcorr.common import corpus_path, load_corpus_group
+from charcorr.common import FalsificationError, corpus_path, load_corpus_group
 from charcorr.cyclotomic import render_cyc, sqrt_minus3
 from charcorr.groups import (
     conjugacy_classes,
@@ -23,6 +24,7 @@ from charcorr.groups import (
 )
 from charcorr.mckay import check_hypotheses, mckay_count, verify_main
 from charcorr.showcase import (
+    build_remark_group,
     remark_data,
     remark_generators,
     remark_report,
@@ -107,6 +109,20 @@ def test_fully_ramified_index(data):
 def test_theta_is_g_invariant(data):
     _, stab = orbit_and_stabilizer(data.theta, data.L)
     assert stab.order == data.G.order
+
+
+def test_fully_ramified_check_interns_no_whole_group():
+    group = build_remark_group()
+    showcase.verify_fully_ramified(group)
+    assert all(len(ids) < group.G.order for ids in group.G._subgroups)
+
+
+def test_fully_ramified_check_names_a_generator_that_moves_theta(monkeypatch):
+    group = build_remark_group()
+    other = character_table(group.L.view).rows[2]
+    monkeypatch.setattr(showcase, "conjugate_classfn", lambda theta, N, g: other)
+    with pytest.raises(FalsificationError, match=r"theta is not G-invariant \[generator=0\]"):
+        showcase.verify_fully_ramified(group)
 
 
 def test_trivial_theta_not_fully_ramified(data):
